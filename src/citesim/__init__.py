@@ -42,13 +42,14 @@ from .montecarlo import (
     sample_series,
 )
 from .output import OutputFormat
-from .special import erf, erfc
+from .special import ConvergenceError, erf, erfc
 from .stats import LinearFit, PowerLawFit, fit_linear, fit_power_law, pearson, power_transform
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CitationSample",
+    "ConvergenceError",
     "DEFAULT_SEED",
     "DEFAULT_THRESHOLDS",
     "HCurve",

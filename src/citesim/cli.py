@@ -25,6 +25,7 @@ from .report import (
     simulate_rows,
     table1_rows,
 )
+from .special import ConvergenceError
 from .verification import run_checks
 
 
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

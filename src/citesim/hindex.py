@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .lognormal import LognormalParams, SeriesSpec, expected_exceeding
 from .roots import brentq
+from .special import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,14 @@ def solve_h(spec: SeriesSpec, tolerance: float = 1e-9) -> HSolution:
     lo = min(spec.params.mu, ln_n) - 1.0
     hi = ln_n
     if gap_in_log(lo) < 0.0 or gap_in_log(hi) > 0.0:
-        raise RuntimeError(f"bracket failure for {spec}; the model is not solvable")
+        raise ConvergenceError(f"bracket failure for {spec}; the model is not solvable")
     # one ulp of u near h = 1; elsewhere brentq's own 2 eps |u| term
     # dominates, so the stopping width is relative in h
     u, iterations = brentq(gap_in_log, lo, hi, xtol=math.ulp(1.0))
     root = min(math.exp(u), float(spec.n_papers))
     residual = abs(gap(root))
     if residual > tolerance:
-        raise RuntimeError(
+        raise ConvergenceError(
             f"solver residual {residual:.3e} exceeds tolerance {tolerance:.3e} for {spec}"
         )
     return HSolution(

@@ -6,12 +6,24 @@ than rounding to nearest) keeps threshold counting exact: a truncated
 count reaches an integer threshold x exactly when the underlying draw
 does, so empirical exceedance fractions are unbiased estimates of the
 model's survival probabilities. The price is a mean shifted down by the
-mean fractional part of the draws, about half a citation.
+mean fractional part of the draws, about half a citation. Counts are
+int64, so a draw whose exp reaches 2**63 raises ValueError instead of
+wrapping.
 
 Every replicate owns a private generator seeded from (master seed,
 replicate index) through a SplitMix64-style avalanche, and aggregation
 runs over stored per-replicate values, so results depend only on the
 master seed, never on evaluation order or parallelism.
+
+:func:`run_replicates` works on blocks of replicates. Each replicate's
+generator fills one row of a preallocated float64 block and one pass of
+numpy calls per block does the rest: exp/floor, a row-wise sort, h, the
+citation totals and every threshold count. A block holds
+max(1, 2**15 // N) rows of N papers, so its two buffers (float64 and
+int64) take about 512 KiB together whatever the replicate count, or one
+row of N elements each when N exceeds 2**15. The per-replicate values are
+the same integers the one-replicate helpers below compute, so the
+averages match theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +37,11 @@ from .lognormal import DEFAULT_THRESHOLDS, SeriesSpec, ThresholdSet
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+#: Papers per block of replicates in run_replicates (rows of N papers).
+_BLOCK_ELEMENTS = 1 << 15
+#: Draws must stay below this for their floor to fit in int64.
+_COUNT_LIMIT = 2.0**63
 
 #: Master seed used when none is given; echoed in CLI output metadata.
 DEFAULT_SEED = 20200212
@@ -90,9 +107,30 @@ def sample_series(spec: SeriesSpec, seed: int) -> CitationSample:
 def _draw_sorted_counts(spec: SeriesSpec, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed & _MASK64)
     z = rng.standard_normal(spec.n_papers)
-    counts = np.floor(np.exp(spec.params.mu + spec.params.sigma * z)).astype(np.int64)
+    _floor_exp(z, spec)
+    counts = z.astype(np.int64)
     counts[::-1].sort()
     return counts
+
+
+def _floor_exp(z: np.ndarray, spec: SeriesSpec) -> float:
+    """Turn standard normal draws into floor(exp(mu + sigma * z)), in place.
+
+    Returns the largest exp. Raises ValueError when it reaches 2**63,
+    where the int64 counts would overflow.
+    """
+    np.multiply(z, spec.params.sigma, out=z)
+    np.add(z, spec.params.mu, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    top = z.max()
+    if not top < _COUNT_LIMIT:
+        raise ValueError(
+            f"a citation draw reached {top:.6g} for mu={spec.params.mu:g}, "
+            f"sigma={spec.params.sigma:g}; counts must stay below 2^63"
+        )
+    np.floor(z, out=z)
+    return float(top)
 
 
 def empirical_h(sample: CitationSample) -> int:
@@ -143,17 +181,31 @@ def run_replicates(
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     n = spec.n_papers
-    ranks = np.arange(1, n + 1)
     xs = list(thresholds)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    draws = np.empty((rows, n))
+    sorted_counts = np.empty((rows, n), dtype=np.int64)
+    # the rank of each position in a row sorted ascending
+    ranks = np.arange(n, 0, -1)
     h_values = np.empty(replicates, dtype=np.int64)
     totals = np.empty(replicates, dtype=np.int64)
     above = np.empty((replicates, len(xs)), dtype=np.int64)
-    for i in range(replicates):
-        counts = _draw_sorted_counts(spec, derive_seed(seed, i))
-        h_values[i] = np.count_nonzero(counts >= ranks)
-        totals[i] = counts.sum()
-        for j, x in enumerate(xs):
-            above[i, j] = np.count_nonzero(counts >= x)
+    default_rng = np.random.default_rng
+    for start in range(0, replicates, rows):
+        stop = min(start + rows, replicates)
+        z = draws[: stop - start]
+        counts = sorted_counts[: stop - start]
+        for k, i in enumerate(range(start, stop)):
+            default_rng(derive_seed(seed, i)).standard_normal(out=z[k])
+        top = _floor_exp(z, spec)
+        z.sort(axis=1)
+        counts[...] = z
+        h_values[start:stop] = np.count_nonzero(counts >= ranks, axis=1)
+        block_totals = _row_sums(counts, top)
+        if totals.dtype == np.int64 and block_totals.dtype != np.int64:
+            totals = totals.astype(np.float64)
+        totals[start:stop] = block_totals
+        _count_at_least(counts, xs, above[start:stop])
     means = above.mean(axis=0)
     return ReplicateSummary(
         spec=spec,
@@ -164,6 +216,44 @@ def run_replicates(
         counts_above={x: float(m) for x, m in zip(xs, means)},
         seed=seed,
     )
+
+
+def _row_sums(counts: np.ndarray, top: float) -> np.ndarray:
+    """Row sums of the nonnegative int64 block `counts`, no entry above `top`.
+
+    int64 unless a sum could reach 2**63. Then the sums are formed exactly
+    in Python ints, and returned as float64 when any of them does not fit
+    in int64.
+    """
+    if top * counts.shape[1] < 2.0**62:
+        return counts.sum(axis=1)
+    exact = [sum(row) for row in counts.tolist()]
+    return np.array(exact, dtype=np.int64 if max(exact) < 1 << 63 else np.float64)
+
+
+def _count_at_least(counts: np.ndarray, xs: list[float], out: np.ndarray) -> None:
+    """out[k, j] = number of entries of row k of `counts` at least xs[j].
+
+    The rows are sorted ascending; they are overwritten. An integer count
+    reaches x exactly when it reaches ceil(x). Clamping every row at the
+    largest such cut and lifting row k by k * (cut + 1) makes the block one
+    ascending array, so a single searchsorted finds each row's cut points.
+    numpy compares int64 counts with a float x in float64, which agrees
+    with the integer cut only below 2**53; keys that would reach it are
+    counted threshold by threshold instead.
+    """
+    m, n = counts.shape
+    cuts = [math.ceil(x) for x in xs]
+    stride = cuts[-1] + 1
+    if m * stride > 1 << 53:
+        for j, x in enumerate(xs):
+            out[:, j] = np.count_nonzero(counts >= x, axis=1)
+        return
+    lift = np.arange(0, m * stride, stride, dtype=np.int64)[:, None]
+    np.minimum(counts, cuts[-1], out=counts)
+    counts += lift
+    below = np.searchsorted(counts.ravel(), (lift + cuts).ravel())
+    np.subtract(np.arange(n, (m + 1) * n, n)[:, None], below.reshape(m, len(xs)), out=out)
 
 
 def averaged_rank_frequency(spec: SeriesSpec, replicates: int, seed: int = DEFAULT_SEED) -> np.ndarray:

@@ -15,6 +15,11 @@ import math
 
 _TINY = 1e-300
 
+
+class ConvergenceError(RuntimeError):
+    """A numerical iteration or solve ended without meeting its accuracy target."""
+
+
 #: Error function; odd, bounded by 1 in magnitude.
 erf = math.erf
 
@@ -102,4 +107,4 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
+    raise ConvergenceError("incomplete beta continued fraction did not converge")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -18,6 +19,14 @@ def run_cli(*args, check=True):
     if check:
         assert result.returncode == 0, result.stderr
     return result
+
+
+def assert_one_error_line(result):
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert "Warning" not in result.stderr
+    assert sum(line.startswith("error: ") for line in result.stderr.splitlines()) == 1
 
 
 def parse_csv(text):
@@ -104,6 +113,24 @@ class TestHCurve:
         assert result.returncode != 0
         assert "error" in result.stderr.lower()
 
+    def test_solver_failure_is_an_error_line(self):
+        # solve_h raises ConvergenceError on this grid (its absolute residual
+        # tolerance is out of reach at N = 596362)
+        result = run_cli("hcurve", "--mu", "30", "--sigma", "5", "--n-max", "10000000000",
+                         check=False)
+        assert_one_error_line(result)
+
+    @pytest.mark.parametrize("error", [RecursionError, NotImplementedError])
+    def test_other_runtime_errors_keep_their_traceback(self, monkeypatch, error):
+        from citesim import cli
+
+        def fail(args):
+            raise error("a bug, not a solver failure")
+
+        monkeypatch.setattr(cli, "_dispatch", fail)
+        with pytest.raises(error):
+            cli.main(["table1"])
+
 
 class TestScatter:
     def test_h_versus_counts_panel(self):
@@ -177,6 +204,18 @@ class TestSimulate:
                 "--replicates", "50", "--seed", "3")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    def test_totals_beyond_int64_stay_positive(self):
+        # each replicate's citation total is about 7e19, above 2^63
+        result = run_cli("simulate", "--mu", "36", "--sigma", "1", "--n", "10000",
+                         "--replicates", "2")
+        sum_c = float(parse_csv(result.stdout)[0]["sum_c_mean"])
+        assert sum_c == pytest.approx(10_000 * math.exp(36 + 0.5), rel=0.05)
+
+    def test_counts_beyond_int64_are_an_error(self):
+        result = run_cli("simulate", "--mu", "800", "--sigma", "1", "--n", "10",
+                         "--replicates", "3", check=False)
+        assert_one_error_line(result)
+
 
 class TestVerify:
     def test_filter_table1_passes(self):
@@ -197,3 +236,13 @@ class TestVerify:
         records = json.loads(result.stdout)
         assert records[0]["name"] == "correlations"
         assert records[0]["status"] == "pass"
+
+
+class TestImport:
+    def test_cli_leaves_numpy_random_unloaded(self):
+        # numpy.random is loaded on first use, so every command that does
+        # not simulate starts without it
+        code = "import sys, citesim.cli; assert 'numpy.random' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from citesim import (
     CitationSample,
@@ -20,6 +20,7 @@ from citesim import (
     sample_series,
     survival_probability,
 )
+from citesim import montecarlo as mc
 from citesim.montecarlo import DEFAULT_SEED
 
 SERIES_1 = SeriesSpec.from_values(2.7, 1.2, 500)
@@ -152,17 +153,50 @@ class TestEmpiricalCounts:
         assert summary.counts_above[100] == pytest.approx(28.1, abs=0.5)
 
 
+def assert_equals_sample_metrics(spec, replicates, thresholds, seed):
+    """run_replicates equals its per-replicate reference exactly: one
+    sample_series per replicate, measured with empirical_h and
+    empirical_counts, averaged the same way."""
+    summary = run_replicates(spec, replicates, thresholds, seed)
+    samples = [sample_series(spec, derive_seed(seed, i)) for i in range(replicates)]
+    h = np.array([empirical_h(s) for s in samples])
+    totals = np.array([s.counts.sum() for s in samples])
+    above = np.array([list(empirical_counts(s, thresholds).values()) for s in samples])
+    assert summary.h_mean == float(h.mean())
+    assert summary.h_stddev == (float(h.std(ddof=1)) if replicates > 1 else 0.0)
+    assert summary.sum_citations_mean == float(totals.mean())
+    assert summary.counts_above == {x: float(v) for x, v in zip(thresholds, above.mean(axis=0))}
+
+
 class TestRunReplicates:
     def test_single_replicate_equals_sample_metrics(self):
-        thresholds = ThresholdSet((5, 10, 20))
-        summary = run_replicates(SERIES_13, 1, thresholds, seed=77)
-        sample = sample_series(SERIES_13, derive_seed(77, 0))
-        assert summary.h_mean == empirical_h(sample)
-        assert summary.h_stddev == 0.0
-        assert summary.sum_citations_mean == float(sample.counts.sum())
-        assert summary.counts_above == {
-            x: float(v) for x, v in empirical_counts(sample, thresholds).items()
-        }
+        assert_equals_sample_metrics(SERIES_13, 1, ThresholdSet((5, 10, 20)), seed=77)
+
+    @pytest.mark.parametrize(
+        "n, replicates, thresholds",
+        [
+            # a single partial block of 32768 rows
+            (1, 300, (0.5, 1, 2.5, 7)),
+            # blocks of 327 rows, the last one holding 46
+            (100, 700, (0.5, 5, 10.5, 20, 100)),
+            # one row per block at N = B, then rows longer than B
+            (mc._BLOCK_ELEMENTS, 3, (5, 10, 20, 50, 100, 500)),
+            (mc._BLOCK_ELEMENTS + 1, 2, (5, 10, 20, 50, 100, 500)),
+            # cuts too large for lifted keys: counted threshold by threshold
+            (100, 400, (5, 10, 1e15)),
+            # a lifted stride of 2^40 + 1
+            (1, 50, (1, 2**40)),
+        ],
+    )
+    def test_blocks_equal_sample_metrics(self, n, replicates, thresholds):
+        spec = SeriesSpec.from_values(2.1, 1.1, n)
+        assert_equals_sample_metrics(spec, replicates, ThresholdSet(thresholds), seed=77)
+
+    def test_exact_totals_equal_sample_metrics(self):
+        # N times the largest draw exceeds 2^62, so the totals are summed
+        # in Python ints; each still fits in int64
+        spec = SeriesSpec.from_values(30, 2, 3000)
+        assert_equals_sample_metrics(spec, 20, ThresholdSet((5, 1e9, 1e13)), seed=5)
 
     def test_deterministic(self):
         a = run_replicates(SERIES_13, 50, seed=3)
@@ -172,6 +206,13 @@ class TestRunReplicates:
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError):
             run_replicates(SERIES_13, 0)
+
+    def test_rejects_counts_beyond_int64(self):
+        spec = SeriesSpec.from_values(800, 1, 10)
+        with pytest.raises(ValueError, match="2\\^63"):
+            run_replicates(spec, 3)
+        with pytest.raises(ValueError, match="2\\^63"):
+            sample_series(spec, 1)
 
     def test_series_13_h_mean_matches_reference(self):
         summary = run_replicates(SERIES_13, 10_000, seed=DEFAULT_SEED)
@@ -192,6 +233,40 @@ class TestRunReplicates:
             summary = run_replicates(spec, 500, seed=99)
             shift = summary.sum_citations_mean / 2000 - mean_citations(spec.params)
             assert -0.65 < shift < -0.3, (mu, sigma, shift)
+
+
+class TestBlockReductions:
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 600) | st.integers(0, 2**62), min_size=4, max_size=4),
+            min_size=1, max_size=6,
+        ),
+        st.lists(
+            st.floats(min_value=1e-3, max_value=1e19, allow_nan=False), min_size=1, max_size=5,
+            unique=True,
+        ),
+    )
+    # numpy compares int64 with a float in float64, where 2^54 - 1 rounds up
+    # to 2^54; the lifted integer keys must not be used there
+    @example(rows=[[2**54 - 1, 0, 0, 0]], xs=[2.0**54])
+    def test_count_at_least_matches_naive(self, rows, xs):
+        xs = sorted(xs)
+        block = np.sort(np.array(rows, dtype=np.int64), axis=1)
+        expected = [[np.count_nonzero(row >= x) for x in xs] for row in block]
+        out = np.empty((len(rows), len(xs)), dtype=np.int64)
+        mc._count_at_least(block, xs, out)
+        assert out.tolist() == expected
+
+    @pytest.mark.parametrize("top", [3, 2**40, 2**62 - 1, 2**63 - 1])
+    def test_row_sums_are_exact(self, top):
+        rows = [[top, top, 1, 0], [top // 3, 5, 0, 0]]
+        sums = mc._row_sums(np.array(rows, dtype=np.int64), float(top))
+        exact = [sum(row) for row in rows]
+        if max(exact) < 2**63:
+            assert sums.dtype == np.int64
+            assert sums.tolist() == exact
+        else:
+            assert sums.tolist() == [float(t) for t in exact]
 
 
 class TestAveragedRankFrequency:
