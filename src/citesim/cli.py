@@ -4,7 +4,8 @@ Subcommands reproduce the study's datasets as CSV/TSV/JSON: the
 30-series table (table1), h versus paper count curves (hcurve), indicator
 scatters (scatter), regressions (fit), single-spec simulation summaries
 (simulate), and the verification suite (verify). All output is
-deterministic for fixed flags; seeds are echoed on stderr.
+deterministic for fixed flags; seeds and the seeding scheme are echoed
+on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import sys
 
 from .indicators import Y_INDICATORS
-from .montecarlo import DEFAULT_SEED
+from .montecarlo import DEFAULT_SEED, SEEDING_VERSION
 from .output import KINDS, OutputFormat, render_rows
 from .report import (
     CLI_THRESHOLDS,
@@ -162,7 +163,8 @@ def _fmt(args: argparse.Namespace, fallback: str) -> OutputFormat:
 
 def _echo_seed(args: argparse.Namespace) -> None:
     print(
-        f"# command={args.command} seed={args.seed} replicates={args.replicates}",
+        f"# command={args.command} seed={args.seed} replicates={args.replicates} "
+        f"seeding={SEEDING_VERSION}",
         file=sys.stderr,
     )
 

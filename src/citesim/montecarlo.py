@@ -10,20 +10,25 @@ mean fractional part of the draws, about half a citation. Counts are
 int64, so a draw whose exp reaches 2**63 raises ValueError instead of
 wrapping.
 
-Every replicate owns a private generator seeded from (master seed,
-replicate index) through a SplitMix64-style avalanche, and aggregation
-runs over stored per-replicate values, so results depend only on the
-master seed, never on evaluation order or parallelism.
+Seeding scheme v2 (SEEDING_VERSION): replicates are grouped in chunks of
+64. Chunk j owns one generator, seeded from (master seed, j) through a
+SplitMix64-style avalanche, and replicate i takes row i % 64 of the
+64 x N standard normals that chunk i // 64 draws in sequence. Drawing a
+chunk in pieces gives the same values as drawing it whole, so results
+depend only on the master seed, N and the replicate count: never on
+block size or evaluation order, and the first R replicates are the same
+for any larger replicate count. Aggregation runs over stored
+per-replicate values. Scheme 1, one generator per replicate, gave other
+simulated values; output simulated before scheme 2 does not reproduce.
 
-:func:`run_replicates` works on blocks of replicates. Each replicate's
-generator fills one row of a preallocated float64 block and one pass of
+:func:`run_replicates` works on blocks of replicates. The chunk
+generators fill the rows of a preallocated float64 block and one pass of
 numpy calls per block does the rest: exp/floor, a row-wise sort, h, the
 citation totals and every threshold count. A block holds
 max(1, 2**15 // N) rows of N papers, so its two buffers (float64 and
 int64) take about 512 KiB together whatever the replicate count, or one
-row of N elements each when N exceeds 2**15. The per-replicate values are
-the same integers the one-replicate helpers below compute, so the
-averages match theirs bit for bit.
+row of N elements each when N exceeds 2**15. A block may span several
+chunks, and a chunk several blocks.
 """
 
 from __future__ import annotations
@@ -40,11 +45,15 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 #: Papers per block of replicates in run_replicates (rows of N papers).
 _BLOCK_ELEMENTS = 1 << 15
+#: Replicates drawn in sequence from one generator.
+_CHUNK_REPLICATES = 64
 #: Draws must stay below this for their floor to fit in int64.
 _COUNT_LIMIT = 2.0**63
 
 #: Master seed used when none is given; echoed in CLI output metadata.
 DEFAULT_SEED = 20200212
+#: How replicate streams derive from the master seed; echoed with it.
+SEEDING_VERSION = 2
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -173,10 +182,11 @@ def run_replicates(
 ) -> ReplicateSummary:
     """Generate `replicates` independent series and average their metrics.
 
-    Replicate i draws from its own generator seeded with
-    derive_seed(seed, i); per-replicate h, citation totals, and threshold
-    counts are stored first and averaged afterwards, so the summary is
-    identical however the replicates are scheduled.
+    Replicate i is row i % 64 of the normals drawn by the generator of
+    chunk i // 64, seeded with derive_seed(seed, i // 64) (seeding scheme
+    v2); per-replicate h, citation totals, and threshold counts are
+    stored first and averaged afterwards, so the summary is identical
+    however the replicates are blocked.
     """
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
@@ -190,13 +200,9 @@ def run_replicates(
     h_values = np.empty(replicates, dtype=np.int64)
     totals = np.empty(replicates, dtype=np.int64)
     above = np.empty((replicates, len(xs)), dtype=np.int64)
-    default_rng = np.random.default_rng
-    for start in range(0, replicates, rows):
-        stop = min(start + rows, replicates)
-        z = draws[: stop - start]
-        counts = sorted_counts[: stop - start]
-        for k, i in enumerate(range(start, stop)):
-            default_rng(derive_seed(seed, i)).standard_normal(out=z[k])
+    for start, z in _normal_blocks(draws, replicates, seed):
+        stop = start + len(z)
+        counts = sorted_counts[: len(z)]
         top = _floor_exp(z, spec)
         z.sort(axis=1)
         counts[...] = z
@@ -216,6 +222,29 @@ def run_replicates(
         counts_above={x: float(m) for x, m in zip(xs, means)},
         seed=seed,
     )
+
+
+def _normal_blocks(draws: np.ndarray, replicates: int, seed: int):
+    """Yield (first replicate, rows) for successive blocks of `draws`.
+
+    The rows hold the standard normals of the next replicates under
+    seeding scheme v2, one row each; the last block may be shorter. Each
+    block is filled with one standard_normal call per chunk it touches,
+    and a chunk's generator carries over into the next block.
+    """
+    default_rng = np.random.default_rng
+    rows = len(draws)
+    for start in range(0, replicates, rows):
+        z = draws[: min(rows, replicates - start)]
+        i = start
+        while i < start + len(z):
+            chunk, offset = divmod(i, _CHUNK_REPLICATES)
+            if offset == 0:
+                rng = default_rng(derive_seed(seed, chunk))
+            stop = min(start + len(z), i - offset + _CHUNK_REPLICATES)
+            rng.standard_normal(out=z[i - start : stop - start])
+            i = stop
+        yield start, z
 
 
 def _row_sums(counts: np.ndarray, top: float) -> np.ndarray:
@@ -266,6 +295,9 @@ def averaged_rank_frequency(spec: SeriesSpec, replicates: int, seed: int = DEFAU
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     acc = np.zeros(spec.n_papers, dtype=np.float64)
-    for i in range(replicates):
-        acc += _draw_sorted_counts(spec, derive_seed(seed, i))
+    draws = np.empty((max(1, _BLOCK_ELEMENTS // spec.n_papers), spec.n_papers))
+    for _, z in _normal_blocks(draws, replicates, seed):
+        _floor_exp(z, spec)
+        z.sort(axis=1)
+        acc += z.sum(axis=0)[::-1]
     return acc / replicates

@@ -204,6 +204,12 @@ class TestSimulate:
                 "--replicates", "50", "--seed", "3")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    def test_echoes_seeding_scheme_on_stderr(self):
+        result = run_cli("simulate", "--mu", "1.7", "--sigma", "1.0", "--n", "100",
+                         "--replicates", "50", "--seed", "3")
+        assert result.stderr.splitlines() == ["# command=simulate seed=3 replicates=50 seeding=2"]
+        assert "seeding" not in result.stdout
+
     def test_totals_beyond_int64_stay_positive(self):
         # each replicate's citation total is about 7e19, above 2^63
         result = run_cli("simulate", "--mu", "36", "--sigma", "1", "--n", "10000",
@@ -243,6 +249,14 @@ class TestImport:
         # numpy.random is loaded on first use, so every command that does
         # not simulate starts without it
         code = "import sys, citesim.cli; assert 'numpy.random' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr
+
+    def test_cli_loads_no_executor(self):
+        # replicates run on one thread: no pool, no worker processes
+        code = ("import sys, citesim.cli; "
+                "assert not {'concurrent.futures', 'multiprocessing'} & set(sys.modules)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 timeout=60)
         assert result.returncode == 0, result.stderr

@@ -153,15 +153,30 @@ class TestEmpiricalCounts:
         assert summary.counts_above[100] == pytest.approx(28.1, abs=0.5)
 
 
+def reference_counts(spec, replicates, seed):
+    """Each replicate's counts, sorted descending, under seeding scheme v2
+    drawn independently of montecarlo: chunk j's rows in one call from
+    default_rng(derive_seed(seed, j)), then floor(exp(mu + sigma * z))."""
+    n, chunk = spec.n_papers, 64
+    rows = [
+        np.random.default_rng(derive_seed(seed, j)).standard_normal(
+            (min(chunk, replicates - j * chunk), n))
+        for j in range(-(-replicates // chunk))
+    ]
+    z = np.concatenate(rows)
+    counts = np.floor(np.exp(spec.params.mu + spec.params.sigma * z)).astype(np.int64)
+    return -np.sort(-counts, axis=1)
+
+
 def assert_equals_sample_metrics(spec, replicates, thresholds, seed):
-    """run_replicates equals its per-replicate reference exactly: one
-    sample_series per replicate, measured with empirical_h and
-    empirical_counts, averaged the same way."""
+    """run_replicates equals its per-replicate reference exactly: the
+    counts of reference_counts, measured row by row with plain numpy and
+    averaged the same way."""
     summary = run_replicates(spec, replicates, thresholds, seed)
-    samples = [sample_series(spec, derive_seed(seed, i)) for i in range(replicates)]
-    h = np.array([empirical_h(s) for s in samples])
-    totals = np.array([s.counts.sum() for s in samples])
-    above = np.array([list(empirical_counts(s, thresholds).values()) for s in samples])
+    counts = reference_counts(spec, replicates, seed)
+    h = np.array([np.count_nonzero(row >= np.arange(1, row.size + 1)) for row in counts])
+    totals = np.array([sum(row.tolist()) for row in counts])
+    above = np.array([[np.count_nonzero(row >= x) for x in thresholds] for row in counts])
     assert summary.h_mean == float(h.mean())
     assert summary.h_stddev == (float(h.std(ddof=1)) if replicates > 1 else 0.0)
     assert summary.sum_citations_mean == float(totals.mean())
@@ -191,6 +206,27 @@ class TestRunReplicates:
     def test_blocks_equal_sample_metrics(self, n, replicates, thresholds):
         spec = SeriesSpec.from_values(2.1, 1.1, n)
         assert_equals_sample_metrics(spec, replicates, ThresholdSet(thresholds), seed=77)
+
+    @pytest.mark.parametrize("replicates", [63, 64, 65, 128, 129])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # chunk boundaries inside one block of 327 rows
+            100,
+            # blocks of 10 rows: a chunk spans several blocks
+            3000,
+        ],
+    )
+    def test_chunk_boundaries_equal_sample_metrics(self, n, replicates):
+        spec = SeriesSpec.from_values(2.1, 1.1, n)
+        assert_equals_sample_metrics(spec, replicates, ThresholdSet((5, 10, 20, 50)), seed=77)
+
+    @pytest.mark.parametrize("block_elements", [1, 150, 2**15])
+    def test_independent_of_block_size(self, monkeypatch, block_elements):
+        spec = SeriesSpec.from_values(2.1, 1.1, 50)
+        expected = run_replicates(spec, 150, seed=9)
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_elements)
+        assert run_replicates(spec, 150, seed=9) == expected
 
     def test_exact_totals_equal_sample_metrics(self):
         # N times the largest draw exceeds 2^62, so the totals are summed
@@ -281,6 +317,12 @@ class TestAveragedRankFrequency:
         curve = averaged_rank_frequency(SERIES_13, 1, seed=11)
         sample = sample_series(SERIES_13, derive_seed(11, 0))
         assert np.array_equal(curve, sample.counts.astype(float))
+
+    @pytest.mark.parametrize("n", [100, 3000])
+    def test_uses_the_run_replicates_stream(self, n):
+        spec = SeriesSpec.from_values(2.1, 1.1, n)
+        curve = averaged_rank_frequency(spec, 129, seed=77)
+        assert np.array_equal(curve, reference_counts(spec, 129, seed=77).mean(axis=0))
 
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError):
