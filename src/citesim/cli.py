@@ -11,6 +11,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .indicators import Y_INDICATORS
@@ -89,8 +90,16 @@ def _add_output_flags(sub: argparse.ArgumentParser, default_format: str | None =
     sub.add_argument("--out", metavar="FILE", default=None)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on its first call, then reused. Each
+    parse_args call fills a new Namespace, so no call sees another's
+    arguments."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ValueError, ConvergenceError) as exc:
@@ -177,8 +186,11 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Command line behavior, exercised through subprocesses."""
+"""Command line behavior, exercised through subprocesses, and repeated
+in-process calls of ``citesim.cli.main``."""
 
 import csv
 import json
@@ -119,6 +120,12 @@ class TestHCurve:
         result = run_cli("hcurve", "--mu", "30", "--sigma", "5", "--n-max", "10000000000",
                          check=False)
         assert_one_error_line(result)
+
+    def test_unwritable_out_is_an_error_line(self, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        result = run_cli("hcurve", "--mu", "2", "--sigma", "1", "--out", str(target), check=False)
+        assert_one_error_line(result)
+        assert f"error: cannot write {target}: " in result.stderr
 
     @pytest.mark.parametrize("error", [RecursionError, NotImplementedError])
     def test_other_runtime_errors_keep_their_traceback(self, monkeypatch, error):
@@ -260,3 +267,96 @@ class TestImport:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 timeout=60)
         assert result.returncode == 0, result.stderr
+
+
+class TestParserReuse:
+    """main builds its parser once per process; each call must still
+    parse its own arguments into a fresh Namespace."""
+
+    FIT = ["fit", "--kind", "power", "--y", "h", "--x", "sum_c"]
+
+    @pytest.fixture
+    def dispatched(self, monkeypatch):
+        """The Namespaces main hands to _dispatch, in call order."""
+        from citesim import cli
+
+        seen = []
+        dispatch = cli._dispatch
+
+        def recording(args):
+            seen.append(args)
+            return dispatch(args)
+
+        monkeypatch.setattr(cli, "_dispatch", recording)
+        return seen
+
+    @staticmethod
+    def assert_fresh(seen, argvs):
+        from citesim.cli import build_parser
+
+        assert len({id(args) for args in seen}) == len(seen)
+        assert [vars(args) for args in seen] == [vars(build_parser().parse_args(a)) for a in argvs]
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        from citesim import cli
+
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        try:
+            for _ in range(3):
+                assert cli.main(self.FIT) == 0
+            assert cli.main(["table1", "--format", "json"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_format_and_out_do_not_carry_over(self, tmp_path, capsys, dispatched):
+        from citesim.cli import main
+
+        expected = run_cli(*self.FIT).stdout
+        target = tmp_path / "fit.json"
+        argvs = [[*self.FIT, "--format", "json", "--out", str(target)], self.FIT]
+        for argv in argvs:
+            assert main(argv) == 0
+        assert json.loads(target.read_text())[0]["exponent"] == pytest.approx(0.42, abs=0.05)
+        assert capsys.readouterr().out == expected
+        self.assert_fresh(dispatched, argvs)
+
+    def test_rejected_call_leaves_no_state(self, capsys, dispatched):
+        from citesim.cli import main
+
+        expected = run_cli(*self.FIT).stdout
+        scatter = ["scatter", "--y", "h", "--x", "counts", "--threshold", "5", "--normalized"]
+        assert main(scatter) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["scatter", "--y", "h", "--threshold", "7"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(self.FIT) == 0
+        assert capsys.readouterr().out == expected
+        self.assert_fresh(dispatched, [scatter, self.FIT])
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *args, **kwargs):\n"
+                "    built.append(1)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import citesim.cli\n"
+                "print(len(built))\n"
+                "citesim.cli.build_parser()\n"
+                "print(len(built))\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "7"]  # the top-level parser and 6 subparsers

@@ -1,18 +1,29 @@
 """CLI stdout diffed byte for byte against committed golden files.
 
-The files under tests/golden/ were written by the per-replicate
-simulator that preceded the blocked kernel in montecarlo.run_replicates,
-with numpy 2.4.6. Simulated cells depend on numpy's PCG64 stream and its
-exp, so another numpy release may legitimately print other digits.
+The simulate files under tests/golden/ were written by seeding scheme 2
+(one generator per chunk of 64 replicates) with numpy 2.4.6. Simulated
+cells depend on numpy's PCG64 stream and its exp, so another numpy
+release may legitimately print other digits.
+
+tests/golden/analytic.md5 holds one line per closed-form command: the md5
+of its stdout, two spaces and its argv. All of them run in one process,
+so they also check that repeated ``main`` calls print what a fresh
+process prints. Rewrite the manifest, after a change that is meant to
+alter output, with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import contextlib
+import hashlib
+import io
 from pathlib import Path
 
 import pytest
 
 from citesim.cli import main
+from citesim.reference import REFERENCE_ROWS
 
 GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = GOLDEN / "analytic.md5"
 
 COMMANDS = {
     "table1_simulate_r50.csv": ("table1", "--mode", "simulate", "--replicates", "50"),
@@ -22,8 +33,68 @@ COMMANDS = {
         "simulate", "--mu", "2", "--sigma", "1.2", "--n", "40000", "--replicates", "5"),
 }
 
+THRESHOLDS = ("5", "10", "20", "30", "50", "100", "500")
+INDICATORS = ("h", "h_over_n", "sum_c", "sum_c_over_n")
+
+
+def analytic_commands() -> list[list[str]]:
+    """table1 in each format, an hcurve to N = 10^10 per reference
+    (mu, sigma), and every scatter (112) and fit (128) the CLI accepts."""
+    tables = [["table1", "--format", fmt] for fmt in ("csv", "tsv", "json")]
+    hcurves = [
+        ["hcurve", "--mu", f"{mu:g}", "--sigma", f"{sigma:g}",
+         "--n-min", "10", "--n-max", str(10**10), "--with-asymptotic"]
+        for mu, sigma in sorted({(row.mu, row.sigma) for row in REFERENCE_ROWS})
+    ]
+    scatters = [
+        ["scatter", "--y", y, "--x", x, "--threshold", t, *normalized]
+        for y in INDICATORS
+        for x in ("counts", "probabilities")
+        for t in THRESHOLDS
+        for normalized in ([], ["--normalized"])
+    ]
+    x_flags = [["--x", x, "--threshold", t] for x in ("counts", "probabilities") for t in THRESHOLDS]
+    fits = [
+        ["fit", "--kind", kind, "--y", y, *x]
+        for kind in ("power", "linear")
+        for y in INDICATORS
+        for x in x_flags + [["--x", "h"], ["--x", "sum_c"]]
+    ]
+    return tables + hcurves + scatters + fits
+
+
+def stdout_md5(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return hashlib.md5(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def read_manifest() -> list[tuple[str, str]]:
+    return [tuple(line.split("  ", 1))
+            for line in MANIFEST.read_text(encoding="utf-8").splitlines()]
+
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_golden(name, capsys):
     assert main(list(COMMANDS[name])) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_analytic_stdout_matches_manifest():
+    commands = analytic_commands()
+    assert len(commands) == 3 + 15 + 112 + 128
+    manifest = read_manifest()
+    assert [argv for _, argv in manifest] == [" ".join(argv) for argv in commands]
+    mismatched = [
+        " ".join(argv) for argv, (digest, _) in zip(commands, manifest)
+        if stdout_md5(argv) != digest
+    ]
+    assert mismatched == []
+
+
+if __name__ == "__main__":
+    MANIFEST.write_text(
+        "".join(f"{stdout_md5(argv)}  {' '.join(argv)}\n" for argv in analytic_commands()),
+        encoding="utf-8",
+    )
