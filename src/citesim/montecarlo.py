@@ -29,11 +29,23 @@ max(1, 2**15 // N) rows of N papers, so its two buffers (float64 and
 int64) take about 512 KiB together whatever the replicate count, or one
 row of N elements each when N exceeds 2**15. A block may span several
 chunks, and a chunk several blocks.
+
+The blocks run on every CPU the process may use. Work is cut into units
+of whole chunks, about one block each (fewer for a short run), so a
+chunk's generator stays in one thread. The calling thread and up to one
+helper thread per further CPU take units from one shared iterator, each
+with its own ~512 KiB pair of block buffers, and write the rows of the
+per-replicate arrays that their units own. numpy releases the
+interpreter lock in the draws, exp/floor and the sort, so the workers
+overlap there. The means are taken after every helper has joined, so
+results never depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,31 +199,80 @@ def run_replicates(
     v2); per-replicate h, citation totals, and threshold counts are
     stored first and averaged afterwards, so the summary is identical
     however the replicates are blocked.
+
+    Units of whole chunks run on the calling thread and on one helper
+    thread per further CPU the process may use, as long as there are
+    units for them. Each worker has its own ~512 KiB pair of block
+    buffers. The summary is the same for any worker count. When a unit
+    fails, the workers take no further units, every helper is joined, and
+    the error of the earliest failed unit is raised, the one a single
+    thread would have met first.
     """
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     n = spec.n_papers
     xs = list(thresholds)
     rows = max(1, _BLOCK_ELEMENTS // n)
-    draws = np.empty((rows, n))
-    sorted_counts = np.empty((rows, n), dtype=np.int64)
+    chunks = -(-replicates // _CHUNK_REPLICATES)
+    workers = min(_cpu_count(), chunks)
+    # a unit is about one block of whole chunks, and at most an even share
+    # of the chunks, so that a short run still splits over the workers
+    step = _CHUNK_REPLICATES * max(1, min(rows // _CHUNK_REPLICATES, -(-chunks // workers)))
+    # range's iterator hands each unit out once, under the interpreter lock
+    units = iter(range(0, replicates, step))
     # the rank of each position in a row sorted ascending
     ranks = np.arange(n, 0, -1)
     h_values = np.empty(replicates, dtype=np.int64)
     totals = np.empty(replicates, dtype=np.int64)
     above = np.empty((replicates, len(xs)), dtype=np.int64)
-    for start, z in _normal_blocks(draws, replicates, seed):
-        stop = start + len(z)
-        counts = sorted_counts[: len(z)]
-        top = _floor_exp(z, spec)
-        z.sort(axis=1)
-        counts[...] = z
-        h_values[start:stop] = np.count_nonzero(counts >= ranks, axis=1)
-        block_totals = _row_sums(counts, top)
-        if totals.dtype == np.int64 and block_totals.dtype != np.int64:
-            totals = totals.astype(np.float64)
-        totals[start:stop] = block_totals
-        _count_at_least(counts, xs, above[start:stop])
+    # (first replicate, float64 totals) of blocks whose totals reach 2**63
+    wide: list[tuple[int, np.ndarray]] = []
+    # (first replicate of the unit, the exception it raised)
+    failures: list[tuple[int, BaseException]] = []
+    stop = threading.Event()
+
+    def work() -> None:
+        draws = np.empty((rows, n))
+        sorted_counts = np.empty((rows, n), dtype=np.int64)
+        for first in units:
+            if stop.is_set():
+                return
+            try:
+                for start, z in _normal_blocks(draws, first, min(first + step, replicates), seed):
+                    end = start + len(z)
+                    counts = sorted_counts[: len(z)]
+                    top = _floor_exp(z, spec)
+                    z.sort(axis=1)
+                    counts[...] = z
+                    h_values[start:end] = np.count_nonzero(counts >= ranks, axis=1)
+                    block_totals = _row_sums(counts, top)
+                    if block_totals.dtype == np.int64:
+                        totals[start:end] = block_totals
+                    else:
+                        wide.append((start, block_totals))
+                    _count_at_least(counts, xs, above[start:end])
+            except BaseException as exc:  # re-raised by the calling thread below
+                failures.append((first, exc))
+                stop.set()
+                return
+
+    helpers = []
+    try:
+        for _ in range(min(workers, -(-replicates // step)) - 1):
+            helper = threading.Thread(target=work, name="citesim-replicates")
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    if wide:
+        totals = totals.astype(np.float64)
+        for start, block_totals in wide:
+            totals[start : start + len(block_totals)] = block_totals
     means = above.mean(axis=0)
     return ReplicateSummary(
         spec=spec,
@@ -224,18 +285,27 @@ def run_replicates(
     )
 
 
-def _normal_blocks(draws: np.ndarray, replicates: int, seed: int):
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _normal_blocks(draws: np.ndarray, first: int, last: int, seed: int):
     """Yield (first replicate, rows) for successive blocks of `draws`.
 
-    The rows hold the standard normals of the next replicates under
-    seeding scheme v2, one row each; the last block may be shorter. Each
-    block is filled with one standard_normal call per chunk it touches,
-    and a chunk's generator carries over into the next block.
+    The rows hold the standard normals of replicates first .. last - 1
+    under seeding scheme v2, one row each; the last block may be shorter.
+    `first` starts a chunk. Each block is filled with one standard_normal
+    call per chunk it touches, and a chunk's generator carries over into
+    the next block.
     """
     default_rng = np.random.default_rng
     rows = len(draws)
-    for start in range(0, replicates, rows):
-        z = draws[: min(rows, replicates - start)]
+    for start in range(first, last, rows):
+        z = draws[: min(rows, last - start)]
         i = start
         while i < start + len(z):
             chunk, offset = divmod(i, _CHUNK_REPLICATES)
@@ -296,7 +366,7 @@ def averaged_rank_frequency(spec: SeriesSpec, replicates: int, seed: int = DEFAU
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     acc = np.zeros(spec.n_papers, dtype=np.float64)
     draws = np.empty((max(1, _BLOCK_ELEMENTS // spec.n_papers), spec.n_papers))
-    for _, z in _normal_blocks(draws, replicates, seed):
+    for _, z in _normal_blocks(draws, 0, replicates, seed):
         _floor_exp(z, spec)
         z.sort(axis=1)
         acc += z.sum(axis=0)[::-1]

@@ -98,9 +98,9 @@ def scatter_rows(
 ) -> list[dict]:
     """One (x, y) point per study series.
 
-    `normalized` divides both axes by the paper count: the indicator
-    becomes its per-paper ratio and exceedance counts become
-    probabilities.
+    `normalized` divides by the paper count the axes that are not
+    already per paper: the indicator becomes its per-paper ratio and
+    exceedance counts become probabilities.
     """
     if x_axis not in SCATTER_X_AXES:
         raise ValueError(f"unknown x axis {x_axis!r}; expected one of {SCATTER_X_AXES}")

@@ -229,6 +229,13 @@ class TestSimulate:
                          "--replicates", "3", check=False)
         assert_one_error_line(result)
 
+    def test_counts_beyond_int64_in_several_units_are_an_error(self):
+        # 16 chunks split into one unit per CPU, so on a machine with more
+        # than one CPU a helper thread raises too
+        result = run_cli("simulate", "--mu", "800", "--sigma", "1", "--n", "10",
+                         "--replicates", "1000", check=False)
+        assert_one_error_line(result)
+
 
 class TestVerify:
     def test_filter_table1_passes(self):

@@ -3,7 +3,11 @@
 The simulate files under tests/golden/ were written by seeding scheme 2
 (one generator per chunk of 64 replicates) with numpy 2.4.6. Simulated
 cells depend on numpy's PCG64 stream and its exp, so another numpy
-release may legitimately print other digits.
+release may legitimately print other digits. verify_r100.csv is the
+stdout of ``verify --format csv --replicates 100``, which exits 1: at 100
+replicates simulation-agreement fails its fixed 0.005 gate on a tail
+fraction (series 22, P(20) off by 0.0055), a gate that does not scale
+with the replicate count, not a fault.
 
 tests/golden/analytic.md5 holds one line per closed-form command: the md5
 of its stdout, two spaces and its argv. All of them run in one process,
@@ -79,6 +83,11 @@ def read_manifest() -> list[tuple[str, str]]:
 def test_stdout_matches_golden(name, capsys):
     assert main(list(COMMANDS[name])) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_verify_stdout_and_exit_code_match_golden(capsys):
+    assert main(["verify", "--format", "csv", "--replicates", "100"]) == 1
+    assert capsys.readouterr().out == (GOLDEN / "verify_r100.csv").read_text(encoding="utf-8")
 
 
 def test_analytic_stdout_matches_manifest():

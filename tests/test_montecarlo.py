@@ -1,6 +1,8 @@
 """Synthetic series generation, empirical indicators, replicate averaging."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -269,6 +271,129 @@ class TestRunReplicates:
             summary = run_replicates(spec, 500, seed=99)
             shift = summary.sum_citations_mean / 2000 - mean_citations(spec.params)
             assert -0.65 < shift < -0.3, (mu, sigma, shift)
+
+
+
+def summaries_by_workers(monkeypatch, spec, replicates, thresholds=ThresholdSet((5, 10, 20, 50)),
+                         seed=77, workers=(1, 2, 3)):
+    """run_replicates with the CPU count forced to each of `workers`."""
+    summaries = []
+    for count in workers:
+        monkeypatch.setattr(mc, "_cpu_count", lambda: count)
+        summaries.append(run_replicates(spec, replicates, thresholds, seed))
+    return summaries
+
+
+class TestWorkers:
+    """Units of whole chunks run on one thread per CPU (mc._cpu_count);
+    the summary must not depend on how many there are."""
+
+    @pytest.mark.parametrize("replicates", [63, 64, 65, 129, 300])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # one block holds many chunks
+            100,
+            # blocks of 10 rows: a chunk spans several blocks
+            3000,
+        ],
+    )
+    def test_summary_independent_of_worker_count(self, monkeypatch, n, replicates):
+        spec = SeriesSpec.from_values(2.1, 1.1, n)
+        serial, *threaded = summaries_by_workers(monkeypatch, spec, replicates)
+        assert all(summary == serial for summary in threaded)
+
+    @pytest.mark.parametrize("mu", [33.96, 36])
+    def test_exact_totals_independent_of_worker_count(self, monkeypatch, mu):
+        # each total is near or beyond 2^63: blocks of 3 rows return their
+        # totals as int64 or, when one passes 2^63, as float64
+        dtypes = set()
+        row_sums = mc._row_sums
+
+        def recording(counts, top):
+            sums = row_sums(counts, top)
+            dtypes.add(sums.dtype.type)
+            return sums
+
+        monkeypatch.setattr(mc, "_row_sums", recording)
+        spec = SeriesSpec.from_values(mu, 1, 10_000)
+        serial, *threaded = summaries_by_workers(monkeypatch, spec, 130, ThresholdSet((5, 1e15)))
+        assert all(summary == serial for summary in threaded)
+        assert np.float64 in dtypes
+        assert (np.int64 in dtypes) == (mu < 35)
+        assert serial.sum_citations_mean == pytest.approx(10_000 * math.exp(mu + 0.5), rel=0.02)
+
+    @pytest.mark.parametrize(
+        "mu, sigma, n, replicates, thresholds",
+        [
+            # the cases of the sample-metrics tests above
+            (2.1, 1.1, 200, 1, (5, 10, 20)),
+            (2.1, 1.1, 1, 300, (0.5, 1, 2.5, 7)),
+            (2.1, 1.1, 100, 700, (0.5, 5, 10.5, 20, 100)),
+            (2.1, 1.1, mc._BLOCK_ELEMENTS, 3, (5, 10, 20, 50, 100, 500)),
+            (2.1, 1.1, mc._BLOCK_ELEMENTS + 1, 2, (5, 10, 20, 50, 100, 500)),
+            (2.1, 1.1, 100, 400, (5, 10, 1e15)),
+            (2.1, 1.1, 1, 50, (1, 2**40)),
+            (2.1, 1.1, 100, 129, (5, 10, 20, 50)),
+            (2.1, 1.1, 3000, 129, (5, 10, 20, 50)),
+            (30, 2, 3000, 20, (5, 1e9, 1e13)),
+        ],
+    )
+    def test_two_workers_equal_sample_metrics(self, monkeypatch, mu, sigma, n, replicates, thresholds):
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+        seed = 5 if mu == 30 else 77
+        spec = SeriesSpec.from_values(mu, sigma, n)
+        assert_equals_sample_metrics(spec, replicates, ThresholdSet(thresholds), seed)
+
+    def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
+        spec = SeriesSpec.from_values(1.7, 1.0, 100)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            serial, threaded = summaries_by_workers(monkeypatch, spec, 5000, workers=(1, 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_failed_helper_stops_the_run(self, monkeypatch):
+        # a fault planted in the helpers only; the caller's first block
+        # waits until a helper has failed, so a helper fails every time
+        caller = threading.current_thread()
+        helper_failed = threading.Event()
+        caller_blocks = []
+        floor_exp = mc._floor_exp
+
+        def planted(z, spec):
+            if threading.current_thread() is not caller:
+                helper_failed.set()
+                raise ValueError("planted in a helper")
+            assert helper_failed.wait(timeout=60)
+            caller_blocks.append(len(z))
+            return floor_exp(z, spec)
+
+        monkeypatch.setattr(mc, "_floor_exp", planted)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 3)
+        spec = SeriesSpec.from_values(2.1, 1.1, 10)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="planted in a helper"):
+            # 10,000 replicates of N = 10 make 4 units of one block each
+            run_replicates(spec, 10_000, seed=3)
+        assert threading.active_count() == before
+        # the caller finished the unit it held, then took no other
+        assert len(caller_blocks) == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_earliest_failed_unit_is_reported(self, monkeypatch, workers):
+        # the first draw to reach 2^63 lies in the fourth unit, and later
+        # units fail with other values
+        spec = SeriesSpec.from_values(39.4, 1, 10)
+        messages = []
+        for count in (1, workers):
+            monkeypatch.setattr(mc, "_cpu_count", lambda: count)
+            with pytest.raises(ValueError, match="2\\^63") as failure:
+                run_replicates(spec, 100_000, seed=DEFAULT_SEED)
+            messages.append(str(failure.value))
+        assert messages[1] == messages[0]
 
 
 class TestBlockReductions:
