@@ -32,10 +32,11 @@ chunks, and a chunk several blocks.
 
 The blocks run on every CPU the process may use. Work is cut into units
 of whole chunks, about one block each (fewer for a short run), so a
-chunk's generator stays in one thread. The calling thread and up to one
-helper thread per further CPU take units from one shared iterator, each
-with its own ~512 KiB pair of block buffers, and write the rows of the
-per-replicate arrays that their units own. numpy releases the
+chunk's generator stays in one thread; on one CPU the whole run is one
+unit. The calling thread and up to one helper thread per further CPU
+take units from one shared iterator, each with its own ~512 KiB pair of
+block buffers, and write the rows of the per-replicate arrays that their
+units own. numpy releases the
 interpreter lock in the draws, exp/floor and the sort, so the workers
 overlap there. The means are taken after every helper has joined, so
 results never depend on the worker count.
@@ -215,9 +216,14 @@ def run_replicates(
     rows = max(1, _BLOCK_ELEMENTS // n)
     chunks = -(-replicates // _CHUNK_REPLICATES)
     workers = min(_cpu_count(), chunks)
-    # a unit is about one block of whole chunks, and at most an even share
-    # of the chunks, so that a short run still splits over the workers
-    step = _CHUNK_REPLICATES * max(1, min(rows // _CHUNK_REPLICATES, -(-chunks // workers)))
+    if workers == 1:
+        # one unit, so blocks run across chunk edges as in a serial pass
+        step = replicates
+    else:
+        # a unit is about one block of whole chunks, and at most an even
+        # share of the chunks, so that a short run still splits over the
+        # workers
+        step = _CHUNK_REPLICATES * max(1, min(rows // _CHUNK_REPLICATES, -(-chunks // workers)))
     # range's iterator hands each unit out once, under the interpreter lock
     units = iter(range(0, replicates, step))
     # the rank of each position in a row sorted ascending
@@ -234,8 +240,12 @@ def run_replicates(
     def work() -> None:
         draws = np.empty((rows, n))
         sorted_counts = np.empty((rows, n), dtype=np.int64)
-        for first in units:
-            if stop.is_set():
+        # the flag is read before a unit is taken, never after, so every
+        # unit taken is run: a successful run sets it only once the units
+        # are all taken, and a failed one cannot leave an earlier unit unrun
+        while not stop.is_set():
+            first = next(units, None)
+            if first is None:
                 return
             try:
                 for start, z in _normal_blocks(draws, first, min(first + step, replicates), seed):

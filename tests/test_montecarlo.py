@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -394,6 +395,58 @@ class TestWorkers:
                 run_replicates(spec, 100_000, seed=DEFAULT_SEED)
             messages.append(str(failure.value))
         assert messages[1] == messages[0]
+
+    @staticmethod
+    def late_flag_reads(monkeypatch, fail=False):
+        """Make helpers read the stop flag only once the caller has set it,
+        and hold the caller's first unit until a helper is reading it.
+
+        A unit a helper took before that read would be left unrun. Returns
+        the (first, last) replicate range of every unit run; with `fail`,
+        each unit raises ValueError naming its first replicate instead.
+        """
+        caller = threading.get_ident()
+        helper_reading = threading.Event()
+        ranges = []
+        normal_blocks = mc._normal_blocks
+
+        class LateEvent(threading.Event):
+            def is_set(self):
+                if threading.get_ident() != caller:
+                    helper_reading.set()
+                    self.wait(timeout=60)
+                return super().is_set()
+
+        def recording(draws, first, last, seed):
+            if threading.get_ident() == caller:
+                assert helper_reading.wait(timeout=60)
+            ranges.append((first, last))
+            if fail:
+                raise ValueError(f"unit at replicate {first}")
+            return normal_blocks(draws, first, last, seed)
+
+        late = types.SimpleNamespace(Event=LateEvent, Thread=threading.Thread)
+        monkeypatch.setattr(mc, "threading", late)
+        monkeypatch.setattr(mc, "_normal_blocks", recording)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+        return ranges
+
+    def test_every_unit_taken_is_run(self, monkeypatch):
+        spec = SeriesSpec.from_values(2.1, 1.1, 100)
+        ranges = self.late_flag_reads(monkeypatch)
+        threaded = run_replicates(spec, 1000, seed=77)
+        monkeypatch.undo()
+        # 1000 replicates of N = 100 make 4 units of 320 replicates or fewer
+        assert sorted(ranges) == [(0, 320), (320, 640), (640, 960), (960, 1000)]
+        assert threaded == run_replicates(spec, 1000, seed=77)
+
+    def test_no_unit_before_the_failed_one_is_skipped(self, monkeypatch):
+        spec = SeriesSpec.from_values(2.1, 1.1, 100)
+        self.late_flag_reads(monkeypatch, fail=True)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="unit at replicate 0$"):
+            run_replicates(spec, 1000, seed=77)
+        assert threading.active_count() == before
 
 
 class TestBlockReductions:
