@@ -29,26 +29,13 @@ from .lognormal import (
     survival_probability,
     total_citations,
 )
-from .montecarlo import (
-    DEFAULT_SEED,
-    CitationSample,
-    ReplicateSummary,
-    averaged_rank_frequency,
-    derive_seed,
-    discretize,
-    empirical_counts,
-    empirical_h,
-    run_replicates,
-    sample_series,
-)
-from .output import OutputFormat
+from .montecarlo import DEFAULT_SEED, ReplicateSummary, derive_seed, run_replicates
 from .special import ConvergenceError, erf, erfc
-from .stats import LinearFit, PowerLawFit, fit_linear, fit_power_law, pearson, power_transform
+from .stats import LinearFit, PowerLawFit, fit_linear, fit_power_law, pearson
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CitationSample",
     "ConvergenceError",
     "DEFAULT_SEED",
     "DEFAULT_THRESHOLDS",
@@ -56,19 +43,14 @@ __all__ = [
     "HSolution",
     "LinearFit",
     "LognormalParams",
-    "OutputFormat",
     "PowerLawFit",
     "ReplicateSummary",
     "SeriesMetrics",
     "SeriesSpec",
     "StudyTable",
     "ThresholdSet",
-    "averaged_rank_frequency",
     "default_study",
     "derive_seed",
-    "discretize",
-    "empirical_counts",
-    "empirical_h",
     "erf",
     "erfc",
     "expected_exceeding",
@@ -83,9 +65,7 @@ __all__ = [
     "number_density",
     "pdf",
     "pearson",
-    "power_transform",
     "run_replicates",
-    "sample_series",
     "scatter_dataset",
     "solve_h",
     "study_specs",

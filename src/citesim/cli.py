@@ -14,13 +14,12 @@ import argparse
 import functools
 import sys
 
-from .indicators import Y_INDICATORS
+from .indicators import X_AXES, Y_INDICATORS
+from .lognormal import DEFAULT_THRESHOLDS
 from .montecarlo import DEFAULT_SEED, SEEDING_VERSION
-from .output import KINDS, OutputFormat, render_rows
+from .output import KINDS, render_rows
 from .report import (
-    CLI_THRESHOLDS,
     FIT_X_AXES,
-    SCATTER_X_AXES,
     fit_rows,
     hcurve_rows,
     scatter_rows,
@@ -30,9 +29,21 @@ from .report import (
 from .special import ConvergenceError
 from .verification import run_checks
 
+#: Citation levels --threshold accepts: the study's levels plus 30.
+THRESHOLD_CHOICES = tuple(float(x) for x in sorted((*DEFAULT_THRESHOLDS, 30)))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subcommand parsers, that
+    raises ValueError on invalid arguments, so that main reports them as
+    it reports every other invalid input: one error line and exit 1."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="citesim",
         description="Lognormal citation model: study tables, h-index curves, fits, and checks.",
     )
@@ -55,17 +66,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     scatter = sub.add_parser("scatter", help="emit per-series (x, y) indicator points")
     scatter.add_argument("--y", choices=Y_INDICATORS, required=True)
-    scatter.add_argument("--x", choices=SCATTER_X_AXES, default="counts")
-    scatter.add_argument("--threshold", type=float, choices=CLI_THRESHOLDS, required=True)
+    scatter.add_argument("--x", choices=X_AXES, default="counts")
+    scatter.add_argument("--threshold", type=float, choices=THRESHOLD_CHOICES, required=True)
     scatter.add_argument("--normalized", action="store_true",
-                         help="divide both axes by the paper count")
+                         help="divide by the paper count the axes not already per paper")
     _add_output_flags(scatter)
 
     fit = sub.add_parser("fit", help="regress one indicator on another over the study")
     fit.add_argument("--kind", choices=("power", "linear"), required=True)
     fit.add_argument("--y", choices=Y_INDICATORS, required=True)
     fit.add_argument("--x", choices=FIT_X_AXES, required=True)
-    fit.add_argument("--threshold", type=float, choices=CLI_THRESHOLDS)
+    fit.add_argument("--threshold", type=float, choices=THRESHOLD_CHOICES)
     _add_output_flags(fit, default_format=None)
 
     simulate = sub.add_parser("simulate", help="replicate-averaged summary for one spec")
@@ -99,9 +110,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(_parser().parse_args(argv))
     except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -109,24 +119,21 @@ def main(argv=None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table1":
-        fmt = _fmt(args, "csv")
         if args.mode == "simulate":
             _echo_seed(args)
-        rows = table1_rows(args.mode, args.replicates, args.seed, fmt)
-        _emit(render_rows(rows, fmt), args.out)
+        rows = table1_rows(args.mode, args.replicates, args.seed)
+        _emit(render_rows(rows, args.format), args.out)
         return 0
 
     if args.command == "hcurve":
-        fmt = _fmt(args, "csv")
         rows = hcurve_rows(args.mu, args.sigma, args.n_min, args.n_max,
                            args.points, args.with_asymptotic)
-        _emit(render_rows(rows, fmt), args.out)
+        _emit(render_rows(rows, args.format), args.out)
         return 0
 
     if args.command == "scatter":
-        fmt = _fmt(args, "csv")
         rows = scatter_rows(args.y, args.x, args.threshold, args.normalized)
-        _emit(render_rows(rows, fmt), args.out)
+        _emit(render_rows(rows, args.format), args.out)
         return 0
 
     if args.command == "fit":
@@ -134,14 +141,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.format is None:
             _emit(_key_value_text(rows[0]), args.out)
         else:
-            _emit(render_rows(rows, _fmt(args, "csv")), args.out)
+            _emit(render_rows(rows, args.format), args.out)
         return 0
 
     if args.command == "simulate":
-        fmt = _fmt(args, "csv")
         _echo_seed(args)
         rows = simulate_rows(args.mu, args.sigma, args.n, args.replicates, args.seed)
-        _emit(render_rows(rows, fmt), args.out)
+        _emit(render_rows(rows, args.format), args.out)
         return 0
 
     # verify
@@ -162,12 +168,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             {"name": r.name, "status": "pass" if r.passed else "fail", "detail": r.detail}
             for r in results
         ]
-        _emit(render_rows(rows, _fmt(args, "csv")), args.out)
+        _emit(render_rows(rows, args.format), args.out)
     return 0 if all(r.passed for r in results) else 1
-
-
-def _fmt(args: argparse.Namespace, fallback: str) -> OutputFormat:
-    return OutputFormat(kind=args.format or fallback)
 
 
 def _echo_seed(args: argparse.Namespace) -> None:

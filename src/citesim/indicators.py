@@ -15,7 +15,6 @@ from .hindex import solve_h
 from .lognormal import (
     DEFAULT_THRESHOLDS,
     SeriesSpec,
-    ThresholdSet,
     expected_exceeding,
     survival_probability,
     total_citations,
@@ -23,8 +22,16 @@ from .lognormal import (
 from .montecarlo import DEFAULT_SEED, run_replicates
 from .reference import REFERENCE_ROWS
 
-Y_INDICATORS = ("h", "h_over_n", "sum_c", "sum_c_over_n")
-X_AXES = ("f_at", "p_at")
+#: Indicator name -> the SeriesMetrics field that holds it.
+INDICATOR_FIELDS = {
+    "h": "h",
+    "h_over_n": "h_over_n",
+    "sum_c": "sum_citations",
+    "sum_c_over_n": "mean_citations",
+}
+Y_INDICATORS = tuple(INDICATOR_FIELDS)
+#: Threshold axes: expected exceedance counts and tail probabilities.
+X_AXES = ("counts", "probabilities")
 
 
 @dataclass(frozen=True)
@@ -58,12 +65,12 @@ class StudyTable:
         return iter(self.rows)
 
 
-def metrics_analytic(spec: SeriesSpec, thresholds: ThresholdSet = DEFAULT_THRESHOLDS) -> SeriesMetrics:
-    """Closed-form indicator suite for `spec`."""
+def metrics_analytic(spec: SeriesSpec) -> SeriesMetrics:
+    """Closed-form indicator suite for `spec` at DEFAULT_THRESHOLDS."""
     n = spec.n_papers
     sum_c = total_citations(spec)
     h = solve_h(spec).h_continuous
-    p_at = {x: survival_probability(x, spec.params) for x in thresholds}
+    p_at = {x: survival_probability(x, spec.params) for x in DEFAULT_THRESHOLDS}
     return SeriesMetrics(
         spec=spec,
         sum_citations=sum_c,
@@ -78,12 +85,11 @@ def metrics_analytic(spec: SeriesSpec, thresholds: ThresholdSet = DEFAULT_THRESH
 
 def metrics_simulated(
     spec: SeriesSpec,
-    thresholds: ThresholdSet = DEFAULT_THRESHOLDS,
     replicates: int = 10_000,
     seed: int = DEFAULT_SEED,
 ) -> SeriesMetrics:
-    """Replicate-averaged indicator suite for `spec`."""
-    summary = run_replicates(spec, replicates, thresholds, seed)
+    """Replicate-averaged indicator suite for `spec` at DEFAULT_THRESHOLDS."""
+    summary = run_replicates(spec, replicates, DEFAULT_THRESHOLDS, seed)
     n = spec.n_papers
     return SeriesMetrics(
         spec=spec,
@@ -116,10 +122,10 @@ def scatter_dataset(
 ) -> list[tuple[float, float]]:
     """(x, y) pairs for every row of `table`, in row order.
 
-    `y_indicator` picks one of h, h_over_n, sum_c, sum_c_over_n;
-    `x_axis` picks expected exceedance counts (f_at) or probabilities
-    (p_at) at `threshold`. Thresholds missing from a row's stored maps
-    (such as 30) are computed on demand from the row's spec.
+    `y_indicator` picks one of Y_INDICATORS; `x_axis` picks expected
+    exceedance counts or probabilities at `threshold`, one of X_AXES.
+    Thresholds missing from a row's stored maps (such as 30) are
+    computed on demand from the row's spec.
     """
     if y_indicator not in Y_INDICATORS:
         raise ValueError(f"unknown indicator {y_indicator!r}; expected one of {Y_INDICATORS}")
@@ -133,21 +139,15 @@ def scatter_dataset(
 
 def indicator_value(row: SeriesMetrics, name: str) -> float:
     """One named indicator from a metrics row."""
-    if name == "h":
-        return row.h
-    if name == "h_over_n":
-        return row.h_over_n
-    if name == "sum_c":
-        return row.sum_citations
-    if name == "sum_c_over_n":
-        return row.mean_citations
-    raise ValueError(f"unknown indicator {name!r}; expected one of {Y_INDICATORS}")
+    if name not in INDICATOR_FIELDS:
+        raise ValueError(f"unknown indicator {name!r}; expected one of {Y_INDICATORS}")
+    return getattr(row, INDICATOR_FIELDS[name])
 
 
 def _axis_value(row: SeriesMetrics, axis: str, threshold: float) -> float:
-    stored = row.p_at if axis == "p_at" else row.f_at
+    stored = row.f_at if axis == "counts" else row.p_at
     if threshold in stored:
         return stored[threshold]
-    if axis == "p_at":
-        return survival_probability(threshold, row.spec.params)
-    return expected_exceeding(threshold, row.spec)
+    if axis == "counts":
+        return expected_exceeding(threshold, row.spec)
+    return survival_probability(threshold, row.spec.params)

@@ -1,4 +1,4 @@
-"""Synthetic citation series and replicate-averaged empirical indicators.
+"""Replicate-averaged empirical indicators of synthetic citation series.
 
 Draws are exp(mu + sigma * z) with z standard normal, truncated to whole
 citation counts and ranked from most to least cited. Truncation (rather
@@ -83,49 +83,7 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def discretize(value: float) -> int:
-    """Whole-citation count for one positive continuous draw: truncation.
-
-    Draws below 1 become zero-citation papers and stay in the sample.
-    """
-    if not value > 0.0:
-        raise ValueError(f"draw must be positive, got {value!r}")
-    return int(math.floor(value))
-
-
-@dataclass(frozen=True, eq=False)
-class CitationSample:
-    """One synthetic series: nonnegative integer counts, sorted descending.
-
-    The constructor accepts counts in any order and normalizes them; the
-    stored array is read-only.
-    """
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.counts)
-        if arr.ndim != 1:
-            raise ValueError("counts must be one-dimensional")
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(np.equal(np.mod(arr, 1), 0)):
-                raise ValueError("counts must be whole numbers")
-        arr = arr.astype(np.int64, copy=True)
-        if arr.size and arr.min() < 0:
-            raise ValueError("counts must be nonnegative")
-        arr[::-1].sort()
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
-
-    def __len__(self) -> int:
-        return int(self.counts.size)
-
-
-def sample_series(spec: SeriesSpec, seed: int) -> CitationSample:
-    """One synthetic series for `spec`: deterministic for a fixed seed."""
-    return CitationSample(_draw_sorted_counts(spec, seed))
-
-
+# Nothing calls this; bench/selftest.py patches it. It goes once the self-test patches _floor_exp.
 def _draw_sorted_counts(spec: SeriesSpec, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed & _MASK64)
     z = rng.standard_normal(spec.n_papers)
@@ -153,25 +111,6 @@ def _floor_exp(z: np.ndarray, spec: SeriesSpec) -> float:
         )
     np.floor(z, out=z)
     return float(top)
-
-
-def empirical_h(sample: CitationSample) -> int:
-    """Largest h such that at least h papers have h or more citations."""
-    return _h_of_sorted(sample.counts)
-
-
-def _h_of_sorted(counts: np.ndarray) -> int:
-    if counts.size == 0:
-        return 0
-    # counts[i] - (i+1) is strictly decreasing, so the predicate holds on
-    # a prefix and the h-index equals the number of ranks it holds for.
-    return int(np.count_nonzero(counts >= np.arange(1, counts.size + 1)))
-
-
-def empirical_counts(sample: CitationSample, thresholds: ThresholdSet) -> dict[float, int]:
-    """Papers with at least x citations, for each threshold x."""
-    counts = sample.counts
-    return {x: int(np.count_nonzero(counts >= x)) for x in thresholds}
 
 
 @dataclass(frozen=True)
@@ -364,20 +303,3 @@ def _count_at_least(counts: np.ndarray, xs: list[float], out: np.ndarray) -> Non
     below = np.searchsorted(counts.ravel(), (lift + cuts).ravel())
     np.subtract(np.arange(n, (m + 1) * n, n)[:, None], below.reshape(m, len(xs)), out=out)
 
-
-def averaged_rank_frequency(spec: SeriesSpec, replicates: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Mean citation count at each rank across replicates.
-
-    Entry k is the average k-th largest count, the smoothed version of a
-    single series' rank/frequency curve; uses the same replicate seeding
-    as :func:`run_replicates`.
-    """
-    if replicates < 1:
-        raise ValueError(f"need at least 1 replicate, got {replicates}")
-    acc = np.zeros(spec.n_papers, dtype=np.float64)
-    draws = np.empty((max(1, _BLOCK_ELEMENTS // spec.n_papers), spec.n_papers))
-    for _, z in _normal_blocks(draws, 0, replicates, seed):
-        _floor_exp(z, spec)
-        z.sort(axis=1)
-        acc += z.sum(axis=0)[::-1]
-    return acc / replicates

@@ -11,30 +11,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 
 KINDS = ("csv", "tsv", "json")
+#: Decimals of a probability cell at or above SCI_THRESHOLD.
+DECIMALS = 4
+#: Nonzero probabilities below this print in scientific notation.
+SCI_THRESHOLD = 1e-3
 
 
-@dataclass(frozen=True)
-class OutputFormat:
-    kind: str = "csv"
-    precision: int = 4
-    sci_threshold: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown output kind {self.kind!r}; expected one of {KINDS}")
-        if self.precision < 1:
-            raise ValueError(f"precision must be at least 1, got {self.precision}")
-
-
-def format_probability(value: float, fmt: OutputFormat = OutputFormat()) -> str:
-    """Probability cell: fixed decimals, or 3-significant-digit scientific
-    below the format's threshold."""
-    if value != 0.0 and abs(value) < fmt.sci_threshold:
+def format_probability(value: float) -> str:
+    """Probability cell: DECIMALS fixed decimals, or 3-significant-digit
+    scientific below SCI_THRESHOLD."""
+    if value != 0.0 and abs(value) < SCI_THRESHOLD:
         return f"{value:.2E}"
-    return f"{value:.{fmt.precision}f}"
+    return f"{value:.{DECIMALS}f}"
 
 
 def format_number(value: float) -> str:
@@ -42,15 +32,18 @@ def format_number(value: float) -> str:
     return f"{value:.6g}"
 
 
-def render_rows(rows: list[dict], fmt: OutputFormat) -> str:
-    """Render pre-formatted rows (all sharing one key order) as fmt.kind.
+def render_rows(rows: list[dict], kind: str) -> str:
+    """Render pre-formatted rows (all sharing one key order) as `kind`,
+    one of KINDS.
 
     Cells are ints or already-formatted strings; JSON output re-parses
     numeric strings so the emitted numbers equal what CSV readers see.
     """
-    if fmt.kind == "json":
+    if kind not in KINDS:
+        raise ValueError(f"unknown output kind {kind!r}; expected one of {KINDS}")
+    if kind == "json":
         return json.dumps([{k: _json_value(v) for k, v in row.items()} for row in rows], indent=2) + "\n"
-    delimiter = "," if fmt.kind == "csv" else "\t"
+    delimiter = "," if kind == "csv" else "\t"
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
     if rows:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Citation levels the reference probabilities are tabulated at.
-REFERENCE_THRESHOLDS = (5, 10, 20, 50, 100, 500)
+from .lognormal import DEFAULT_THRESHOLDS
 
 
 @dataclass(frozen=True)
@@ -24,14 +23,14 @@ class ReferenceRow:
     n_papers: int
     sum_citations: int
     h: int
-    #: probability cells for REFERENCE_THRESHOLDS, as printed
+    #: probability cells for DEFAULT_THRESHOLDS, as printed
     probabilities: tuple[str, ...]
 
     def probability(self, threshold: float) -> float:
-        return float(self.probabilities[REFERENCE_THRESHOLDS.index(threshold)])
+        return float(self.probabilities[DEFAULT_THRESHOLDS.values.index(threshold)])
 
     def probability_is_scientific(self, threshold: float) -> bool:
-        return "E" in self.probabilities[REFERENCE_THRESHOLDS.index(threshold)].upper()
+        return "E" in self.probabilities[DEFAULT_THRESHOLDS.values.index(threshold)].upper()
 
 
 REFERENCE_ROWS: tuple[ReferenceRow, ...] = (

@@ -12,6 +12,7 @@ import math
 
 from .hindex import h_curve
 from .indicators import (
+    X_AXES,
     SeriesMetrics,
     Y_INDICATORS,
     default_study,
@@ -23,13 +24,10 @@ from .indicators import (
 )
 from .lognormal import DEFAULT_THRESHOLDS, LognormalParams, SeriesSpec
 from .montecarlo import DEFAULT_SEED, derive_seed, run_replicates
-from .output import OutputFormat, format_number, format_probability
+from .output import format_number, format_probability
 from .stats import LinearFit, PowerLawFit, fit_linear, fit_power_law
 
-FIT_X_AXES = ("counts", "probabilities", "h", "sum_c")
-SCATTER_X_AXES = ("counts", "probabilities")
-#: Citation levels the CLI accepts; 30 extends the stored table levels.
-CLI_THRESHOLDS = (5.0, 10.0, 20.0, 30.0, 50.0, 100.0, 500.0)
+FIT_X_AXES = (*X_AXES, "h", "sum_c")
 
 
 def _round_int(value: float) -> int:
@@ -40,7 +38,6 @@ def table1_rows(
     mode: str = "analytic",
     replicates: int = 10_000,
     seed: int = DEFAULT_SEED,
-    fmt: OutputFormat = OutputFormat(),
 ) -> list[dict]:
     """The 30-series study table, analytic or replicate-averaged."""
     if mode not in ("analytic", "simulate"):
@@ -50,14 +47,12 @@ def table1_rows(
         if mode == "analytic":
             metrics = metrics_analytic(spec)
         else:
-            metrics = metrics_simulated(
-                spec, DEFAULT_THRESHOLDS, replicates, derive_seed(seed, index)
-            )
-        rows.append(_table1_row(index + 1, metrics, fmt))
+            metrics = metrics_simulated(spec, replicates, derive_seed(seed, index))
+        rows.append(_table1_row(index + 1, metrics))
     return rows
 
 
-def _table1_row(series: int, metrics: SeriesMetrics, fmt: OutputFormat) -> dict:
+def _table1_row(series: int, metrics: SeriesMetrics) -> dict:
     row = {
         "series": series,
         "mu": f"{metrics.spec.params.mu:g}",
@@ -67,7 +62,7 @@ def _table1_row(series: int, metrics: SeriesMetrics, fmt: OutputFormat) -> dict:
         "h": _round_int(metrics.h),
     }
     for x in DEFAULT_THRESHOLDS:
-        row[f"p_{x:g}"] = format_probability(metrics.p_at[x], fmt)
+        row[f"p_{x:g}"] = format_probability(metrics.p_at[x])
     return row
 
 
@@ -102,16 +97,13 @@ def scatter_rows(
     already per paper: the indicator becomes its per-paper ratio and
     exceedance counts become probabilities.
     """
-    if x_axis not in SCATTER_X_AXES:
-        raise ValueError(f"unknown x axis {x_axis!r}; expected one of {SCATTER_X_AXES}")
+    if x_axis not in X_AXES:
+        raise ValueError(f"unknown x axis {x_axis!r}; expected one of {X_AXES}")
     if normalized:
         if not y_indicator.endswith("_over_n"):
             y_indicator = y_indicator + "_over_n"
         x_axis = "probabilities"
-    if y_indicator not in Y_INDICATORS:
-        raise ValueError(f"unknown indicator {y_indicator!r}; expected one of {Y_INDICATORS}")
-    axis = "f_at" if x_axis == "counts" else "p_at"
-    points = scatter_dataset(default_study(), y_indicator, axis, threshold)
+    points = scatter_dataset(default_study(), y_indicator, x_axis, threshold)
     return [
         {"series": i + 1, "x": format_number(x), "y": format_number(y)}
         for i, (x, y) in enumerate(points)
@@ -129,11 +121,10 @@ def fit_dataset(y_indicator: str, x_axis: str, threshold: float | None) -> list[
     if x_axis not in FIT_X_AXES:
         raise ValueError(f"unknown x axis {x_axis!r}; expected one of {FIT_X_AXES}")
     table = default_study()
-    if x_axis in ("counts", "probabilities"):
+    if x_axis in X_AXES:
         if threshold is None:
             raise ValueError(f"x axis {x_axis!r} needs a threshold")
-        axis = "f_at" if x_axis == "counts" else "p_at"
-        return scatter_dataset(table, y_indicator, axis, threshold)
+        return scatter_dataset(table, y_indicator, x_axis, threshold)
     ys = [indicator_value(row, y_indicator) for row in table.rows]
     xs = [indicator_value(row, x_axis) for row in table.rows]
     return list(zip(xs, ys))

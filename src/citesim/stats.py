@@ -2,9 +2,8 @@
 
 Power laws are fitted by least squares on the untransformed values
 (Levenberg-Marquardt seeded from the log-log estimate), which is what
-reproduces the study's published coefficients; a pure log-log fit is
-available as an alternative method. Linear fits are ordinary least
-squares with the Pearson coefficient and its two-sided Student-t
+reproduces the study's published coefficients. Linear fits are ordinary
+least squares with the Pearson coefficient and its two-sided Student-t
 p-value attached.
 """
 
@@ -51,25 +50,19 @@ def _as_xy(points) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def fit_power_law(points, method: str = "natural") -> PowerLawFit:
+def fit_power_law(points) -> PowerLawFit:
     """Fit y = a * x**b over strictly positive points.
 
-    method="natural" (default) minimizes squared residuals of y itself
-    and reports R-squared in natural space; method="loglog" is ordinary
-    least squares of ln y on ln x with R-squared in log space.
+    Minimizes squared residuals of y itself and reports R-squared in
+    natural space.
     """
     x, y = _as_xy(points)
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("power-law fitting needs strictly positive x and y")
-    if method not in ("natural", "loglog"):
-        raise ValueError(f"unknown method {method!r}")
     lx, ly = np.log(x), np.log(y)
     if np.ptp(lx) == 0.0:
         raise ValueError("x values are all equal; exponent is undefined")
     slope, intercept = _ols(lx, ly)
-    if method == "loglog":
-        r2 = _r_squared(ly, intercept + slope * lx)
-        return PowerLawFit(math.exp(intercept), slope, r2, x.size)
     a, b = _power_law_levmar(x, y, math.exp(intercept), slope)
     r2 = _r_squared(y, a * np.power(x, b))
     return PowerLawFit(a, b, r2, x.size)
@@ -110,28 +103,6 @@ def pearson(points) -> tuple[float, float]:
     if p == 0.0:
         p = math.exp(max(log_incomplete_beta_bound(0.5 * df, 0.5, beta_x), math.log(_SMALLEST)))
     return r, min(max(p, _SMALLEST), 1.0)
-
-
-def power_transform(fit: PowerLawFit, h_values) -> list[float]:
-    """Invert a power-law fit: map each value v to (v / amplitude)**(1/exponent).
-
-    Turns fitted indicator values back into estimates of the fit's x
-    axis, exposing how far individual points sit from the fitted curve.
-    """
-    if fit.exponent == 0.0:
-        raise ValueError("cannot invert a fit with zero exponent")
-    if not fit.amplitude > 0.0:
-        raise ValueError("cannot invert a fit with nonpositive amplitude")
-    inverse = 1.0 / fit.exponent
-    out = []
-    for v in h_values:
-        try:
-            out.append(math.pow(v / fit.amplitude, inverse))
-        except ValueError as exc:
-            raise ValueError(
-                f"cannot raise nonpositive value {v!r} to fractional power {inverse}"
-            ) from exc
-    return out
 
 
 def _scaled_deviations(v: np.ndarray) -> tuple[np.ndarray, float]:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 from .hindex import h_asymptotic, solve_h
 from .indicators import default_study, scatter_dataset
-from .lognormal import SeriesSpec, ThresholdSet, survival_probability
+from .lognormal import DEFAULT_THRESHOLDS, SeriesSpec, ThresholdSet, survival_probability
 from .montecarlo import DEFAULT_SEED, derive_seed, run_replicates
-from .output import OutputFormat
-from .reference import REFERENCE_ROWS, REFERENCE_THRESHOLDS
+from .reference import REFERENCE_ROWS
 from .stats import fit_linear, fit_power_law, pearson
 
 
@@ -34,7 +33,7 @@ def check_table1_probabilities() -> CheckResult:
     worst_abs = worst_rel = 0.0
     bad = []
     for ref, row in zip(REFERENCE_ROWS, study.rows):
-        for x in REFERENCE_THRESHOLDS:
+        for x in DEFAULT_THRESHOLDS:
             expected = ref.probability(x)
             actual = row.p_at[x]
             if ref.probability_is_scientific(x):
@@ -163,7 +162,7 @@ def check_power_law_fits() -> CheckResult:
     parts = []
     ok = True
     for threshold, a0, b0, r2_min in ((50.0, 14.6, 0.325, 0.96), (100.0, 27.4, 0.282, 0.95)):
-        fit = fit_power_law(scatter_dataset(study, "h", "f_at", threshold))
+        fit = fit_power_law(scatter_dataset(study, "h", "counts", threshold))
         good = (
             abs(fit.amplitude - a0) <= 0.1 * a0
             and abs(fit.exponent - b0) <= 0.03
@@ -179,7 +178,7 @@ def check_power_law_fits() -> CheckResult:
 
 def check_mean_citations_linear_fit() -> CheckResult:
     """Mean citations versus P(30) refit to the published line 4.9 + 88.7 x."""
-    fit = fit_linear(scatter_dataset(default_study(), "sum_c_over_n", "p_at", 30.0))
+    fit = fit_linear(scatter_dataset(default_study(), "sum_c_over_n", "probabilities", 30.0))
     ok = abs(fit.intercept - 4.9) <= 0.5 and abs(fit.slope - 88.7) <= 9.0
     return CheckResult(
         "mean-citations-linear-fit",
@@ -192,8 +191,8 @@ def check_correlations() -> CheckResult:
     """Pearson r of mean citations with P(20) and P(30) matches the
     published 0.988 (p ~ 1e-24) and 0.998."""
     study = default_study()
-    r20, p20 = pearson(scatter_dataset(study, "sum_c_over_n", "p_at", 20.0))
-    r30, _ = pearson(scatter_dataset(study, "sum_c_over_n", "p_at", 30.0))
+    r20, p20 = pearson(scatter_dataset(study, "sum_c_over_n", "probabilities", 20.0))
+    r30, _ = pearson(scatter_dataset(study, "sum_c_over_n", "probabilities", 30.0))
     ok = abs(r20 - 0.988) <= 0.010 and 1e-26 <= p20 <= 1e-22 and abs(r30 - 0.998) <= 0.005
     return CheckResult(
         "correlations",
@@ -249,8 +248,8 @@ def check_decorrelation() -> CheckResult:
     versus P(100) at most 0.5 while the h versus F(100) power fit keeps
     R^2 at least 0.95."""
     study = default_study()
-    r_norm, _ = pearson(scatter_dataset(study, "h_over_n", "p_at", 100.0))
-    fit = fit_power_law(scatter_dataset(study, "h", "f_at", 100.0))
+    r_norm, _ = pearson(scatter_dataset(study, "h_over_n", "probabilities", 100.0))
+    fit = fit_power_law(scatter_dataset(study, "h", "counts", 100.0))
     ok = r_norm * r_norm <= 0.5 and fit.r_squared >= 0.95
     return CheckResult(
         "decorrelation",
@@ -265,9 +264,8 @@ def check_determinism(seed: int = DEFAULT_SEED, replicates: int = 100) -> CheckR
     from .output import render_rows
     from .report import table1_rows
 
-    fmt = OutputFormat("csv")
-    first = render_rows(table1_rows("simulate", replicates, seed, fmt), fmt)
-    second = render_rows(table1_rows("simulate", replicates, seed, fmt), fmt)
+    first = render_rows(table1_rows("simulate", replicates, seed), "csv")
+    second = render_rows(table1_rows("simulate", replicates, seed), "csv")
     return CheckResult(
         "determinism",
         first == second,

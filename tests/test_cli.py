@@ -139,6 +139,31 @@ class TestHCurve:
             cli.main(["table1"])
 
 
+class TestRejectedArguments:
+    """argparse's rejections follow the contract for invalid input."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("scatter", "--y", "h", "--threshold", "7"), "error: argument --threshold: invalid choice"),
+            (("scatter", "--y", "h"), "error: the following arguments are required: --threshold"),
+            (("table1", "--bogus"), "error: unrecognized arguments: --bogus"),
+            ((), "error: the following arguments are required: command"),
+        ],
+    )
+    def test_one_error_line(self, args, message):
+        result = run_cli(*args, check=False)
+        assert_one_error_line(result)
+        assert result.stderr.startswith(message)
+        assert "usage:" not in result.stderr
+
+    @pytest.mark.parametrize("args", [("--help",), ("scatter", "--help")])
+    def test_help_exits_zero(self, args):
+        result = run_cli(*args)
+        assert result.stdout.startswith("usage: citesim")
+        assert result.stderr == ""
+
+
 class TestScatter:
     def test_h_versus_counts_panel(self):
         rows = parse_csv(run_cli("scatter", "--y", "h", "--x", "counts", "--threshold", "100").stdout)
@@ -268,7 +293,8 @@ class TestImport:
         assert result.returncode == 0, result.stderr
 
     def test_cli_loads_no_executor(self):
-        # replicates run on one thread: no pool, no worker processes
+        # replicates run on plain threading.Thread helpers: no executor, no
+        # worker processes
         code = ("import sys, citesim.cli; "
                 "assert not {'concurrent.futures', 'multiprocessing'} & set(sys.modules)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -343,9 +369,7 @@ class TestParserReuse:
         scatter = ["scatter", "--y", "h", "--x", "counts", "--threshold", "5", "--normalized"]
         assert main(scatter) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["scatter", "--y", "h", "--threshold", "7"])
-        assert exc.value.code == 2
+        assert main(["scatter", "--y", "h", "--threshold", "7"]) == 1
         capsys.readouterr()
         assert main(self.FIT) == 0
         assert capsys.readouterr().out == expected

@@ -7,7 +7,6 @@ import pytest
 from citesim import (
     SeriesSpec,
     StudyTable,
-    ThresholdSet,
     default_study,
     metrics_analytic,
     metrics_simulated,
@@ -92,14 +91,14 @@ class TestDefaultStudy:
 
 class TestScatterDataset:
     def test_h_versus_counts_at_100(self):
-        points = scatter_dataset(default_study(), "h", "f_at", 100.0)
+        points = scatter_dataset(default_study(), "h", "counts", 100.0)
         assert len(points) == 30
         near_identical = [int(math.floor(points[i][1] + 0.5)) for i in (12, 19, 29)]
         assert near_identical == [27, 27, 28]
 
     def test_threshold_30_computed_on_demand(self):
         study = default_study()
-        points = scatter_dataset(study, "sum_c_over_n", "p_at", 30.0)
+        points = scatter_dataset(study, "sum_c_over_n", "probabilities", 30.0)
         assert len(points) == 30
         for (x, _), row in zip(points, study.rows):
             assert x == survival_probability(30.0, row.spec.params)
@@ -107,12 +106,12 @@ class TestScatterDataset:
 
     def test_single_row_table(self):
         row = metrics_analytic(SeriesSpec.from_values(2.0, 1.0, 300))
-        points = scatter_dataset(StudyTable((row,)), "sum_c", "p_at", 20.0)
+        points = scatter_dataset(StudyTable((row,)), "sum_c", "probabilities", 20.0)
         assert points == [(row.p_at[20], row.sum_citations)]
 
     def test_unknown_indicator_or_axis(self):
         with pytest.raises(ValueError):
-            scatter_dataset(default_study(), "g_index", "f_at", 50.0)
+            scatter_dataset(default_study(), "g_index", "counts", 50.0)
         with pytest.raises(ValueError):
             scatter_dataset(default_study(), "h", "survival", 50.0)
 
@@ -127,8 +126,3 @@ class TestScatterDataset:
         assert all(a < b for a, b in zip(hs, hs[1:]))
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
-
-def test_custom_threshold_set():
-    metrics = metrics_analytic(SeriesSpec.from_values(2.0, 1.0, 100), ThresholdSet((3, 30)))
-    assert set(metrics.p_at) == {3, 30}
-    assert metrics.f_at[30] == pytest.approx(100 * metrics.p_at[30], rel=1e-15)

@@ -1,4 +1,4 @@
-"""Synthetic series generation, empirical indicators, replicate averaging."""
+"""Replicate-averaged empirical indicators of synthetic series."""
 
 import math
 import sys
@@ -10,17 +10,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from citesim import (
-    CitationSample,
     SeriesSpec,
     ThresholdSet,
-    averaged_rank_frequency,
     derive_seed,
-    discretize,
-    empirical_counts,
-    empirical_h,
     mean_citations,
     run_replicates,
-    sample_series,
     survival_probability,
 )
 from citesim import montecarlo as mc
@@ -28,28 +22,6 @@ from citesim.montecarlo import DEFAULT_SEED
 
 SERIES_1 = SeriesSpec.from_values(2.7, 1.2, 500)
 SERIES_13 = SeriesSpec.from_values(2.1, 1.1, 200)
-
-
-class TestDiscretize:
-    def test_truncation_values(self):
-        assert discretize(0.4) == 0
-        assert discretize(12.49) == 12
-        assert discretize(7.99) == 7
-        # truncation, not round-half-up: keeps integer-threshold counts
-        # unbiased at the cost of a half-citation mean shift
-        assert discretize(7.5) == 7
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            discretize(0.0)
-        with pytest.raises(ValueError):
-            discretize(-1.0)
-
-    @given(st.floats(min_value=1e-9, max_value=1e9))
-    def test_within_one_below(self, value):
-        d = discretize(value)
-        assert 0 <= value - d < 1.0
-        assert d >= 0
 
 
 class TestDeriveSeed:
@@ -65,95 +37,6 @@ class TestDeriveSeed:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             derive_seed(1, -1)
-
-
-class TestCitationSample:
-    def test_normalizes_order_and_type(self):
-        sample = CitationSample([1, 5, 3])
-        assert sample.counts.tolist() == [5, 3, 1]
-        assert sample.counts.dtype == np.int64
-        assert len(sample) == 3
-
-    def test_rejects_negative_and_fractional(self):
-        with pytest.raises(ValueError):
-            CitationSample([3, -1])
-        with pytest.raises(ValueError):
-            CitationSample([1.5])
-
-    def test_stored_array_is_read_only(self):
-        sample = CitationSample([2, 1])
-        with pytest.raises(ValueError):
-            sample.counts[0] = 9
-
-
-class TestSampleSeries:
-    def test_deterministic_for_fixed_seed(self):
-        a = sample_series(SERIES_1, seed=123)
-        b = sample_series(SERIES_1, seed=123)
-        assert np.array_equal(a.counts, b.counts)
-
-    def test_seeds_produce_different_series(self):
-        a = sample_series(SERIES_1, seed=123)
-        b = sample_series(SERIES_1, seed=124)
-        assert not np.array_equal(a.counts, b.counts)
-
-    def test_shape_and_ordering(self):
-        sample = sample_series(SERIES_13, seed=5)
-        assert len(sample) == 200
-        counts = sample.counts
-        assert counts.min() >= 0
-        assert np.all(np.diff(counts) <= 0)
-
-    def test_single_sample_tail_fraction(self):
-        sample = sample_series(SERIES_1, seed=4)
-        fraction = np.count_nonzero(sample.counts >= 5) / 500
-        assert fraction == pytest.approx(0.8183, abs=0.03)
-
-    def test_mean_of_means_tracks_model_mean(self):
-        # 2000 independent series; truncation costs just under half a
-        # citation, which stays inside the 2% band on this spec
-        means = [
-            float(sample_series(SERIES_1, derive_seed(42, k)).counts.mean())
-            for k in range(2000)
-        ]
-        grand = sum(means) / len(means)
-        model = mean_citations(SERIES_1.params)
-        assert abs(grand - model) / model < 0.02
-
-
-class TestEmpiricalH:
-    def test_textbook_cases(self):
-        assert empirical_h(CitationSample([5, 4, 3, 2, 1])) == 3
-        assert empirical_h(CitationSample([0, 0, 0])) == 0
-        assert empirical_h(CitationSample([10, 10])) == 2
-        assert empirical_h(CitationSample([])) == 0
-
-    @given(st.lists(st.integers(min_value=0, max_value=300), max_size=80), st.randoms())
-    def test_permutation_invariant_and_bounded(self, values, rnd):
-        shuffled = list(values)
-        rnd.shuffle(shuffled)
-        h = empirical_h(CitationSample(values))
-        assert h == empirical_h(CitationSample(shuffled))
-        assert h <= len(values)
-        if values:
-            assert h <= max(values)
-
-
-class TestEmpiricalCounts:
-    def test_textbook_cases(self):
-        sample = CitationSample([5, 4, 3, 2, 1])
-        assert empirical_counts(sample, ThresholdSet((5,))) == {5: 1}
-        assert empirical_counts(sample, ThresholdSet((1, 3))) == {1: 5, 3: 3}
-
-    @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=60))
-    def test_nonincreasing_in_threshold(self, values):
-        counts = empirical_counts(CitationSample(values), ThresholdSet((2, 5, 17, 60)))
-        ordered = [counts[x] for x in (2, 5, 17, 60)]
-        assert all(a >= b for a, b in zip(ordered, ordered[1:]))
-
-    def test_series_1_mean_count_at_100(self):
-        summary = run_replicates(SERIES_1, 10_000, ThresholdSet((100,)), seed=DEFAULT_SEED)
-        assert summary.counts_above[100] == pytest.approx(28.1, abs=0.5)
 
 
 def reference_counts(spec, replicates, seed):
@@ -250,8 +133,10 @@ class TestRunReplicates:
         spec = SeriesSpec.from_values(800, 1, 10)
         with pytest.raises(ValueError, match="2\\^63"):
             run_replicates(spec, 3)
-        with pytest.raises(ValueError, match="2\\^63"):
-            sample_series(spec, 1)
+
+    def test_series_1_mean_count_at_100(self):
+        summary = run_replicates(SERIES_1, 10_000, ThresholdSet((100,)), seed=DEFAULT_SEED)
+        assert summary.counts_above[100] == pytest.approx(28.1, abs=0.5)
 
     def test_series_13_h_mean_matches_reference(self):
         summary = run_replicates(SERIES_13, 10_000, seed=DEFAULT_SEED)
@@ -482,26 +367,3 @@ class TestBlockReductions:
         else:
             assert sums.tolist() == [float(t) for t in exact]
 
-
-class TestAveragedRankFrequency:
-    def test_shape_monotone_deterministic(self):
-        curve = averaged_rank_frequency(SERIES_13, 200, seed=5)
-        assert curve.shape == (200,)
-        assert np.all(np.diff(curve) <= 1e-12)
-        again = averaged_rank_frequency(SERIES_13, 200, seed=5)
-        assert np.array_equal(curve, again)
-
-    def test_single_replicate_equals_sample(self):
-        curve = averaged_rank_frequency(SERIES_13, 1, seed=11)
-        sample = sample_series(SERIES_13, derive_seed(11, 0))
-        assert np.array_equal(curve, sample.counts.astype(float))
-
-    @pytest.mark.parametrize("n", [100, 3000])
-    def test_uses_the_run_replicates_stream(self, n):
-        spec = SeriesSpec.from_values(2.1, 1.1, n)
-        curve = averaged_rank_frequency(spec, 129, seed=77)
-        assert np.array_equal(curve, reference_counts(spec, 129, seed=77).mean(axis=0))
-
-    def test_rejects_zero_replicates(self):
-        with pytest.raises(ValueError):
-            averaged_rank_frequency(SERIES_13, 0)

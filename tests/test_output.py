@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from citesim.output import OutputFormat, format_number, format_probability, render_rows
+from citesim.output import format_number, format_probability, render_rows
 
 
 class TestFormatProbability:
@@ -20,11 +20,6 @@ class TestFormatProbability:
     def test_zero(self):
         assert format_probability(0.0) == "0.0000"
 
-    def test_custom_threshold_and_precision(self):
-        fmt = OutputFormat(kind="csv", precision=3, sci_threshold=2e-3)
-        assert format_probability(0.0017, fmt) == "1.70E-03"
-        assert format_probability(0.25, fmt) == "0.250"
-
 
 def test_format_number_six_significant_digits():
     assert format_number(40.455823456) == "40.4558"
@@ -33,9 +28,7 @@ def test_format_number_six_significant_digits():
 
 def test_output_format_validation():
     with pytest.raises(ValueError):
-        OutputFormat(kind="xml")
-    with pytest.raises(ValueError):
-        OutputFormat(precision=0)
+        render_rows([{"series": 1}], "xml")
 
 
 class TestRenderRows:
@@ -45,21 +38,21 @@ class TestRenderRows:
     ]
 
     def test_csv_has_header_and_lf(self):
-        text = render_rows(self.ROWS, OutputFormat("csv"))
+        text = render_rows(self.ROWS, "csv")
         assert text == "series,p,label\n1,0.8183,alpha\n2,1.70E-03,beta\n"
 
     def test_tsv_delimiter(self):
-        text = render_rows(self.ROWS, OutputFormat("tsv"))
+        text = render_rows(self.ROWS, "tsv")
         assert text.splitlines()[1] == "1\t0.8183\talpha"
 
     def test_json_parses_numeric_strings(self):
-        records = json.loads(render_rows(self.ROWS, OutputFormat("json")))
+        records = json.loads(render_rows(self.ROWS, "json"))
         assert records[0] == {"series": 1, "p": 0.8183, "label": "alpha"}
         assert records[1]["p"] == 1.70e-3
 
     def test_csv_and_json_round_trip_to_same_values(self):
-        csv_text = render_rows(self.ROWS, OutputFormat("csv"))
-        records = json.loads(render_rows(self.ROWS, OutputFormat("json")))
+        csv_text = render_rows(self.ROWS, "csv")
+        records = json.loads(render_rows(self.ROWS, "json"))
         for line, record in zip(csv_text.splitlines()[1:], records):
             series, p, label = line.split(",")
             assert int(series) == record["series"]
@@ -67,5 +60,5 @@ class TestRenderRows:
             assert label == record["label"]
 
     def test_empty_rows(self):
-        assert render_rows([], OutputFormat("csv")) == ""
-        assert json.loads(render_rows([], OutputFormat("json"))) == []
+        assert render_rows([], "csv") == ""
+        assert json.loads(render_rows([], "json")) == []
