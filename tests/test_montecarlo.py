@@ -134,10 +134,6 @@ class TestRunReplicates:
         with pytest.raises(ValueError, match="2\\^63"):
             run_replicates(spec, 3)
 
-    def test_series_1_mean_count_at_100(self):
-        summary = run_replicates(SERIES_1, 10_000, ThresholdSet((100,)), seed=DEFAULT_SEED)
-        assert summary.counts_above[100] == pytest.approx(28.1, abs=0.5)
-
     def test_series_13_h_mean_matches_reference(self):
         summary = run_replicates(SERIES_13, 10_000, seed=DEFAULT_SEED)
         assert summary.h_mean == pytest.approx(27, abs=1)
@@ -158,6 +154,13 @@ class TestRunReplicates:
             shift = summary.sum_citations_mean / 2000 - mean_citations(spec.params)
             assert -0.65 < shift < -0.3, (mu, sigma, shift)
 
+
+class TestEmpiricalCounts:
+    """Mean number of a simulated series' papers above a threshold."""
+
+    def test_series_1_mean_count_at_100(self):
+        summary = run_replicates(SERIES_1, 10_000, ThresholdSet((100,)), seed=DEFAULT_SEED)
+        assert summary.counts_above[100] == pytest.approx(28.1, abs=0.5)
 
 
 def summaries_by_workers(monkeypatch, spec, replicates, thresholds=ThresholdSet((5, 10, 20, 50)),
