@@ -7,8 +7,8 @@ count reaches an integer threshold x exactly when the underlying draw
 does, so empirical exceedance fractions are unbiased estimates of the
 model's survival probabilities. The price is a mean shifted down by the
 mean fractional part of the draws, about half a citation. Counts are
-int64, so a draw whose exp reaches 2**63 raises ValueError instead of
-wrapping.
+int64 at most, so a draw whose exp reaches 2**63 raises ValueError
+instead of wrapping.
 
 Seeding scheme v2 (SEEDING_VERSION): replicates are grouped in chunks of
 64. Chunk j owns one generator, seeded from (master seed, j) through a
@@ -23,18 +23,22 @@ simulated values; output simulated before scheme 2 does not reproduce.
 
 :func:`run_replicates` works on blocks of replicates. The chunk
 generators fill the rows of a preallocated float64 block and one pass of
-numpy calls per block does the rest: exp/floor, a row-wise sort, h, the
-citation totals and every threshold count. A block holds
-max(1, 2**15 // N) rows of N papers, so its two buffers (float64 and
-int64) take about 512 KiB together whatever the replicate count, or one
-row of N elements each when N exceeds 2**15. A block may span several
-chunks, and a chunk several blocks.
+numpy calls per block does the rest: exp/floor, a cast to whole counts, a
+row-wise sort, h, the citation totals and every threshold count. A block
+holds max(1, 2**15 // N) rows of N papers, so its two buffers (float64
+draws and int32 counts) take about 384 KiB together whatever the
+replicate count, or one row of N elements each when N exceeds 2**15. The
+counts are int32 while a block's lifted threshold keys (see
+_count_at_least), rows x (largest draw or cut + 1), stay below 2**31.
+Otherwise the same steps run on an int64 counts buffer, which a worker
+allocates the first time it needs one. A block may span several chunks,
+and a chunk several blocks.
 
 The blocks run on every CPU the process may use. Work is cut into units
 of whole chunks, about one block each (fewer for a short run), so a
 chunk's generator stays in one thread; on one CPU the whole run is one
 unit. The calling thread and up to one helper thread per further CPU
-take units from one shared iterator, each with its own ~512 KiB pair of
+take units from one shared iterator, each with its own ~384 KiB pair of
 block buffers, and write the rows of the per-replicate arrays that their
 units own. numpy releases the
 interpreter lock in the draws, exp/floor and the sort, so the workers
@@ -62,6 +66,9 @@ _BLOCK_ELEMENTS = 1 << 15
 _CHUNK_REPLICATES = 64
 #: Draws must stay below this for their floor to fit in int64.
 _COUNT_LIMIT = 2.0**63
+#: Blocks whose lifted threshold keys stay below this are counted in
+#: int32, the others in int64.
+_NARROW_LIMIT = 2**31
 
 #: Master seed used when none is given; echoed in CLI output metadata.
 DEFAULT_SEED = 20200212
@@ -142,11 +149,13 @@ def run_replicates(
 
     Units of whole chunks run on the calling thread and on one helper
     thread per further CPU the process may use, as long as there are
-    units for them. Each worker has its own ~512 KiB pair of block
-    buffers. The summary is the same for any worker count. When a unit
-    fails, the workers take no further units, every helper is joined, and
-    the error of the earliest failed unit is raised, the one a single
-    thread would have met first.
+    units for them. Each worker has its own ~384 KiB pair of block
+    buffers, float64 draws and int32 counts, and an int64 counts buffer
+    as well once a block needs one: one whose lifted threshold keys reach
+    2**31. The summary is the same for any worker count and either
+    counts dtype. When a unit fails, the workers take no further units,
+    every helper is joined, and the error of the earliest failed unit is
+    raised, the one a single thread would have met first.
     """
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
@@ -166,7 +175,8 @@ def run_replicates(
     # range's iterator hands each unit out once, under the interpreter lock
     units = iter(range(0, replicates, step))
     # the rank of each position in a row sorted ascending
-    ranks = np.arange(n, 0, -1)
+    ranks = np.arange(n, 0, -1, dtype=np.int32)
+    cut = math.ceil(xs[-1])
     h_values = np.empty(replicates, dtype=np.int64)
     totals = np.empty(replicates, dtype=np.int64)
     above = np.empty((replicates, len(xs)), dtype=np.int64)
@@ -178,7 +188,8 @@ def run_replicates(
 
     def work() -> None:
         draws = np.empty((rows, n))
-        sorted_counts = np.empty((rows, n), dtype=np.int64)
+        narrow_counts = np.empty((rows, n), dtype=np.int32)
+        wide_counts = None
         # the flag is read before a unit is taken, never after, so every
         # unit taken is run: a successful run sets it only once the units
         # are all taken, and a failed one cannot leave an earlier unit unrun
@@ -189,11 +200,22 @@ def run_replicates(
             try:
                 for start, z in _normal_blocks(draws, first, min(first + step, replicates), seed):
                     end = start + len(z)
-                    counts = sorted_counts[: len(z)]
                     top = _floor_exp(z, spec)
-                    z.sort(axis=1)
-                    counts[...] = z
-                    h_values[start:end] = np.count_nonzero(counts >= ranks, axis=1)
+                    # bounds _count_at_least's lifted keys, and every count with them
+                    if len(z) * (max(cut, top) + 1) <= _NARROW_LIMIT:
+                        counts = narrow_counts[: len(z)]
+                    else:
+                        if wide_counts is None:
+                            wide_counts = np.empty((rows, n), dtype=np.int64)
+                        counts = wide_counts[: len(z)]
+                    # exact: the draws are whole numbers below the dtype's limit
+                    np.copyto(counts, z, casting="unsafe")
+                    counts.sort(axis=1)
+                    # counts ascend along a row and ranks descend, so the
+                    # counts that reach their rank are the row's last h; a
+                    # row whose largest count is 0 has none
+                    reached = np.argmax(counts >= ranks, axis=1)
+                    h_values[start:end] = np.where(counts[:, -1] > 0, n - reached, 0)
                     block_totals = _row_sums(counts, top)
                     if block_totals.dtype == np.int64:
                         totals[start:end] = block_totals
@@ -267,14 +289,18 @@ def _normal_blocks(draws: np.ndarray, first: int, last: int, seed: int):
 
 
 def _row_sums(counts: np.ndarray, top: float) -> np.ndarray:
-    """Row sums of the nonnegative int64 block `counts`, no entry above `top`.
+    """Row sums of the nonnegative integer block `counts`, no entry above `top`.
 
-    int64 unless a sum could reach 2**63. Then the sums are formed exactly
-    in Python ints, and returned as float64 when any of them does not fit
-    in int64.
+    int64 unless a sum could reach 2**63. They accumulate in the block's
+    own dtype, the fastest, while N * top stays below half its range, and
+    in int64 otherwise. When a sum could reach 2**63 they are formed
+    exactly in Python ints, and returned as float64 when any of them does
+    not fit in int64.
     """
-    if top * counts.shape[1] < 2.0**62:
-        return counts.sum(axis=1)
+    bound = top * counts.shape[1]
+    if bound < 2.0**62:
+        dtype = counts.dtype if bound < np.iinfo(counts.dtype).max // 2 else np.int64
+        return counts.sum(axis=1, dtype=dtype).astype(np.int64, copy=False)
     exact = [sum(row) for row in counts.tolist()]
     return np.array(exact, dtype=np.int64 if max(exact) < 1 << 63 else np.float64)
 
@@ -283,23 +309,27 @@ def _count_at_least(counts: np.ndarray, xs: list[float], out: np.ndarray) -> Non
     """out[k, j] = number of entries of row k of `counts` at least xs[j].
 
     The rows are sorted ascending; they are overwritten. An integer count
-    reaches x exactly when it reaches ceil(x). Clamping every row at the
-    largest such cut and lifting row k by k * (cut + 1) makes the block one
-    ascending array, so a single searchsorted finds each row's cut points.
-    numpy compares int64 counts with a float x in float64, which agrees
-    with the integer cut only below 2**53; keys that would reach it are
-    counted threshold by threshold instead.
+    reaches x exactly when it reaches ceil(x). Lifting row k by k * s,
+    where s exceeds every count of the block and every cut, makes the
+    block one ascending array, so a single searchsorted finds each row's
+    cut points. The lifted keys, below m * s for m rows, are formed in
+    the block's own dtype, so they must stay within it. numpy compares
+    int64 counts with a float x in float64, which agrees with the integer
+    cut only below 2**53. Keys that would reach either limit are counted
+    threshold by threshold instead.
     """
     m, n = counts.shape
     cuts = [math.ceil(x) for x in xs]
-    stride = cuts[-1] + 1
-    if m * stride > 1 << 53:
+    # the last column holds each row's largest count
+    stride = max(cuts[-1], int(counts[:, -1].max())) + 1
+    if m * stride > min(1 << 53, np.iinfo(counts.dtype).max + 1):
         for j, x in enumerate(xs):
             out[:, j] = np.count_nonzero(counts >= x, axis=1)
         return
-    lift = np.arange(0, m * stride, stride, dtype=np.int64)[:, None]
-    np.minimum(counts, cuts[-1], out=counts)
+    # lift and keys in the block's dtype, or searchsorted would widen a
+    # copy of the whole block
+    lift = np.arange(0, m * stride, stride, dtype=counts.dtype)[:, None]
     counts += lift
-    below = np.searchsorted(counts.ravel(), (lift + cuts).ravel())
+    below = np.searchsorted(counts.ravel(), (lift + np.array(cuts, dtype=counts.dtype)).ravel())
     np.subtract(np.arange(n, (m + 1) * n, n)[:, None], below.reshape(m, len(xs)), out=out)
 

@@ -114,7 +114,7 @@ def fit_dataset(y_indicator: str, x_axis: str, threshold: float | None) -> list[
     """Study-wide (x, y) pairs for a regression.
 
     The x axis is an exceedance count or probability at `threshold`, or
-    one of the indicators h / sum_c directly (no threshold needed).
+    one of the indicators h / sum_c directly, which take no threshold.
     """
     if y_indicator not in Y_INDICATORS:
         raise ValueError(f"unknown indicator {y_indicator!r}; expected one of {Y_INDICATORS}")
@@ -125,6 +125,8 @@ def fit_dataset(y_indicator: str, x_axis: str, threshold: float | None) -> list[
         if threshold is None:
             raise ValueError(f"x axis {x_axis!r} needs a threshold")
         return scatter_dataset(table, y_indicator, x_axis, threshold)
+    if threshold is not None:
+        raise ValueError(f"x axis {x_axis!r} takes no threshold")
     ys = [indicator_value(row, y_indicator) for row in table.rows]
     xs = [indicator_value(row, x_axis) for row in table.rows]
     return list(zip(xs, ys))

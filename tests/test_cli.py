@@ -219,6 +219,13 @@ class TestFit:
         result = run_cli("fit", "--kind", "power", "--y", "h", "--x", "counts", check=False)
         assert result.returncode != 0
 
+    @pytest.mark.parametrize("axis", ["h", "sum_c"])
+    def test_threshold_rejected_for_indicator_axes(self, axis):
+        result = run_cli("fit", "--kind", "power", "--y", "h_over_n", "--x", axis,
+                         "--threshold", "50", check=False)
+        assert_one_error_line(result)
+        assert result.stderr == f"error: x axis '{axis}' takes no threshold\n"
+
 
 class TestSimulate:
     def test_single_spec_summary(self):

@@ -15,6 +15,7 @@ from citesim import (
     derive_seed,
     mean_citations,
     run_replicates,
+    study_specs,
     survival_probability,
 )
 from citesim import montecarlo as mc
@@ -337,6 +338,57 @@ class TestWorkers:
         assert threading.active_count() == before
 
 
+def recorded_dtypes(monkeypatch, name):
+    """Patch montecarlo's `name` to record the dtype of each block it gets."""
+    dtypes = []
+    original = getattr(mc, name)
+
+    def recording(counts, *args):
+        dtypes.append(counts.dtype.type)
+        return original(counts, *args)
+
+    monkeypatch.setattr(mc, name, recording)
+    return dtypes
+
+
+class TestCountDtypes:
+    """A block is counted in int32 while its lifted keys, rows x (largest
+    count or cut + 1), stay below 2^31, and in int64 from there on; the
+    summary must not depend on which."""
+
+    # e^15 is 3.3e6: about one block of 10 rows of 3000 papers in three
+    # holds a draw of 2^31 / 10 or more
+    STRADDLING = SeriesSpec.from_values(15, 1, 3000)
+    # cuts well below that bound
+    STRADDLING_THRESHOLDS = ThresholdSet((1e5, 1e6, 1e7))
+
+    def test_blocks_straddling_int32_equal_sample_metrics(self, monkeypatch):
+        dtypes = recorded_dtypes(monkeypatch, "_row_sums")
+        assert_equals_sample_metrics(self.STRADDLING, 200, self.STRADDLING_THRESHOLDS, seed=77)
+        assert set(dtypes) == {np.int32, np.int64}
+
+    def test_blocks_straddling_int32_independent_of_worker_count(self, monkeypatch):
+        dtypes = recorded_dtypes(monkeypatch, "_row_sums")
+        serial, *threaded = summaries_by_workers(
+            monkeypatch, self.STRADDLING, 200, self.STRADDLING_THRESHOLDS)
+        assert all(summary == serial for summary in threaded)
+        assert set(dtypes) == {np.int32, np.int64}
+
+    def test_lifted_keys_beyond_int32_equal_sample_metrics(self, monkeypatch):
+        # 327 rows lifted by 10^7 + 1 reach 3.3e9: past 2^31, far below 2^53
+        dtypes = recorded_dtypes(monkeypatch, "_count_at_least")
+        spec = SeriesSpec.from_values(2.1, 1.1, 100)
+        assert_equals_sample_metrics(spec, 400, ThresholdSet((5, 10, 1e7)), seed=77)
+        assert np.int64 in dtypes
+
+    def test_study_blocks_are_int32(self, monkeypatch):
+        for spec in study_specs():
+            dtypes = recorded_dtypes(monkeypatch, "_count_at_least")
+            run_replicates(spec, 130, seed=DEFAULT_SEED)
+            monkeypatch.undo()
+            assert dtypes and set(dtypes) == {np.int32}, spec
+
+
 class TestBlockReductions:
     @given(
         st.lists(
@@ -358,6 +410,38 @@ class TestBlockReductions:
         out = np.empty((len(rows), len(xs)), dtype=np.int64)
         mc._count_at_least(block, xs, out)
         assert out.tolist() == expected
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 600) | st.integers(0, 2**31 - 1), min_size=4, max_size=4),
+            min_size=1, max_size=6,
+        ),
+        st.lists(
+            st.floats(min_value=1e-3, max_value=1e12, allow_nan=False), min_size=1, max_size=5,
+            unique=True,
+        ),
+    )
+    # two rows lifted by 2^30: the largest key is 2^31 - 1, the last one int32 holds
+    @example(rows=[[2**30 - 1] * 4, [0, 1, 2**30 - 2, 2**30 - 1]], xs=[2**30 - 2.5, 2.0**30 - 1])
+    @example(rows=[[0, 5, 9, 2**30 - 1], [0, 0, 3, 7]], xs=[1, 5.5, 10])
+    # one more and the keys would reach 2^31: counted threshold by threshold
+    @example(rows=[[0, 5, 9, 2**30], [0, 0, 3, 7]], xs=[1, 5.5, 10])
+    @example(rows=[[2**31 - 1] * 4, [0, 1, 2**30, 2**31 - 2]], xs=[5.5, 2.0**30])
+    def test_count_at_least_on_int32_matches_naive(self, rows, xs):
+        xs = sorted(xs)
+        block = np.sort(np.array(rows, dtype=np.int32), axis=1)
+        expected = [[np.count_nonzero(row >= x) for x in xs] for row in block]
+        out = np.empty((len(rows), len(xs)), dtype=np.int64)
+        mc._count_at_least(block, xs, out)
+        assert out.tolist() == expected
+
+    # N * top below 2^30 accumulates in int32, from 2^30 on in int64
+    @pytest.mark.parametrize("top", [3, 2**27, 2**28, 2**31 - 1])
+    def test_row_sums_of_int32_blocks_are_exact(self, top):
+        rows = [[top, top, 1, 0], [top // 3, 5, 0, 0]]
+        sums = mc._row_sums(np.array(rows, dtype=np.int32), float(top))
+        assert sums.dtype == np.int64
+        assert sums.tolist() == [sum(row) for row in rows]
 
     @pytest.mark.parametrize("top", [3, 2**40, 2**62 - 1, 2**63 - 1])
     def test_row_sums_are_exact(self, top):
