@@ -24,13 +24,11 @@ from .lognormal import (
     ThresholdSet,
     expected_exceeding,
     mean_citations,
-    number_density,
-    pdf,
     survival_probability,
     total_citations,
 )
 from .montecarlo import DEFAULT_SEED, ReplicateSummary, derive_seed, run_replicates
-from .special import ConvergenceError, erf, erfc
+from .special import ConvergenceError, erfc
 from .stats import LinearFit, PowerLawFit, fit_linear, fit_power_law, pearson
 
 __version__ = "0.1.0"
@@ -51,7 +49,6 @@ __all__ = [
     "ThresholdSet",
     "default_study",
     "derive_seed",
-    "erf",
     "erfc",
     "expected_exceeding",
     "fit_linear",
@@ -62,8 +59,6 @@ __all__ = [
     "mean_citations",
     "metrics_analytic",
     "metrics_simulated",
-    "number_density",
-    "pdf",
     "pearson",
     "run_replicates",
     "scatter_dataset",

@@ -40,18 +40,23 @@ class HCurve:
     h_asymptotic: tuple[float, ...] | None = None
 
 
-def solve_h(spec: SeriesSpec, tolerance: float = 1e-9) -> HSolution:
+def solve_h(spec: SeriesSpec, tolerance: float | None = None) -> HSolution:
     """Solve for the h fixed point of `spec`.
 
-    `tolerance` bounds the residual |F(h) - h| at the returned solution,
-    in units of papers. The root is bracketed and refined in u = ln h,
-    so the bracket and the stopping width scale with h rather than with
-    N. The bracket [min(mu, ln N) - 1, ln N] always straddles the root:
-    at h = min(e^mu, N) / e, at or below the median, at least N/2 > h
-    papers are expected to exceed h, and h = N is the largest possible
-    fixed point.
+    The root is bracketed and refined in u = ln h, so the bracket and the
+    stopping width scale with h rather than with N. The bracket
+    [min(mu, ln N) - 1, ln N + 1] always straddles the root: at
+    h = min(e^mu, N) / e, at or below the median, at least N/2 > h
+    papers are expected to exceed h, and at h = eN fewer than N < h can.
+    The root is given to within brentq's final bracket, a few ulps of u
+    wide; when every paper is expected to reach N citations, h = N.
+
+    `tolerance`, when given, also bounds the residual |F(h) - h|, in
+    papers, and a larger one raises ConvergenceError. By default there
+    is no such bound: one ulp of a large h, or of h at a near-step F,
+    can exceed any fixed one.
     """
-    if not (tolerance > 0.0):
+    if tolerance is not None and not (tolerance > 0.0):
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     ln_n = math.log(spec.n_papers)
 
@@ -61,16 +66,14 @@ def solve_h(spec: SeriesSpec, tolerance: float = 1e-9) -> HSolution:
     def gap_in_log(u: float) -> float:
         return gap(math.exp(u))
 
-    lo = min(spec.params.mu, ln_n) - 1.0
-    hi = ln_n
-    if gap_in_log(lo) < 0.0 or gap_in_log(hi) > 0.0:
-        raise ConvergenceError(f"bracket failure for {spec}; the model is not solvable")
     # one ulp of u near h = 1; elsewhere brentq's own 2 eps |u| term
     # dominates, so the stopping width is relative in h
-    u, iterations = brentq(gap_in_log, lo, hi, xtol=math.ulp(1.0))
+    u, iterations = brentq(
+        gap_in_log, min(spec.params.mu, ln_n) - 1.0, ln_n + 1.0, xtol=math.ulp(1.0)
+    )
     root = min(math.exp(u), float(spec.n_papers))
     residual = abs(gap(root))
-    if residual > tolerance:
+    if tolerance is not None and residual > tolerance:
         raise ConvergenceError(
             f"solver residual {residual:.3e} exceeds tolerance {tolerance:.3e} for {spec}"
         )

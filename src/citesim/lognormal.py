@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .special import erfc
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -80,18 +79,6 @@ DEFAULT_THRESHOLDS = ThresholdSet((5, 10, 20, 50, 100, 500))
 def _check_citations(c: float) -> None:
     if not c > 0.0:
         raise ValueError(f"citation count must be positive, got {c!r}")
-
-
-def pdf(c: float, params: LognormalParams) -> float:
-    """Probability density of the citation count at c > 0."""
-    _check_citations(c)
-    z = (math.log(c) - params.mu) / params.sigma
-    return math.exp(-0.5 * z * z) / (params.sigma * c * _SQRT_2PI)
-
-
-def number_density(c: float, spec: SeriesSpec) -> float:
-    """Expected papers per unit citation at c: paper count times the density."""
-    return spec.n_papers * pdf(c, spec.params)
 
 
 def survival_probability(c: float, params: LognormalParams) -> float:

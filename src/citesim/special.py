@@ -2,9 +2,9 @@
 
 The survival tail of the lognormal citation model and the Student-t tail
 behind correlation p-values both need more accuracy than the usual
-polynomial approximations provide. erf/erfc are the C library's, which
-keep ~1e-16 relative accuracy wherever the result is a normal double,
-erfc included deep in the upper tail; the regularized incomplete beta, which the
+polynomial approximations provide. erfc is the C library's, which keeps
+~1e-16 relative accuracy wherever the result is a normal double, deep
+in the upper tail included; the regularized incomplete beta, which the
 standard library lacks, is evaluated from its continued fraction
 directly.
 """
@@ -19,9 +19,6 @@ _TINY = 1e-300
 class ConvergenceError(RuntimeError):
     """A numerical iteration or solve ended without meeting its accuracy target."""
 
-
-#: Error function; odd, bounded by 1 in magnitude.
-erf = math.erf
 
 #: Complementary error function, 1 - erf(x), without the cancellation of
 #: that difference: full relative accuracy deep in the upper tail.

@@ -1,13 +1,16 @@
 """Command line behavior, exercised through subprocesses, and repeated
 in-process calls of ``citesim.cli.main``."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 def run_cli(*args, check=True):
@@ -114,12 +117,62 @@ class TestHCurve:
         assert result.returncode != 0
         assert "error" in result.stderr.lower()
 
-    def test_solver_failure_is_an_error_line(self):
-        # solve_h raises ConvergenceError on this grid (its absolute residual
-        # tolerance is out of reach at N = 596362)
-        result = run_cli("hcurve", "--mu", "30", "--sigma", "5", "--n-max", "10000000000",
-                         check=False)
-        assert_one_error_line(result)
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # h = N on this grid: every paper is expected to reach N citations
+            ("--mu", "30", "--sigma", "1", "--n-max", "1000"),
+            # one ulp of h is larger than a residual of 1e-9 papers here
+            ("--mu", "30", "--sigma", "5", "--n-max", "10000000000"),
+            # F(h) is a near-step at e^2
+            ("--mu", "2", "--sigma", "1e-9"),
+        ],
+    )
+    def test_former_solver_failures_exit_zero(self, args):
+        rows = parse_csv(run_cli("hcurve", *args).stdout)
+        assert all(float(row["h_exact"]) <= int(row["n"]) for row in rows)
+
+    def test_solver_failure_is_an_error_line(self, monkeypatch, capsys):
+        # brentq exhausting its iterations is planted, in-process
+        from citesim import cli, roots
+
+        monkeypatch.setattr(roots, "_MAX_ITER", 1)
+        assert cli.main(["hcurve", "--mu", "2", "--sigma", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: no root within 1 iterations")
+        assert len(err.splitlines()) == 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        mu=st.floats(-50.0, 50.0),
+        log_sigma=st.floats(math.log(1e-9), math.log(10.0)),
+        n_min=st.integers(1, 10**11),
+        span=st.integers(1, 10**12),
+        points=st.integers(2, 20),
+        with_asymptotic=st.booleans(),
+    )
+    def test_every_valid_grid_answers_in_process(self, mu, log_sigma, n_min, span, points, with_asymptotic):
+        from citesim import cli
+
+        # --mu=VALUE: argparse takes a lone "-6e-68" for an option
+        argv = ["hcurve", f"--mu={mu!r}", "--sigma", repr(math.exp(log_sigma)),
+                "--n-min", str(n_min), "--n-max", str(n_min + span), "--points", str(points)]
+        if with_asymptotic:
+            argv.append("--with-asymptotic")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        # an exception would propagate here, so no traceback is printed
+        if code == 1:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert len(err.getvalue().splitlines()) == 1
+        else:
+            assert code == 0
+            assert err.getvalue() == ""
+        # the only invalid grid drawn here is an asymptotic curve from N = 1
+        assert (code == 1) == (with_asymptotic and n_min == 1)
 
     def test_unwritable_out_is_an_error_line(self, tmp_path):
         target = tmp_path / "missing" / "x.csv"

@@ -2,7 +2,9 @@
 
 import math
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from citesim import (
     LognormalParams,
@@ -13,10 +15,54 @@ from citesim import (
     solve_h,
 )
 from citesim.reference import REFERENCE_ROWS
+from citesim.special import ConvergenceError
 
 MIT_LIKE = LognormalParams(2.7, 1.2)
 MID = LognormalParams(2.1, 1.1)
 LOW = LognormalParams(1.3, 0.8)
+
+EPS = math.ulp(1.0)
+
+
+def bracket_half_width(h):
+    """How far from u = ln h brentq's final bracket may reach: its width,
+    4 eps |u| + eps, plus the rounding of exp and log around it."""
+    u = math.log(h)
+    return 5.0 * EPS * abs(u) + 2.0 * EPS
+
+
+def assert_converged(spec, sol):
+    """F - h changes sign across brentq's final bracket around ln h, or
+    the residual is within a few ulps of the larger of F(h) and h."""
+    h = sol.h_continuous
+    assert 0.0 < h <= spec.n_papers
+
+    def gap(x):
+        return expected_exceeding(x, spec) - x
+
+    u = math.log(h)
+    w = bracket_half_width(h)
+    straddles = gap(math.exp(u - w)) >= 0.0 >= gap(math.exp(u + w))
+    rounding = abs(gap(h)) <= 4.0 * math.ulp(max(h, expected_exceeding(h, spec)))
+    assert straddles or rounding, (spec, h, gap(h))
+    assert sol.residual == abs(gap(h))
+
+
+def mp_fixed_point(mu, sigma, n):
+    """F(h) = h at 40 digits, by bisection in u = ln h."""
+    with mpmath.workdps(40):
+        def gap(u):
+            return n * mpmath.erfc((u - mu) / (sigma * mpmath.sqrt(2))) / 2 - mpmath.exp(u)
+
+        ln_n = mpmath.log(n)
+        lo, hi = min(mu, ln_n) - 1, ln_n + 1
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if gap(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(mpmath.exp(lo))
 
 
 class TestSolveH:
@@ -42,7 +88,7 @@ class TestSolveH:
     )
     def test_residual_within_tolerance(self, mu, sigma, n):
         spec = SeriesSpec.from_values(mu, sigma, n)
-        sol = solve_h(spec, tolerance=1e-9)
+        sol = solve_h(spec)
         assert sol.residual <= 1e-9
         assert abs(expected_exceeding(sol.h_continuous, spec) - sol.h_continuous) <= 1e-9
 
@@ -98,6 +144,72 @@ class TestSolveH:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             solve_h(SeriesSpec(MID, 200), tolerance=-1.0)
+
+    def test_explicit_tolerance_still_gates_the_residual(self):
+        # one ulp of h near 9.2e9 is 1.9e-6 papers
+        spec = SeriesSpec.from_values(30, 5, 10**10)
+        assert solve_h(spec).residual > 1e-9
+        with pytest.raises(ConvergenceError):
+            solve_h(spec, tolerance=1e-9)
+
+
+class TestConvergenceContract:
+    """solve_h answers for every valid (mu, sigma, N): its root is given to
+    within brentq's final bracket, and h = N once every paper is expected
+    to reach N citations."""
+
+    @pytest.mark.parametrize(
+        "mu,sigma,n,printed",
+        [
+            # a near-step survival function: F jumps from N to 0 at e^2
+            (2, 1e-9, 10**4, "7.38906"),
+            # the old residual gate, 1e-9 papers, is a few ulps of h or less
+            (30, 5, 596_362, "596113"),
+            (30, 5, 10**10, "9.20923e+09"),
+            # h = N: exp(ln N) rounded below N, outside the old bracket
+            (30, 1, 1000, "1000"),
+        ],
+    )
+    def test_former_failures_match_mpmath(self, mu, sigma, n, printed):
+        spec = SeriesSpec.from_values(mu, sigma, n)
+        sol = solve_h(spec)
+        assert_converged(spec, sol)
+        assert sol.h_continuous == pytest.approx(mp_fixed_point(mu, sigma, n), rel=1e-13)
+        assert f"{sol.h_continuous:.6g}" == printed
+
+    def test_every_paper_above_n_gives_h_equal_n(self):
+        for n in (1, 2, 1000, 10**12):
+            sol = solve_h(SeriesSpec.from_values(60, 1, n))
+            assert sol.h_continuous <= n
+            assert math.log(n) - math.log(sol.h_continuous) <= bracket_half_width(n)
+            assert sol.h_reported == n
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        mu=st.floats(-50.0, 50.0),
+        log_sigma=st.floats(math.log(1e-9), math.log(10.0)),
+        n=st.integers(1, 10**12),
+        d_mu=st.floats(0.0, 1e-12) | st.floats(0.0, 100.0),
+        d_n=st.integers(0, 10) | st.integers(0, 10**12),
+    )
+    @example(mu=2.0, log_sigma=math.log(1e-9), n=10**4, d_mu=0.0, d_n=0)
+    @example(mu=30.0, log_sigma=math.log(5.0), n=596_362, d_mu=0.0, d_n=10**10 - 596_362)
+    @example(mu=30.0, log_sigma=0.0, n=1000, d_mu=1e-12, d_n=1)
+    def test_every_valid_spec_converges_monotonically(self, mu, log_sigma, n, d_mu, d_n):
+        sigma = math.exp(log_sigma)
+        base = SeriesSpec.from_values(mu, sigma, n)
+        more_papers = SeriesSpec.from_values(mu, sigma, n + d_n)
+        higher_mu = SeriesSpec.from_values(mu + d_mu, sigma, n)
+        h = {}
+        for spec in (base, more_papers, higher_mu):
+            sol = solve_h(spec)
+            assert_converged(spec, sol)
+            h[spec] = sol.h_continuous
+        # the true root is nondecreasing in N and in mu; each computed one
+        # may sit anywhere in its own bracket
+        for spec in (more_papers, higher_mu):
+            slack = bracket_half_width(h[base]) + bracket_half_width(h[spec])
+            assert math.log(h[spec]) >= math.log(h[base]) - slack, (base, spec)
 
 
 class TestAsymptotic:

@@ -12,8 +12,6 @@ from citesim import (
     ThresholdSet,
     expected_exceeding,
     mean_citations,
-    number_density,
-    pdf,
     survival_probability,
     total_citations,
 )
@@ -21,6 +19,12 @@ from citesim.reference import REFERENCE_ROWS
 
 SERIES_1 = SeriesSpec.from_values(2.7, 1.2, 500)
 SERIES_13 = SeriesSpec.from_values(2.1, 1.1, 200)
+
+
+def density(c, params):
+    """The lognormal density at c > 0, the quadrature oracles' integrand."""
+    z = (math.log(c) - params.mu) / params.sigma
+    return math.exp(-0.5 * z * z) / (params.sigma * c * math.sqrt(2 * math.pi))
 
 
 class TestValidation:
@@ -52,51 +56,22 @@ class TestValidation:
 
     def test_domain_errors_for_nonpositive_citations(self):
         params = LognormalParams(2.0, 1.0)
-        for func in (pdf, survival_probability):
-            with pytest.raises(ValueError):
-                func(0.0, params)
-            with pytest.raises(ValueError):
-                func(-3.0, params)
+        with pytest.raises(ValueError):
+            survival_probability(0.0, params)
+        with pytest.raises(ValueError):
+            survival_probability(-3.0, params)
 
 
 class TestPdf:
-    def test_value_at_log_median(self):
-        # exponent vanishes at c = e^mu for any sigma
-        for mu, sigma in ((2.7, 1.2), (0.0, 0.4), (-1.0, 2.0)):
-            c = math.exp(mu)
-            expected = 1.0 / (sigma * c * math.sqrt(2 * math.pi))
-            assert pdf(c, LognormalParams(mu, sigma)) == pytest.approx(expected, rel=1e-14)
+    """The density the quadrature oracles below integrate is the one
+    survival_probability is the upper tail of."""
 
     def test_matches_survival_derivative(self):
         # central difference of the survival function at c = 10
         params = LognormalParams(2.7, 1.2)
         eps = 1e-4
         oracle = (survival_probability(10 - eps, params) - survival_probability(10 + eps, params)) / (2 * eps)
-        assert pdf(10.0, params) == pytest.approx(oracle, abs=1e-8)
-
-    def test_integrates_to_one(self):
-        params = LognormalParams(2.7, 1.2)
-        total, _ = integrate.quad(lambda c: pdf(c, params), 0, math.inf, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_nonnegative(self):
-        params = LognormalParams(1.5, 0.9)
-        assert all(pdf(c, params) >= 0.0 for c in (0.01, 1, 7, 1000.0))
-
-
-class TestNumberDensity:
-    def test_unit_scaling(self):
-        params = LognormalParams(2.1, 1.1)
-        assert number_density(10.0, SeriesSpec(params, 1)) == pdf(10.0, params)
-
-    def test_series_1_value(self):
-        assert number_density(10.0, SERIES_1) == pytest.approx(500 * pdf(10.0, SERIES_1.params), rel=1e-15)
-
-    def test_linear_in_n(self):
-        params = LognormalParams(2.1, 1.1)
-        single = number_density(7.0, SeriesSpec(params, 300))
-        double = number_density(7.0, SeriesSpec(params, 600))
-        assert double == pytest.approx(2 * single, rel=1e-15)
+        assert density(10.0, params) == pytest.approx(oracle, abs=1e-8)
 
 
 class TestSurvival:
@@ -156,13 +131,13 @@ class TestExpectedExceeding:
             assert expected_exceeding(c, SERIES_1) == 500 * survival_probability(c, SERIES_1.params)
 
     def test_quadrature_consistency_across_study(self):
-        # integral of the number density above c must reproduce the
+        # N times the integral of the density above c must reproduce the
         # closed-form exceedance count for every study spec
         for row in REFERENCE_ROWS:
             spec = SeriesSpec.from_values(row.mu, row.sigma, row.n_papers)
             for c in (1.0, 5.0, 20.0, 100.0):
                 oracle, _ = integrate.quad(
-                    lambda t: number_density(t, spec), c, math.inf, limit=200, epsrel=1e-9
+                    lambda t: spec.n_papers * density(t, spec.params), c, math.inf, limit=200, epsrel=1e-9
                 )
                 assert expected_exceeding(c, spec) == pytest.approx(oracle, rel=1e-6)
 
@@ -171,7 +146,7 @@ class TestMeanAndTotal:
     @pytest.mark.parametrize("mu,sigma", [(2.7, 1.2), (1.3, 0.8)])
     def test_matches_quadrature(self, mu, sigma):
         params = LognormalParams(mu, sigma)
-        oracle, _ = integrate.quad(lambda c: c * pdf(c, params), 0, math.inf, limit=300)
+        oracle, _ = integrate.quad(lambda c: c * density(c, params), 0, math.inf, limit=300)
         assert mean_citations(params) == pytest.approx(oracle, rel=1e-6)
 
     def test_frozen_values(self):

@@ -247,17 +247,23 @@ class TestWorkers:
 
     def test_failed_helper_stops_the_run(self, monkeypatch):
         # a fault planted in the helpers only; the caller's first block
-        # waits until a helper has failed, so a helper fails every time
+        # waits until a helper has failed and exited, which it does only
+        # after setting the run's stop flag, so a helper fails every time
+        # and the caller sees the flag before it could take another unit
         caller = threading.current_thread()
         helper_failed = threading.Event()
+        failed_helpers = []
         caller_blocks = []
         floor_exp = mc._floor_exp
 
         def planted(z, spec):
             if threading.current_thread() is not caller:
+                failed_helpers.append(threading.current_thread())
                 helper_failed.set()
                 raise ValueError("planted in a helper")
             assert helper_failed.wait(timeout=60)
+            failed_helpers[0].join(timeout=60)
+            assert not failed_helpers[0].is_alive()
             caller_blocks.append(len(z))
             return floor_exp(z, spec)
 

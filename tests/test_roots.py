@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from citesim import roots
 from citesim.roots import brentq
+from citesim.special import ConvergenceError
 
 
 def test_linear_root_is_exact():
@@ -37,3 +39,10 @@ def test_requires_sign_change():
 def test_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         brentq(lambda x: x, -1.0, 1.0, xtol=0.0)
+
+
+def test_exhausted_iterations_raise(monkeypatch):
+    # a root brentq has not resolved is never returned as if it had
+    monkeypatch.setattr(roots, "_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError):
+        brentq(math.cos, 1.0, 2.0)
