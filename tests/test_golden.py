@@ -1,19 +1,21 @@
 """CLI stdout diffed byte for byte against committed golden files.
 
-The simulate files under tests/golden/ were written by seeding scheme 2
-(one generator per chunk of 64 replicates) with numpy 2.4.6. Simulated
-cells depend on numpy's PCG64 stream and its exp, so another numpy
-release may legitimately print other digits. verify_r100.csv is the
-stdout of ``verify --format csv --replicates 100``, which exits 1: at 100
-replicates simulation-agreement fails its fixed 0.005 gate on a tail
-fraction (series 22, P(20) off by 0.0055), a gate that does not scale
-with the replicate count, not a fault.
+The simulate files under tests/golden/ were written by sampling scheme 3
+with numpy 2.4.6. Specs with K = 0 bins (series 22, 13 and 25, and
+simulate_mu1.7_s1.0_n100_r500.csv) print what scheme 2 printed; the
+others draw histograms. Simulated cells depend on numpy's PCG64 stream,
+its multinomial and its exp, so another numpy release may legitimately
+print other digits. verify_r100.csv is the stdout of ``verify --format
+csv --replicates 100``, which exits 1: at 100 replicates
+simulation-agreement fails its fixed 0.005 gate on a tail fraction, a
+gate that does not scale with the replicate count, not a fault.
 
 tests/golden/analytic.md5 holds one line per closed-form command: the md5
 of its stdout, two spaces and its argv. All of them run in one process,
 so they also check that repeated ``main`` calls print what a fresh
-process prints. Rewrite the manifest, after a change that is meant to
-alter output, with ``PYTHONPATH=src python tests/test_golden.py``.
+process prints. After a change that is meant to alter output, rewrite
+the manifest, the simulate files and verify_r100.csv with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -67,11 +69,18 @@ def analytic_commands() -> list[list[str]]:
     return tables + hcurves + scatters + fits
 
 
-def stdout_md5(argv: list[str]) -> str:
+VERIFY = ("verify", "--format", "csv", "--replicates", "100")
+
+
+def stdout_of(argv, code=0) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(argv) == 0, argv
-    return hashlib.md5(out.getvalue().encode("utf-8")).hexdigest()
+        assert main(list(argv)) == code, argv
+    return out.getvalue()
+
+
+def stdout_md5(argv: list[str]) -> str:
+    return hashlib.md5(stdout_of(argv).encode("utf-8")).hexdigest()
 
 
 def read_manifest() -> list[tuple[str, str]]:
@@ -86,7 +95,7 @@ def test_stdout_matches_golden(name, capsys):
 
 
 def test_verify_stdout_and_exit_code_match_golden(capsys):
-    assert main(["verify", "--format", "csv", "--replicates", "100"]) == 1
+    assert main(list(VERIFY)) == 1
     assert capsys.readouterr().out == (GOLDEN / "verify_r100.csv").read_text(encoding="utf-8")
 
 
@@ -107,3 +116,6 @@ if __name__ == "__main__":
         "".join(f"{stdout_md5(argv)}  {' '.join(argv)}\n" for argv in analytic_commands()),
         encoding="utf-8",
     )
+    for name, argv in COMMANDS.items():
+        (GOLDEN / name).write_text(stdout_of(argv), encoding="utf-8")
+    (GOLDEN / "verify_r100.csv").write_text(stdout_of(VERIFY, code=1), encoding="utf-8")

@@ -19,10 +19,13 @@ from citesim import (
     survival_probability,
 )
 from citesim import montecarlo as mc
+from citesim.lognormal import DEFAULT_THRESHOLDS
 from citesim.montecarlo import DEFAULT_SEED
 
 SERIES_1 = SeriesSpec.from_values(2.7, 1.2, 500)
+SERIES_9 = SeriesSpec.from_values(2.3, 1.1, 10_000)
 SERIES_13 = SeriesSpec.from_values(2.1, 1.1, 200)
+SERIES_22 = SeriesSpec.from_values(1.7, 1.0, 100)
 
 
 class TestDeriveSeed:
@@ -40,10 +43,17 @@ class TestDeriveSeed:
             derive_seed(1, -1)
 
 
+@pytest.fixture
+def per_paper(monkeypatch):
+    """Every spec takes K = 0 bins: the per-paper kernel, whose stream is
+    seeding scheme 2's."""
+    monkeypatch.setattr(mc, "_bin_count", lambda spec: 0)
+
+
 def reference_counts(spec, replicates, seed):
-    """Each replicate's counts, sorted descending, under seeding scheme v2
-    drawn independently of montecarlo: chunk j's rows in one call from
-    default_rng(derive_seed(seed, j)), then floor(exp(mu + sigma * z))."""
+    """Each replicate's counts, sorted descending, on the per-paper path
+    (K = 0) drawn independently of montecarlo: chunk j's rows in one call
+    from default_rng(derive_seed(seed, j)), then floor(exp(mu + sigma * z))."""
     n, chunk = spec.n_papers, 64
     rows = [
         np.random.default_rng(derive_seed(seed, j)).standard_normal(
@@ -55,14 +65,16 @@ def reference_counts(spec, replicates, seed):
     return -np.sort(-counts, axis=1)
 
 
-def assert_equals_sample_metrics(spec, replicates, thresholds, seed):
+def assert_equals_sample_metrics(spec, replicates, thresholds, seed, reference=reference_counts):
     """run_replicates equals its per-replicate reference exactly: the
-    counts of reference_counts, measured row by row with plain numpy and
+    counts of `reference`, measured row by row with plain numpy and
     averaged the same way."""
     summary = run_replicates(spec, replicates, thresholds, seed)
-    counts = reference_counts(spec, replicates, seed)
+    counts = reference(spec, replicates, seed)
     h = np.array([np.count_nonzero(row >= np.arange(1, row.size + 1)) for row in counts])
-    totals = np.array([sum(row.tolist()) for row in counts])
+    # exact Python-int sums, in float64 only when one passes int64
+    exact = [sum(row.tolist()) for row in counts]
+    totals = np.array(exact, dtype=np.int64 if max(exact) < 2**63 else np.float64)
     above = np.array([[np.count_nonzero(row >= x) for x in thresholds] for row in counts])
     assert summary.h_mean == float(h.mean())
     assert summary.h_stddev == (float(h.std(ddof=1)) if replicates > 1 else 0.0)
@@ -71,6 +83,7 @@ def assert_equals_sample_metrics(spec, replicates, thresholds, seed):
 
 
 class TestRunReplicates:
+    @pytest.mark.usefixtures("per_paper")
     def test_single_replicate_equals_sample_metrics(self):
         assert_equals_sample_metrics(SERIES_13, 1, ThresholdSet((5, 10, 20)), seed=77)
 
@@ -90,6 +103,7 @@ class TestRunReplicates:
             (1, 50, (1, 2**40)),
         ],
     )
+    @pytest.mark.usefixtures("per_paper")
     def test_blocks_equal_sample_metrics(self, n, replicates, thresholds):
         spec = SeriesSpec.from_values(2.1, 1.1, n)
         assert_equals_sample_metrics(spec, replicates, ThresholdSet(thresholds), seed=77)
@@ -104,17 +118,20 @@ class TestRunReplicates:
             3000,
         ],
     )
+    @pytest.mark.usefixtures("per_paper")
     def test_chunk_boundaries_equal_sample_metrics(self, n, replicates):
         spec = SeriesSpec.from_values(2.1, 1.1, n)
         assert_equals_sample_metrics(spec, replicates, ThresholdSet((5, 10, 20, 50)), seed=77)
 
     @pytest.mark.parametrize("block_elements", [1, 150, 2**15])
+    @pytest.mark.usefixtures("per_paper")
     def test_independent_of_block_size(self, monkeypatch, block_elements):
         spec = SeriesSpec.from_values(2.1, 1.1, 50)
         expected = run_replicates(spec, 150, seed=9)
         monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_elements)
         assert run_replicates(spec, 150, seed=9) == expected
 
+    @pytest.mark.usefixtures("per_paper")
     def test_exact_totals_equal_sample_metrics(self):
         # N times the largest draw exceeds 2^62, so the totals are summed
         # in Python ints; each still fits in int64
@@ -174,9 +191,11 @@ def summaries_by_workers(monkeypatch, spec, replicates, thresholds=ThresholdSet(
     return summaries
 
 
+@pytest.mark.usefixtures("per_paper")
 class TestWorkers:
     """Units of whole chunks run on one thread per CPU (mc._cpu_count);
-    the summary must not depend on how many there are."""
+    the summary must not depend on how many there are. Run on the
+    per-paper path; TestHistograms covers the histogram path's workers."""
 
     @pytest.mark.parametrize("replicates", [63, 64, 65, 129, 300])
     @pytest.mark.parametrize(
@@ -357,10 +376,11 @@ def recorded_dtypes(monkeypatch, name):
     return dtypes
 
 
+@pytest.mark.usefixtures("per_paper")
 class TestCountDtypes:
-    """A block is counted in int32 while its lifted keys, rows x (largest
-    count or cut + 1), stay below 2^31, and in int64 from there on; the
-    summary must not depend on which."""
+    """A per-paper block is counted in int32 while its lifted keys, rows x
+    (largest count or cut + 1), stay below 2^31, and in int64 from there
+    on; the summary must not depend on which."""
 
     # e^15 is 3.3e6: about one block of 10 rows of 3000 papers in three
     # holds a draw of 2^31 / 10 or more
@@ -389,9 +409,9 @@ class TestCountDtypes:
 
     def test_study_blocks_are_int32(self, monkeypatch):
         for spec in study_specs():
-            dtypes = recorded_dtypes(monkeypatch, "_count_at_least")
-            run_replicates(spec, 130, seed=DEFAULT_SEED)
-            monkeypatch.undo()
+            with monkeypatch.context() as patch:
+                dtypes = recorded_dtypes(patch, "_count_at_least")
+                run_replicates(spec, 130, seed=DEFAULT_SEED)
             assert dtypes and set(dtypes) == {np.int32}, spec
 
 
@@ -460,3 +480,233 @@ class TestBlockReductions:
         else:
             assert sums.tolist() == [float(t) for t in exact]
 
+
+# N times the largest tail draw passes 2^62, and with seed 150 one of the
+# first 64 totals passes 2^63 while no draw reaches it
+HEAVY_TAIL = SeriesSpec.from_values(2, 9, 10_000)
+
+
+def conditioned_normals(rng, a, count):
+    """`count` standard normals conditioned on z >= a, as sampling scheme
+    v3 draws them: rounds of ceil((1.1 r + 8) / rate) candidates, r the
+    number still needed, by Marsaglia's method (x = sqrt(a^2 - 2 ln(1 - U1)),
+    kept when U2 x < a) where it accepts more than plain rejection."""
+    plain = 0.5 * math.erfc(a / math.sqrt(2.0))
+    marsaglia = a * math.sqrt(2.0 * math.pi) * math.exp(0.5 * a * a) * plain if a > 0 else 0.0
+    rate = max(plain, marsaglia)
+    kept = []
+    while count > sum(map(len, kept)):
+        m = math.ceil((1.1 * (count - sum(map(len, kept))) + 8) / rate)
+        if marsaglia > plain:
+            u1, u2 = rng.random((2, m))
+            x = np.sqrt(a * a - 2.0 * np.log1p(-u1))
+            kept.append(x[u2 * x < a])
+        else:
+            z = rng.standard_normal(m)
+            kept.append(z[z >= a])
+    return np.concatenate(kept)[:count] if kept else np.empty(0)
+
+
+def reference_histogram_counts(spec, replicates, seed, bins=None):
+    """Each replicate's counts, sorted descending, on the histogram path
+    of sampling scheme v3, drawn independently of montecarlo but for the
+    bin count K: per chunk, 64 multinomial rows over p_k = S(k) - S(k + 1)
+    and S(K), then every row's tail in row order, then the row's counts."""
+    bins = mc._bin_count(spec) if bins is None else bins
+    mu, sigma, n = spec.params.mu, spec.params.sigma, spec.n_papers
+    survival = [1.0] + [0.5 * math.erfc((math.log(k) - mu) / (sigma * math.sqrt(2.0)))
+                        for k in range(1, bins + 1)]
+    pvals = [s - t for s, t in zip(survival, survival[1:])] + [survival[-1]]
+    rows = []
+    for j in range(-(-replicates // 64)):
+        rng = np.random.default_rng(derive_seed(seed, j))
+        hist = rng.multinomial(n, pvals, size=64)
+        z = conditioned_normals(rng, (math.log(bins) - mu) / sigma, int(hist[:, -1].sum()))
+        for row, tail in zip(hist, np.split(z, np.cumsum(hist[:, -1])[:-1])):
+            if len(rows) == replicates:
+                break
+            assert np.exp(mu + sigma * tail).max(initial=0) < 2**63
+            top = np.maximum(np.floor(np.exp(mu + sigma * tail)).astype(np.int64), bins)
+            counts = np.concatenate([np.repeat(np.arange(bins), row[:-1]), top])
+            rows.append(-np.sort(-counts))
+    return np.array(rows)
+
+
+def assert_equals_histogram_metrics(spec, replicates, thresholds, seed, bins=None):
+    assert_equals_sample_metrics(
+        spec, replicates, thresholds, seed,
+        reference=lambda spec, replicates, seed: reference_histogram_counts(
+            spec, replicates, seed, bins))
+
+
+def recorded_chunks(monkeypatch):
+    """Patch _histogram_chunk to record (rows, h, totals, counts) of each call."""
+    chunks = []
+    histogram_chunk = mc._histogram_chunk
+
+    def recording(*args):
+        result = histogram_chunk(*args)
+        chunks.append((args[-1], *result))
+        return result
+
+    monkeypatch.setattr(mc, "_histogram_chunk", recording)
+    return chunks
+
+
+class TestHistograms:
+    """Specs with K > 0 bins draw each replicate's histogram of counts
+    below K and its tail papers at K or above (sampling scheme v3)."""
+
+    def test_bin_counts(self):
+        assert mc._bin_count(SERIES_1) > 0
+        assert mc._bin_count(SERIES_9) > 0
+        assert mc._bin_count(HEAVY_TAIL) > 0
+        # series 22, 13 and 25 draw per paper, as do huge medians
+        for spec in (SERIES_22, SERIES_13, SeriesSpec.from_values(1.5, 0.9, 200),
+                     SeriesSpec.from_values(800, 1, 10), SeriesSpec.from_values(36, 1, 10_000)):
+            assert mc._bin_count(spec) == 0, spec
+        assert all(0 <= mc._bin_count(spec) <= mc._MAX_BINS for spec in study_specs())
+
+    @pytest.mark.parametrize(
+        "spec, replicates",
+        [
+            (SERIES_1, 200),
+            (SERIES_9, 70),
+            # one row beyond the per-paper block size
+            (SeriesSpec.from_values(2.1, 1.1, mc._BLOCK_ELEMENTS + 1), 3),
+        ],
+        ids=["series-1", "series-9", "n-2^15+1"],
+    )
+    def test_equals_reference(self, spec, replicates):
+        assert_equals_histogram_metrics(spec, replicates, DEFAULT_THRESHOLDS, seed=77)
+
+    @pytest.mark.parametrize("replicates", [63, 64, 65, 129])
+    def test_chunk_boundaries_equal_reference(self, replicates):
+        spec = SeriesSpec.from_values(2.1, 1.1, 3000)
+        thresholds = ThresholdSet((0.5, 5, 10.5, 50, 1e15))
+        assert_equals_histogram_metrics(spec, replicates, thresholds, seed=77)
+
+    def test_first_replicates_independent_of_replicate_count(self, monkeypatch):
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 1)
+        chunks = recorded_chunks(monkeypatch)
+        run_replicates(SERIES_1, 65, seed=5)
+        run_replicates(SERIES_1, 128, seed=5)
+        assert [rows for rows, *_ in chunks] == [64, 1, 64, 64]
+        # chunk 1 of both runs: its first replicate is the same
+        for short, full in zip(chunks[1][1:], chunks[3][1:]):
+            assert (short == full[:1]).all()
+
+    @pytest.mark.parametrize("block_elements", [1, 150, 2**15])
+    def test_independent_of_block_size(self, monkeypatch, block_elements):
+        expected = run_replicates(SERIES_1, 300, seed=9)
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_elements)
+        assert run_replicates(SERIES_1, 300, seed=9) == expected
+
+    @pytest.mark.parametrize("replicates", [63, 65, 300])
+    def test_independent_of_worker_count(self, monkeypatch, replicates):
+        serial, *threaded = summaries_by_workers(monkeypatch, SERIES_1, replicates)
+        assert all(summary == serial for summary in threaded)
+
+    @pytest.mark.parametrize(
+        "spec, bins",
+        [
+            # N S(8) is about 5800: every row takes h (about 120) from its tail
+            (SERIES_9, 8),
+            # N S(62) is about 58, near h: some rows take h from the tail
+            (SERIES_1, 62),
+            # N = 40 with K = 3: most papers lie in the tail
+            (SeriesSpec.from_values(2.1, 1.1, 40), 3),
+        ],
+        ids=["series-9-K8", "series-1-K62", "n-40-K3"],
+    )
+    def test_bins_below_h_equal_reference(self, monkeypatch, spec, bins):
+        monkeypatch.setattr(mc, "_bin_count", lambda spec: bins)
+        thresholds = ThresholdSet((2, 5, 10, 50, 100))
+        assert_equals_histogram_metrics(spec, 130, thresholds, seed=3, bins=bins)
+        serial, *threaded = summaries_by_workers(monkeypatch, spec, 130)
+        assert all(summary == serial for summary in threaded)
+
+    def test_exact_totals_equal_reference(self, monkeypatch):
+        # N times the largest tail draw passes 2^62, so the totals are
+        # summed in Python ints, and one of them passes 2^63
+        chunks = recorded_chunks(monkeypatch)
+        assert_equals_histogram_metrics(HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=150)
+        assert chunks[0][2].dtype == np.float64
+
+    def test_exact_totals_in_int64_equal_reference(self, monkeypatch):
+        chunks = recorded_chunks(monkeypatch)
+        assert_equals_histogram_metrics(HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=1)
+        assert chunks[0][2].dtype == np.int64
+
+    def test_rejects_tail_counts_beyond_int64(self):
+        # about one replicate in 55 draws a paper past 2^63
+        with pytest.raises(ValueError, match="2\\^63"):
+            run_replicates(HEAVY_TAIL, 640, seed=1)
+
+
+def exact_law(spec, thresholds):
+    """Per-replicate mean and standard deviation of h, the citation total
+    and each threshold count under the discrete law of N papers with
+    P(c >= k) = S(k): P(h >= k) = P(Bin(N, S(k)) >= k), E[c] = sum S(k),
+    E[c^2] = sum (2k - 1) S(k), and the count at x is Bin(N, S(ceil x))."""
+    from scipy import stats
+
+    mu, sigma, n = spec.params.mu, spec.params.sigma, spec.n_papers
+    # S(10^6) is below 1e-12 for the specs tested, with sum k S(k) beyond it
+    # below 1e-6
+    k = np.arange(1, 10**6 + 1, dtype=np.float64)
+    survival = stats.norm.sf((np.log(k) - mu) / sigma)
+    at_least_h = stats.binom.sf(k[:n] - 1, n, survival[:n])
+    h_mean = at_least_h.sum()
+    mean_c = survival.sum()
+    var_c = ((2 * k - 1) * survival).sum() - mean_c**2
+    law = {
+        "h": (h_mean, math.sqrt(((2 * k[:n] - 1) * at_least_h).sum() - h_mean**2)),
+        "sum_c": (n * mean_c, math.sqrt(n * var_c)),
+    }
+    for x in thresholds:
+        p = survival[math.ceil(x) - 1]
+        law[x] = (n * p, math.sqrt(n * p * (1 - p)))
+    return law
+
+
+def z_scores(summary, law):
+    root = math.sqrt(summary.replicates)
+    observed = {"h": summary.h_mean, "sum_c": summary.sum_citations_mean, **summary.counts_above}
+    return {key: (observed[key] - mean) / (sd / root) for key, (mean, sd) in law.items()}
+
+
+class TestExactLaw:
+    """h_mean, the mean citation total and every threshold count lie
+    within 5 standard errors of their exact discrete expectations, on both
+    paths; tampered histograms do not."""
+
+    REPLICATES = 20_000
+
+    @pytest.mark.parametrize(
+        "spec", [SERIES_1, SERIES_9, SERIES_22], ids=["series-1", "series-9", "series-22"])
+    def test_within_five_standard_errors(self, spec):
+        summary = run_replicates(spec, self.REPLICATES, seed=DEFAULT_SEED)
+        scores = z_scores(summary, exact_law(spec, DEFAULT_THRESHOLDS))
+        assert max(map(abs, scores.values())) <= 5, scores
+
+    def tampered_scores(self):
+        summary = run_replicates(SERIES_9, self.REPLICATES, seed=DEFAULT_SEED)
+        return z_scores(summary, exact_law(SERIES_9, DEFAULT_THRESHOLDS))
+
+    def test_bin_shifted_by_one_fails(self, monkeypatch):
+        bin_probabilities = mc._bin_probabilities
+
+        def shifted(params, bins):
+            # the papers of count 10 counted as 9
+            p = bin_probabilities(params, bins).copy()
+            p[9], p[10] = p[9] + p[10], 0.0
+            return p
+
+        monkeypatch.setattr(mc, "_bin_probabilities", shifted)
+        assert max(map(abs, self.tampered_scores().values())) > 5
+
+    def test_unconditioned_tail_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            mc, "_conditioned_normals", lambda rng, a, count: rng.standard_normal(count))
+        assert max(map(abs, self.tampered_scores().values())) > 5
