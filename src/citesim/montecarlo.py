@@ -10,66 +10,90 @@ mean fractional part of the draws, about half a citation. Counts are
 int64 at most, so a draw whose exp reaches 2**63 raises ValueError
 instead of wrapping.
 
-Sampling scheme v3 (SEEDING_VERSION): replicates are grouped in chunks of
+Sampling scheme v4 (SEEDING_VERSION): replicates are grouped in chunks of
 64. Chunk j owns one generator, seeded from (master seed, j) through a
-SplitMix64-style avalanche. Every simulated indicator (h, the citation
-total, the threshold counts) is a function of a replicate's histogram of
-whole counts, and each spec draws it one of two ways, both exact in law:
+SplitMix64-style avalanche. Every simulated number is either a
+replicate's h or a replicate average of an additive count (the citation
+total and the threshold counts), and each spec draws them one of two
+ways, both exact in law:
 
-- Per paper (K = 0 bins). Replicate i takes row i % 64 of the 64 x N
-  standard normals that chunk i // 64 draws in sequence. This is scheme
-  2's stream, so a spec with K = 0 prints what it printed under scheme 2.
-- Histogram (K > 0 bins). The chunk's generator first draws 64 rows of
-  Multinomial(N; p_0, ..., p_{K-1}, S(K)), where S(k) = P(c >= k) =
-  erfc((ln k - mu) / (sigma sqrt 2)) / 2 and p_k = S(k) - S(k + 1): the
-  numbers of papers with each count below K, and M, the number at K or
-  more. Then, in row order, it draws every row's M tail papers as
-  floor(exp(mu + sigma z)) with z conditioned on z >= a = (ln K - mu) /
-  sigma (see _conditioned_normals). All 64 rows are drawn even in a
-  short last chunk. A replicate then costs about K binomials and N S(K) tail draws,
-  where the per-paper kernel costs N normal draws, exp/floor and a sort.
+- Per paper (K = 0 bins, see _bin_count). Replicate i takes row i % 64
+  of the 64 x N standard normals that chunk i // 64 draws in sequence.
+  This is scheme 2's stream, so a spec with K = 0 prints what it printed
+  under schemes 2 and 3.
+- Window (K > 0). With S(k) = P(c >= k) = erfc((ln k - mu) / (sigma
+  sqrt 2)) / 2 and p_k = S(k) - S(k + 1), the chunk's generator first
+  draws 64 rows of Multinomial(N; 1 - S(L), p_L, ..., p_{U-1}, S(U)):
+  each replicate's papers below L, at each count of the window [L, U),
+  and at U or more. G(k), the number of papers with k or more
+  citations, is then known for k in [L, U], and a row's h is the
+  largest k in [L, U) with G(k) >= k. Then, in row order over the rows
+  the run uses, a row whose h lies outside the window draws its own
+  breakdown of that side: below L, one multinomial of its papers over
+  p_0, ..., p_{L-1}; at U or above, one over p_U, ..., p_{K'-1} and
+  S(K'), K' = max(U, K), then its papers at K' or more as
+  floor(exp(mu + sigma z)) with z conditioned on z >= (ln K' - mu) /
+  sigma (_conditioned_normals). Last, every other row's papers below L
+  and at U or above are drawn pooled: one multinomial for each side,
+  then one tail of conditioned normals. All 64 window rows are drawn
+  even in a short last chunk.
 
-K is a pure function of (mu, sigma, N) that minimises a fixed cost model
-(_bin_count), capped at 256 bins. It is 0 where drawing every paper is
+The pooling is exact: given the window rows, the rows' breakdowns are
+independent multinomials with the same cell probabilities, and a sum of
+such multinomials is the multinomial of the summed count. So the
+per-replicate h, the summed citation total and the summed threshold
+counts have exactly the joint law of R fully drawn series, while a
+replicate costs W + 2 binomials, W = U - L, where the per-paper kernel
+costs N normal draws, exp/floor and a sort. Per-replicate totals and
+counts are never formed on this path; ReplicateSummary holds only their
+means.
+
+The window is a pure function of (mu, sigma, N) (_window): it is
+k* +- ceil(7 sd), where k* is the largest k <= N with N S(k) >= k and
+sd = sqrt(N S (1 - S)) / (1 + N p), S = S(k*) and p = p_{k*}, is the
+first-order standard deviation of h; each side is capped at 128 counts
+and the window at [0, N + 1). None of 810,000 replicates of the study's
+series fell outside it, so the refinements cost nothing on average. K is
+also a pure function of (mu, sigma, N): it minimises a fixed cost model
+(_bin_count), capped at 256 bins, and is 0 where drawing every paper is
 cheaper: small N, and medians so large that nearly every paper would be
-a tail paper. Drawing a chunk in pieces gives the same values as drawing
-it whole, so results depend only on the master seed, N and the replicate
-count: never on block size, worker count or evaluation order, and the
-first R replicates are the same for any larger replicate count.
-Aggregation runs over stored per-replicate values. Schemes 1 (one
-generator per replicate) and 2 (every spec per paper) gave other
-simulated values for the specs they drew otherwise; output simulated
-before scheme 3 does not reproduce for specs with K > 0.
+a tail paper.
 
-:func:`run_replicates` cuts the work into units of whole chunks. On the
-per-paper path the chunk generators fill the rows of a preallocated
-float64 block and one pass of numpy calls per block does the rest:
-exp/floor, a cast to whole counts, a row-wise sort, h, the citation
-totals and every threshold count. A block holds max(1, 2**15 // N) rows
-of N papers, so its two buffers (float64 draws and int32 counts) take
-about 384 KiB together whatever the replicate count, or one row of N
-elements each when N exceeds 2**15. The counts are int32 while a block's
-lifted threshold keys (see _count_at_least), rows x (largest draw or cut
-+ 1), stay below 2**31. Otherwise the same steps run on an int64 counts
-buffer, which a worker allocates the first time it needs one. A block
-may span several chunks, and a chunk several blocks. On the histogram
-path a chunk is reduced on its own (_histogram_chunk): G(k), the number
-of papers with k or more citations, is a reverse cumulative sum of the
-bins for k <= K; h is the largest k <= K with G(k) >= k, or the h of the
-row's tail where that is larger; the total is sum k n_k plus the tail's
-exact sum; the count at x is G(ceil x), or the tail's count when ceil x
-exceeds K. Its buffers, 64 x (K + 1) bins and the chunk's tail papers,
-are bounded by the chunk whatever the replicate count.
+Drawing a per-paper chunk in pieces gives the same values as drawing it
+whole, and a window row's refinement comes before the pooled draws of
+its chunk, so results depend only on the master seed, N and the
+replicate count: never on block size, worker count or evaluation order,
+and the first R replicates' h are the same for any larger replicate
+count. Schemes 1 (one generator per replicate), 2 (every spec per
+paper) and 3 (each replicate's whole histogram) gave other simulated
+values for specs with K > 0; such output does not reproduce under
+scheme 4.
 
-The units run on every CPU the process may use, about one block of whole
-chunks each (fewer for a short run), so a chunk's generator stays in one
-thread; on one CPU the whole run is one unit. The calling thread and up
-to one helper thread per further CPU take units from one shared
-iterator, each with its own buffers, and write the rows of the
-per-replicate arrays that their units own. numpy releases the
-interpreter lock in the draws, the multinomial, exp/floor and the sort,
-so the workers overlap there. The means are taken after every helper has
-joined, so results never depend on the worker count.
+:func:`run_replicates` draws window chunks one after another on the
+calling thread, which holds one chunk's 64 x (W + 2) window counts and
+its tail papers, and a run-wide histogram of K' + 1 counts. On the
+per-paper path it cuts the work into units of whole chunks. The chunk
+generators fill the rows of a preallocated float64 block and one pass
+of numpy calls per block does the rest: exp/floor, a cast to whole
+counts, a row-wise sort, h, the citation totals and every threshold
+count. A block holds max(1, 2**15 // N) rows of N papers, so its two
+buffers (float64 draws and int32 counts) take about 384 KiB together
+whatever the replicate count, or one row of N elements each when N
+exceeds 2**15. The counts are int32 while a block's lifted threshold
+keys (see _count_at_least), rows x (largest draw or cut + 1), stay below
+2**31. Otherwise the same steps run on an int64 counts buffer, which a
+worker allocates the first time it needs one. A block may span several
+chunks, and a chunk several blocks.
+
+The per-paper units run on every CPU the process may use, about one
+block of whole chunks each (fewer for a short run), so a chunk's
+generator stays in one thread; on one CPU the whole run is one unit. The
+calling thread and up to one helper thread per further CPU take units
+from one shared iterator, each with its own buffers, and write the rows
+of the per-replicate arrays that their units own. numpy releases the
+interpreter lock in the draws, exp/floor and the sort, so the workers
+overlap there. The means are taken after every helper has joined, so
+results never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -102,15 +126,19 @@ _COUNT_LIMIT = 2.0**63
 #: int32, the others in int64.
 _NARROW_LIMIT = 2**31
 
-#: Most bins a histogram replicate draws.
+#: Most bins K of the cost model, and at most twice the counts on either
+#: side of k* in a window.
 _MAX_BINS = 256
+#: Standard deviations of h on either side of k* in a window (_window).
+_WINDOW_SDS = 7
 #: The cost model that sets the bin count (_bin_count), in ns on one
 #: thread: a histogram replicate's fixed cost, one multinomial bin, one
 #: tail paper, and one paper of the per-paper kernel. Fitted to timings
-#: of both kernels over K = 8 .. 256 and N = 100 .. 10^4 on a 2-vCPU
-#: x86-64 machine with numpy 2.4.6 (BENCH_12.json, "cost_model"). The
-#: fixed cost is set high enough that series 22, 13 and 25 (N = 100 and
-#: 200), whose histograms were no faster on two workers, draw per paper.
+#: of sampling scheme 3's kernels over K = 8 .. 256 and N = 100 .. 10^4 on
+#: a 2-vCPU x86-64 machine with numpy 2.4.6 (BENCH_12.json, "cost_model").
+#: The fixed cost is set high enough that series 22, 13 and 25 (N = 100
+#: and 200) draw per paper. K = 0 selects the per-paper path; K > 0 is
+#: the least K' of a window spec.
 _NS_PER_HISTOGRAM = 5000.0
 _NS_PER_BIN = 100.0
 _NS_PER_TAIL = 50.0
@@ -119,7 +147,7 @@ _NS_PER_PAPER = 35.0
 #: Master seed used when none is given; echoed in CLI output metadata.
 DEFAULT_SEED = 20200212
 #: How replicate streams derive from the master seed; echoed with it.
-SEEDING_VERSION = 3
+SEEDING_VERSION = 4
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -188,33 +216,58 @@ def run_replicates(
     """Generate `replicates` independent series and average their metrics.
 
     Chunk j of 64 replicates draws from a generator seeded with
-    derive_seed(seed, j) (sampling scheme v3). A spec with K = 0 bins
+    derive_seed(seed, j) (sampling scheme v4). A spec with K = 0 bins
     (see _bin_count) draws every paper: replicate i is row i % 64 of the
-    64 x N normals of chunk i // 64. Otherwise the chunk draws 64
-    multinomial histograms of the counts below K, then every row's
-    papers at K or above from the lognormal conditioned on reaching K,
-    so that a replicate's h, citation total and threshold counts have
-    exactly the law of N drawn papers'. Per-replicate values are stored
-    first and averaged afterwards, so the summary is identical however
-    the replicates are blocked.
+    64 x N normals of chunk i // 64, and its h, citation total and
+    threshold counts are stored and then averaged. Otherwise each chunk
+    draws 64 multinomial rows of the papers below, inside and above the
+    window [L, U) around the expected h (see _window), from which each
+    row's h follows; the few rows whose h lies outside the window draw
+    that side's breakdown on their own, and the papers below L and at U
+    or above of all other rows are drawn pooled, which is exact because a
+    sum of multinomials with the same cell probabilities is multinomial.
+    The citation total and the threshold counts are then summed over the
+    run's papers, exactly, and divided by the replicate count. The
+    first R replicates' h are the same for any larger replicate count.
 
-    Units of whole chunks run on the calling thread and on one helper
-    thread per further CPU the process may use, as long as there are
-    units for them. A per-paper worker has its own ~384 KiB pair of
-    block buffers, float64 draws and int32 counts, and an int64 counts
-    buffer as well once a block needs one: one whose lifted threshold
-    keys reach 2**31. A histogram worker holds one chunk's 64 x (K + 1)
-    bins, at most 129 KiB, and its tail papers. The summary is the same
-    for any worker count and either counts dtype. When a unit fails, the
-    workers take no further units, every helper is joined, and the error
-    of the earliest failed unit is raised, the one a single thread would
-    have met first.
+    Window chunks run on the calling thread. Per-paper units of whole
+    chunks run on the calling thread and on one helper thread per further
+    CPU the process may use, as long as there are units for them. A
+    per-paper worker has its own ~384 KiB pair of block buffers, float64
+    draws and int32 counts, and an int64 counts buffer as well once a
+    block needs one: one whose lifted threshold keys reach 2**31. The
+    summary is the same for any worker count and either counts dtype.
+    When a unit fails, the workers take no further units, every helper is
+    joined, and the error of the earliest failed unit is raised, the one
+    a single thread would have met first.
     """
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
-    n = spec.n_papers
     xs = list(thresholds)
     bins = _bin_count(spec)
+    if bins:
+        h_values, total, counts = _window_replicates(spec, replicates, xs, seed, bins)
+        sum_citations_mean = total / replicates
+        means = [count / replicates for count in counts]
+    else:
+        h_values, totals, above = _paper_replicates(spec, replicates, xs, seed)
+        sum_citations_mean = float(totals.mean())
+        means = above.mean(axis=0)
+    return ReplicateSummary(
+        spec=spec,
+        replicates=replicates,
+        h_mean=float(h_values.mean()),
+        h_stddev=float(h_values.std(ddof=1)) if replicates > 1 else 0.0,
+        sum_citations_mean=sum_citations_mean,
+        counts_above={x: float(m) for x, m in zip(xs, means)},
+        seed=seed,
+    )
+
+
+def _paper_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: int):
+    """Per-replicate h, citation totals (int64, or float64 when one
+    reaches 2**63) and counts at each of `xs`, drawing every paper."""
+    n = spec.n_papers
     rows = max(1, _BLOCK_ELEMENTS // n)
     chunks = -(-replicates // _CHUNK_REPLICATES)
     workers = min(_cpu_count(), chunks)
@@ -236,18 +289,6 @@ def run_replicates(
     # (first replicate of the unit, the exception it raised)
     failures: list[tuple[int, BaseException]] = []
     stop = threading.Event()
-
-    if bins:
-        probabilities = _bin_probabilities(spec.params, bins)
-        # a tail paper reaches K citations exactly when its normal reaches a
-        a = (math.log(bins) - spec.params.mu) / spec.params.sigma
-        cuts = [math.ceil(x) for x in xs]
-
-    def store_totals(start: int, block_totals: np.ndarray) -> None:
-        if block_totals.dtype == np.int64:
-            totals[start : start + len(block_totals)] = block_totals
-        else:
-            wide.append((start, block_totals))
 
     def paper_blocks():
         """A per-paper unit runner with its own block buffers."""
@@ -278,21 +319,17 @@ def run_replicates(
                 # row whose largest count is 0 has none
                 reached = np.argmax(counts >= ranks, axis=1)
                 h_values[start:end] = np.where(counts[:, -1] > 0, n - reached, 0)
-                store_totals(start, _row_sums(counts, top))
+                block_totals = _row_sums(counts, top)
+                if block_totals.dtype == np.int64:
+                    totals[start:end] = block_totals
+                else:
+                    wide.append((start, block_totals))
                 _count_at_least(counts, xs, above[start:end])
 
         return run
 
-    def histograms(first: int, last: int) -> None:
-        for start in range(first, last, _CHUNK_REPLICATES):
-            end = min(start + _CHUNK_REPLICATES, last)
-            rng = np.random.default_rng(derive_seed(seed, start // _CHUNK_REPLICATES))
-            h_values[start:end], block_totals, above[start:end] = _histogram_chunk(
-                rng, spec, probabilities, a, cuts, end - start)
-            store_totals(start, block_totals)
-
     def work() -> None:
-        run = histograms if bins else paper_blocks()
+        run = paper_blocks()
         # the flag is read before a unit is taken, never after, so every
         # unit taken is run: a successful run sets it only once the units
         # are all taken, and a failed one cannot leave an earlier unit unrun
@@ -324,22 +361,162 @@ def run_replicates(
         totals = totals.astype(np.float64)
         for start, block_totals in wide:
             totals[start : start + len(block_totals)] = block_totals
-    means = above.mean(axis=0)
-    return ReplicateSummary(
-        spec=spec,
-        replicates=replicates,
-        h_mean=float(h_values.mean()),
-        h_stddev=float(h_values.std(ddof=1)) if replicates > 1 else 0.0,
-        sum_citations_mean=float(totals.mean()),
-        counts_above={x: float(m) for x, m in zip(xs, means)},
-        seed=seed,
-    )
+    return h_values, totals, above
+
+
+def _window_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: int, bins: int):
+    """Per-replicate h, and the citation total and the count at each of
+    `xs` summed over all replicates, as Python ints, for a spec with
+    `bins` = K > 0 (sampling scheme v4's window path).
+
+    hist[k] counts the run's papers with k citations for k < K' and
+    hist[K'] its tail papers, those at K' or more, whose own citation sum
+    and counts at each x beyond K' are kept apart.
+    """
+    n, params = spec.n_papers, spec.params
+    low, high = _window(spec)
+    top = max(high, bins)
+    probabilities = _bin_probabilities(params, top)
+    window_p = np.concatenate(
+        ([probabilities[:low].sum()], probabilities[low:high], [probabilities[high:].sum()]))
+    below_p = _conditional(probabilities[:low])
+    above_p = _conditional(probabilities[high:])
+    # a tail paper reaches K' citations exactly when its normal reaches a
+    a = (math.log(top) - params.mu) / params.sigma
+    hist = np.zeros(top + 1, dtype=np.int64)
+    tail_sum = 0
+    tail_counts = [0] * len(xs)
+    h_values = np.empty(replicates, dtype=np.int64)
+
+    def tail(rng: np.random.Generator, count: int) -> np.ndarray:
+        """`count` tail papers, counted into the tail's sum and counts."""
+        nonlocal tail_sum
+        papers = _conditioned_normals(rng, a, count)
+        largest = _floor_exp(papers, spec)
+        # exp can round a draw just past ln K' down below K'
+        np.maximum(papers, top, out=papers)
+        tail_sum += _exact_sum(papers, max(largest, top))
+        for j, x in enumerate(xs):
+            if x > top:
+                tail_counts[j] += int(np.count_nonzero(papers >= x))
+        return papers
+
+    for start in range(0, replicates, _CHUNK_REPLICATES):
+        rows = min(_CHUNK_REPLICATES, replicates - start)
+        rng = np.random.default_rng(derive_seed(seed, start // _CHUNK_REPLICATES))
+        window = rng.multinomial(n, window_p, size=_CHUNK_REPLICATES)[:rows]
+        h = h_values[start : start + rows]
+        # the largest k in [L, U] with G(k) >= k, or L - 1 when G(L) < L;
+        # U means h >= U
+        h[:] = _h_of_cells(window[:, 1:], 0, low)
+        hist[low:high] += window[:, 1:-1].sum(axis=0)
+        below = h < low
+        above = h == high
+        for i in np.flatnonzero(below | above):
+            if below[i]:
+                # G(L) is the row's papers at L or more
+                h[i], _ = _refined_row(rng, window[i, 0], n - window[i, 0], 0, below_p, hist)
+            else:
+                h[i], count = _refined_row(rng, window[i, -1], 0, high, above_p, hist)
+                if count:
+                    h[i] = max(h[i], _h_of_papers(tail(rng, count)))
+        count = window[~below, 0].sum()
+        if count:
+            hist[:low] += rng.multinomial(count, below_p)
+        count = window[~above, -1].sum()
+        if count:
+            cells = rng.multinomial(count, above_p)
+            hist[high:] += cells
+            if cells[-1]:
+                tail(rng, cells[-1])
+
+    total = sum(k * c for k, c in enumerate(hist[:-1].tolist())) + tail_sum
+    # at_least[k] = the run's papers with k citations or more, k <= K'
+    at_least = np.cumsum(hist[::-1])[::-1].tolist()
+    counts = [at_least[math.ceil(x)] if x <= top else tail_counts[j] for j, x in enumerate(xs)]
+    return h_values, total, counts
+
+
+def _window(spec: SeriesSpec) -> tuple[int, int]:
+    """The window [L, U) of counts whose papers every window replicate
+    draws one count at a time: k* +- ceil(7 sd) within [0, N + 1), each
+    side at most _MAX_BINS / 2 counts.
+
+    k* is the largest k <= N with N S(k) >= k, the h of the expected
+    exceedance counts, and sd = sqrt(N S (1 - S)) / (1 + N p), with
+    S = S(k*) and p = S(k*) - S(k* + 1), is h's standard deviation to
+    first order: G(k*) has variance N S (1 - S), and the expected G falls
+    by N p, the identity rises by 1, from one count to the next.
+    """
+    n, params = spec.n_papers, spec.params
+
+    def survival(k: int) -> float:
+        return survival_probability(k, params) if k else 1.0
+
+    # N S(k) - k falls with k and is N at k = 0
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if n * survival(mid) >= mid:
+            lo = mid
+        else:
+            hi = mid - 1
+    s = survival(lo)
+    sd = math.sqrt(n * s * (1.0 - s)) / (1.0 + n * (s - survival(lo + 1)))
+    reach = min(math.ceil(_WINDOW_SDS * sd), _MAX_BINS // 2)
+    return max(0, lo - reach), min(n + 1, lo + reach + 1)
+
+
+def _conditional(probabilities: np.ndarray) -> np.ndarray:
+    """`probabilities` scaled to sum to 1, or left all zero: then no
+    paper falls in them, and they are never drawn from."""
+    total = probabilities.sum()
+    return probabilities / total if total > 0 else probabilities
+
+
+def _refined_row(rng: np.random.Generator, count: int, base: int, first: int,
+                 probabilities: np.ndarray, hist: np.ndarray) -> tuple[int, int]:
+    """Draw one row's breakdown of `count` papers over the counts first,
+    first + 1, ... (the last cell: that count or more) and add it to
+    `hist`. Returns the row's h over those counts, given `base` papers
+    above them, and the papers in the last cell."""
+    cells = rng.multinomial(count, probabilities)
+    hist[first : first + len(cells)] += cells
+    return int(_h_of_cells(cells, base, first)), int(cells[-1])
+
+
+def _h_of_cells(cells: np.ndarray, base: int, first: int):
+    """first - 1 plus the number of k = first, first + 1, ... with G(k) >= k,
+    along the last axis of `cells`, the papers at each count from `first`
+    (the last cell: that count or more), with `base` papers above them.
+
+    G falls and k rises, so the k that G reaches run from `first` up to
+    h: this is h when G(first) >= first and h is below the last count,
+    and first - 1 when G(first) < first.
+    """
+    at_least = base + np.cumsum(cells[..., ::-1], axis=-1)[..., ::-1]
+    return first - 1 + np.count_nonzero(at_least >= np.arange(first, first + cells.shape[-1]), axis=-1)
+
+
+def _h_of_papers(papers: np.ndarray) -> int:
+    """The h of `papers` on their own: the papers that reach their rank."""
+    ranked = np.sort(papers)[::-1]
+    return int(np.count_nonzero(ranked >= np.arange(1, len(ranked) + 1)))
+
+
+def _exact_sum(papers: np.ndarray, top: float) -> int:
+    """The exact sum of whole-number float64 `papers`, none above `top`
+    and all below 2**63: float64 partial sums are exact below 2**53."""
+    if top * len(papers) < 2.0**53:
+        return int(papers.sum())
+    return sum(papers.astype(np.int64).tolist())
 
 
 def _bin_count(spec: SeriesSpec) -> int:
-    """The bin count K of `spec`'s histograms, or 0 to draw every paper.
+    """The bin count K of `spec`, or 0 to draw every paper. A window spec
+    (K > 0) tallies counts below K' = max(U, K) bin by bin.
 
-    K minimises the modelled cost of a histogram replicate,
+    K minimises the modelled cost of a scheme-3 histogram replicate,
     _NS_PER_HISTOGRAM + K * _NS_PER_BIN + N * S(K) * _NS_PER_TAIL, over
     1 .. _MAX_BINS, and is 0 when N * _NS_PER_PAPER, the cost of drawing
     every paper, is lower still. The scan stops at the first k whose tail
@@ -407,70 +584,6 @@ def _conditioned_normals(rng: np.random.Generator, a: float, count: int) -> np.n
         accepted.append(z)
         need -= len(z)
     return np.concatenate(accepted)[:count] if accepted else np.empty(0)
-
-
-def _histogram_chunk(rng: np.random.Generator, spec: SeriesSpec, probabilities: np.ndarray,
-                     a: float, cuts: list[int], rows: int):
-    """h, citation totals and counts at each cut of the first `rows`
-    replicates of the 64 that the chunk generator `rng` draws.
-
-    The generator draws all 64 histograms (n_0, ..., n_{K-1}, M), then
-    every row's M tail papers in row order, their normals conditioned on
-    z >= a, so that the first rows do not depend on `rows`. The totals
-    are int64 unless one reaches 2**63, then float64; a tail draw of the
-    first `rows` rows that reaches 2**63 raises ValueError.
-    """
-    bins = len(probabilities) - 1
-    hist = rng.multinomial(spec.n_papers, probabilities, size=_CHUNK_REPLICATES)
-    ends = np.cumsum(hist[:, -1])
-    z = _conditioned_normals(rng, a, int(ends[-1]))[: ends[rows - 1]]
-    hist, ends = hist[:rows], ends[:rows]
-    sizes = hist[:, -1]
-    starts = ends - sizes
-    top = _floor_exp(z, spec) if len(z) else 0.0
-    papers = z.astype(np.int64)
-    # the chunk's float tail is not needed past here; freeing it, and the
-    # lift below, keeps the chunk's peak memory near the per-paper path's
-    del z
-    # exp can round a draw just past ln K down below K
-    np.maximum(papers, bins, out=papers)
-    row_of = np.repeat(np.arange(rows), sizes)
-    # each row's tail ascending, the rows in order: one sort of the rows
-    # lifted apart, while the lifted keys fit in int64
-    lift = int(top) + 1
-    if lift * rows <= 1 << 63:
-        lifted = row_of * lift
-        papers += lifted
-        papers.sort()
-        papers -= lifted
-        del lifted
-    else:
-        papers = papers[np.lexsort((papers, row_of))]
-    # at_least[:, k] = number of papers with k citations or more, k <= K
-    at_least = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1]
-    # at_least descends along a row and k ascends, so the k that it
-    # reaches run from 1 to the largest k <= K with h >= k
-    h = np.count_nonzero(at_least[:, 1:] >= np.arange(1, bins + 1), axis=1)
-    # h passes K only when the row's h papers all lie in its tail: then
-    # it is the tail's own h, counted over the papers that reach their
-    # rank from the row's end
-    ranks = ends[row_of]
-    ranks -= np.arange(len(papers))
-    np.maximum(h, np.bincount(row_of[papers >= ranks], minlength=rows), out=h)
-    bin_totals = hist[:, :-1] @ np.arange(bins)
-    if top * len(papers) < 2.0**62:
-        sums = np.concatenate(([0], np.cumsum(papers)))
-        totals = bin_totals + sums[ends] - sums[starts]
-    else:
-        exact = [int(b) + sum(papers[s:e].tolist()) for b, s, e in zip(bin_totals, starts, ends)]
-        totals = np.array(exact, dtype=np.int64 if max(exact) < 1 << 63 else np.float64)
-    above = np.empty((rows, len(cuts)), dtype=np.int64)
-    for j, cut in enumerate(cuts):
-        if cut <= bins:
-            above[:, j] = at_least[:, cut]
-        else:
-            above[:, j] = np.bincount(row_of[papers >= cut], minlength=rows)
-    return h, totals, above
 
 
 def _cpu_count() -> int:

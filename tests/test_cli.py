@@ -299,7 +299,7 @@ class TestSimulate:
     def test_echoes_seeding_scheme_on_stderr(self):
         result = run_cli("simulate", "--mu", "1.7", "--sigma", "1.0", "--n", "100",
                          "--replicates", "50", "--seed", "3")
-        assert result.stderr.splitlines() == ["# command=simulate seed=3 replicates=50 seeding=3"]
+        assert result.stderr.splitlines() == ["# command=simulate seed=3 replicates=50 seeding=4"]
         assert "seeding" not in result.stdout
 
     def test_totals_beyond_int64_stay_positive(self):

@@ -7,7 +7,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from citesim import (
     SeriesSpec,
@@ -23,6 +23,7 @@ from citesim.lognormal import DEFAULT_THRESHOLDS
 from citesim.montecarlo import DEFAULT_SEED
 
 SERIES_1 = SeriesSpec.from_values(2.7, 1.2, 500)
+SERIES_2 = SeriesSpec.from_values(2.7, 1.2, 5000)
 SERIES_9 = SeriesSpec.from_values(2.3, 1.1, 10_000)
 SERIES_13 = SeriesSpec.from_values(2.1, 1.1, 200)
 SERIES_22 = SeriesSpec.from_values(1.7, 1.0, 100)
@@ -195,7 +196,8 @@ def summaries_by_workers(monkeypatch, spec, replicates, thresholds=ThresholdSet(
 class TestWorkers:
     """Units of whole chunks run on one thread per CPU (mc._cpu_count);
     the summary must not depend on how many there are. Run on the
-    per-paper path; TestHistograms covers the histogram path's workers."""
+    per-paper path; the window path runs on the calling thread
+    (TestHistograms)."""
 
     @pytest.mark.parametrize("replicates", [63, 64, 65, 129, 300])
     @pytest.mark.parametrize(
@@ -481,14 +483,29 @@ class TestBlockReductions:
             assert sums.tolist() == [float(t) for t in exact]
 
 
-# N times the largest tail draw passes 2^62, and with seed 150 one of the
-# first 64 totals passes 2^63 while no draw reaches it
+    @pytest.mark.parametrize(
+        "papers",
+        [
+            [0, 1, 5],
+            # float64 partial sums stay exact below 2^53
+            [2**51, 2**51 - 1],
+            # past it, and past 2^63, summed in Python ints
+            [2**53, 1, 1],
+            [2**62, 2**62 + 2**40, 2**62, 7],
+        ],
+    )
+    def test_exact_sum(self, papers):
+        array = np.array(papers, dtype=np.float64)
+        assert mc._exact_sum(array, float(max(papers))) == sum(papers)
+
+# the window [L, U) lies near h = 2580, so each replicate has about 2500
+# tail papers; a chunk's pooled tail sum passes 2^62
 HEAVY_TAIL = SeriesSpec.from_values(2, 9, 10_000)
 
 
 def conditioned_normals(rng, a, count):
     """`count` standard normals conditioned on z >= a, as sampling scheme
-    v3 draws them: rounds of ceil((1.1 r + 8) / rate) candidates, r the
+    v4 draws them: rounds of ceil((1.1 r + 8) / rate) candidates, r the
     number still needed, by Marsaglia's method (x = sqrt(a^2 - 2 ln(1 - U1)),
     kept when U2 x < a) where it accepts more than plain rejection."""
     plain = 0.5 * math.erfc(a / math.sqrt(2.0))
@@ -507,55 +524,121 @@ def conditioned_normals(rng, a, count):
     return np.concatenate(kept)[:count] if kept else np.empty(0)
 
 
-def reference_histogram_counts(spec, replicates, seed, bins=None):
-    """Each replicate's counts, sorted descending, on the histogram path
-    of sampling scheme v3, drawn independently of montecarlo but for the
-    bin count K: per chunk, 64 multinomial rows over p_k = S(k) - S(k + 1)
-    and S(K), then every row's tail in row order, then the row's counts."""
-    bins = mc._bin_count(spec) if bins is None else bins
+def reference_window_run(spec, replicates, seed):
+    """Sampling scheme v4's window path, drawn independently of
+    montecarlo but for the window [L, U) (mc._window) and the bin count K
+    (mc._bin_count): each replicate's h, and every paper of the run.
+
+    Per chunk of 64: the window rows over [1 - S(L), p_L .. p_{U-1}, S(U)];
+    then, in row order over the rows used, each row whose h lies below L
+    its papers below L over p_0 .. p_{L-1}, or each row whose h lies at U
+    or above its papers at U or more over p_U .. p_{K'-1} and S(K'),
+    K' = max(U, K), and their tail; then the other rows' papers below L,
+    pooled, and their papers at U or more, pooled, with the pool's tail.
+    """
+    low, high = mc._window(spec)
+    top = max(high, mc._bin_count(spec))
     mu, sigma, n = spec.params.mu, spec.params.sigma, spec.n_papers
     survival = [1.0] + [0.5 * math.erfc((math.log(k) - mu) / (sigma * math.sqrt(2.0)))
-                        for k in range(1, bins + 1)]
-    pvals = [s - t for s, t in zip(survival, survival[1:])] + [survival[-1]]
-    rows = []
+                        for k in range(1, top + 1)]
+    p = np.array([s - t for s, t in zip(survival, survival[1:])] + [survival[-1]])
+    window_p = np.concatenate(([p[:low].sum()], p[low:high], [p[high:].sum()]))
+    below_p = p[:low] / p[:low].sum() if p[:low].sum() > 0 else p[:low]
+    above_p = p[high:] / p[high:].sum() if p[high:].sum() > 0 else p[high:]
+    a = (math.log(top) - mu) / sigma
+
+    def tail(rng, count):
+        x = np.exp(mu + sigma * conditioned_normals(rng, a, count))
+        assert x.max() < 2**63
+        return np.maximum(np.floor(x).astype(np.int64), top)
+
+    h_values, cells, tails = [], np.zeros(top, dtype=np.int64), []
     for j in range(-(-replicates // 64)):
         rng = np.random.default_rng(derive_seed(seed, j))
-        hist = rng.multinomial(n, pvals, size=64)
-        z = conditioned_normals(rng, (math.log(bins) - mu) / sigma, int(hist[:, -1].sum()))
-        for row, tail in zip(hist, np.split(z, np.cumsum(hist[:, -1])[:-1])):
-            if len(rows) == replicates:
-                break
-            assert np.exp(mu + sigma * tail).max(initial=0) < 2**63
-            top = np.maximum(np.floor(np.exp(mu + sigma * tail)).astype(np.int64), bins)
-            counts = np.concatenate([np.repeat(np.arange(bins), row[:-1]), top])
-            rows.append(-np.sort(-counts))
-    return np.array(rows)
+        window = rng.multinomial(n, window_p, size=64)[: min(64, replicates - 64 * j)]
+        pooled_below = pooled_above = 0
+        for row in window:
+            cells[low:high] += row[1:-1]
+            # G(k) = papers with k citations or more, for k = L .. U
+            at_least = {k: int(row[k - low + 1 :].sum()) for k in range(low, high + 1)}
+            if at_least[high] >= high:
+                counts = rng.multinomial(row[-1], above_p)
+                cells[high:] += counts[:-1]
+                papers = np.concatenate([np.repeat(np.arange(high, top), counts[:-1]),
+                                         tail(rng, counts[-1]) if counts[-1] else np.empty(0, np.int64)])
+                tails.append(papers[len(papers) - counts[-1] :])
+                ranked = np.sort(papers)[::-1]
+                h_values.append(int(np.count_nonzero(ranked >= np.arange(1, len(ranked) + 1))))
+                pooled_below += row[0]
+            elif at_least[low] < low:
+                counts = rng.multinomial(row[0], below_p)
+                cells[:low] += counts
+                at_least = {k: at_least[low] + int(counts[k:].sum()) for k in range(low)}
+                h_values.append(max(k for k in range(low) if at_least[k] >= k))
+                pooled_above += row[-1]
+            else:
+                h_values.append(max(k for k in range(low, high) if at_least[k] >= k))
+                pooled_below += row[0]
+                pooled_above += row[-1]
+        if pooled_below:
+            cells[:low] += rng.multinomial(pooled_below, below_p)
+        if pooled_above:
+            counts = rng.multinomial(pooled_above, above_p)
+            cells[high:] += counts[:-1]
+            if counts[-1]:
+                tails.append(tail(rng, counts[-1]))
+    papers = np.concatenate([np.repeat(np.arange(top), cells), *tails])
+    return np.array(h_values), papers
 
 
-def assert_equals_histogram_metrics(spec, replicates, thresholds, seed, bins=None):
-    assert_equals_sample_metrics(
-        spec, replicates, thresholds, seed,
-        reference=lambda spec, replicates, seed: reference_histogram_counts(
-            spec, replicates, seed, bins))
+def assert_equals_window_reference(spec, replicates, thresholds, seed):
+    """run_replicates equals reference_window_run exactly: h averaged
+    over the replicates, and the citation total and threshold counts of
+    all the run's papers, summed exactly, over the replicate count."""
+    summary = run_replicates(spec, replicates, thresholds, seed)
+    h, papers = reference_window_run(spec, replicates, seed)
+    assert summary.h_mean == float(h.mean())
+    assert summary.h_stddev == (float(h.std(ddof=1)) if replicates > 1 else 0.0)
+    total = sum(papers.tolist())
+    assert summary.sum_citations_mean == total / replicates
+    assert summary.counts_above == {
+        x: np.count_nonzero(papers >= x) / replicates for x in thresholds}
+    return total
 
 
-def recorded_chunks(monkeypatch):
-    """Patch _histogram_chunk to record (rows, h, totals, counts) of each call."""
-    chunks = []
-    histogram_chunk = mc._histogram_chunk
+def central_h(spec):
+    """k*: the largest k <= N with N S(k) >= k."""
+    k = 0
+    while k < spec.n_papers and spec.n_papers * survival_probability(k + 1, spec.params) >= k + 1:
+        k += 1
+    return k
+
+
+def narrow_window(monkeypatch, spec, width):
+    """Force the window to `width` counts around k*, so that most rows'
+    h lie outside it and both refinements run."""
+    low = central_h(spec) - (width - 1) // 2
+    monkeypatch.setattr(mc, "_window", lambda spec: (low, low + width))
+
+
+def recorded_h(monkeypatch):
+    """Record each window run's per-replicate h."""
+    runs = []
+    window_replicates = mc._window_replicates
 
     def recording(*args):
-        result = histogram_chunk(*args)
-        chunks.append((args[-1], *result))
+        result = window_replicates(*args)
+        runs.append(result[0].copy())
         return result
 
-    monkeypatch.setattr(mc, "_histogram_chunk", recording)
-    return chunks
+    monkeypatch.setattr(mc, "_window_replicates", recording)
+    return runs
 
 
 class TestHistograms:
-    """Specs with K > 0 bins draw each replicate's histogram of counts
-    below K and its tail papers at K or above (sampling scheme v3)."""
+    """Specs with K > 0 bins draw each replicate's papers inside a window
+    [L, U) around h one count at a time and pool the rest of their chunk
+    (sampling scheme v4)."""
 
     def test_bin_counts(self):
         assert mc._bin_count(SERIES_1) > 0
@@ -566,6 +649,23 @@ class TestHistograms:
                      SeriesSpec.from_values(800, 1, 10), SeriesSpec.from_values(36, 1, 10_000)):
             assert mc._bin_count(spec) == 0, spec
         assert all(0 <= mc._bin_count(spec) <= mc._MAX_BINS for spec in study_specs())
+
+    def test_windows(self):
+        # 7 standard deviations of h on either side of k*
+        assert mc._window(SERIES_1) == (38, 83)
+        assert mc._window(SERIES_9) == (96, 143)
+        # h ~ 145 lies above series 2's K = 142, so U sets K'
+        assert mc._window(SERIES_2) == (115, 174)
+        assert mc._bin_count(SERIES_2) < 145
+        # each side capped at 128 counts
+        assert mc._window(HEAVY_TAIL) == (2448, 2705)
+        # within [0, N + 1): sigma -> 0 gives one count, N = 1 gives h = 0 or 1
+        assert mc._window(SeriesSpec.from_values(2, 1e-9, 10_000)) == (7, 8)
+        assert mc._window(SeriesSpec.from_values(2, 1, 1)) == (0, 1)
+        for spec in study_specs():
+            low, high = mc._window(spec)
+            assert 0 <= low <= central_h(spec) < high <= spec.n_papers + 1
+            assert high - low <= 61, spec
 
     @pytest.mark.parametrize(
         "spec, replicates",
@@ -578,23 +678,55 @@ class TestHistograms:
         ids=["series-1", "series-9", "n-2^15+1"],
     )
     def test_equals_reference(self, spec, replicates):
-        assert_equals_histogram_metrics(spec, replicates, DEFAULT_THRESHOLDS, seed=77)
+        assert_equals_window_reference(spec, replicates, DEFAULT_THRESHOLDS, seed=77)
 
     @pytest.mark.parametrize("replicates", [63, 64, 65, 129])
     def test_chunk_boundaries_equal_reference(self, replicates):
         spec = SeriesSpec.from_values(2.1, 1.1, 3000)
         thresholds = ThresholdSet((0.5, 5, 10.5, 50, 1e15))
-        assert_equals_histogram_metrics(spec, replicates, thresholds, seed=77)
+        assert_equals_window_reference(spec, replicates, thresholds, seed=77)
+
+    @pytest.mark.parametrize(
+        "spec, width",
+        [
+            # K' = U: tail papers decide h whenever G(U) >= U
+            (SERIES_1, 1),
+            (SERIES_1, 2),
+            # K' = K > U: high rows' h can come from their bins above U
+            (SERIES_9, 3),
+            (SERIES_9, 4),
+            # N = 40, which draws per paper unless K is forced above 0: a
+            # third of the papers lie in the tail
+            (SeriesSpec.from_values(2.1, 1.1, 40), 1),
+        ],
+        ids=["series-1-width-1", "series-1-width-2", "series-9-width-3", "series-9-width-4",
+             "n-40-width-1"],
+    )
+    def test_narrow_window_equals_reference(self, monkeypatch, spec, width):
+        if not mc._bin_count(spec):
+            monkeypatch.setattr(mc, "_bin_count", lambda spec: 3)
+        narrow_window(monkeypatch, spec, width)
+        runs = recorded_h(monkeypatch)
+        thresholds = ThresholdSet((2, 5, 10, 50, 61, 100, 500))
+        assert_equals_window_reference(spec, 130, thresholds, seed=3)
+        low, high = mc._window(spec)
+        # both refinements ran, on most rows
+        assert np.count_nonzero(runs[0] < low) > 10
+        assert np.count_nonzero(runs[0] >= high) > 10
+        assert np.count_nonzero((runs[0] < low) | (runs[0] >= high)) > 65
 
     def test_first_replicates_independent_of_replicate_count(self, monkeypatch):
-        monkeypatch.setattr(mc, "_cpu_count", lambda: 1)
-        chunks = recorded_chunks(monkeypatch)
-        run_replicates(SERIES_1, 65, seed=5)
-        run_replicates(SERIES_1, 128, seed=5)
-        assert [rows for rows, *_ in chunks] == [64, 1, 64, 64]
-        # chunk 1 of both runs: its first replicate is the same
-        for short, full in zip(chunks[1][1:], chunks[3][1:]):
-            assert (short == full[:1]).all()
+        # with the default window, then with one of 2 counts, where most
+        # rows draw their own breakdown before the chunk's pooled draws
+        for width in (None, 2):
+            with monkeypatch.context() as patch:
+                if width:
+                    narrow_window(patch, SERIES_1, width)
+                runs = recorded_h(patch)
+                for replicates in (1, 65, 130):
+                    run_replicates(SERIES_1, replicates, seed=5)
+            assert runs[0][0] == runs[1][0]
+            assert (runs[1] == runs[2][:65]).all()
 
     @pytest.mark.parametrize("block_elements", [1, 150, 2**15])
     def test_independent_of_block_size(self, monkeypatch, block_elements):
@@ -607,41 +739,95 @@ class TestHistograms:
         serial, *threaded = summaries_by_workers(monkeypatch, SERIES_1, replicates)
         assert all(summary == serial for summary in threaded)
 
-    @pytest.mark.parametrize(
-        "spec, bins",
-        [
-            # N S(8) is about 5800: every row takes h (about 120) from its tail
-            (SERIES_9, 8),
-            # N S(62) is about 58, near h: some rows take h from the tail
-            (SERIES_1, 62),
-            # N = 40 with K = 3: most papers lie in the tail
-            (SeriesSpec.from_values(2.1, 1.1, 40), 3),
-        ],
-        ids=["series-9-K8", "series-1-K62", "n-40-K3"],
-    )
-    def test_bins_below_h_equal_reference(self, monkeypatch, spec, bins):
-        monkeypatch.setattr(mc, "_bin_count", lambda spec: bins)
-        thresholds = ThresholdSet((2, 5, 10, 50, 100))
-        assert_equals_histogram_metrics(spec, 130, thresholds, seed=3, bins=bins)
-        serial, *threaded = summaries_by_workers(monkeypatch, spec, 130)
-        assert all(summary == serial for summary in threaded)
+    def test_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 4)
+        before = threading.active_count()
+        threads = set()
+        conditioned = mc._conditioned_normals
 
-    def test_exact_totals_equal_reference(self, monkeypatch):
-        # N times the largest tail draw passes 2^62, so the totals are
-        # summed in Python ints, and one of them passes 2^63
-        chunks = recorded_chunks(monkeypatch)
-        assert_equals_histogram_metrics(HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=150)
-        assert chunks[0][2].dtype == np.float64
+        def recording(*args):
+            threads.add(threading.get_ident())
+            assert threading.active_count() == before
+            return conditioned(*args)
 
-    def test_exact_totals_in_int64_equal_reference(self, monkeypatch):
-        chunks = recorded_chunks(monkeypatch)
-        assert_equals_histogram_metrics(HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=1)
-        assert chunks[0][2].dtype == np.int64
+        monkeypatch.setattr(mc, "_conditioned_normals", recording)
+        run_replicates(SERIES_9, 300, seed=1)
+        assert threads == {threading.get_ident()}
+
+    def test_exact_totals_equal_reference(self):
+        # a chunk's pooled tail sums past 2^62, in Python ints, and the
+        # run's total passes 2^63 with no draw reaching it (seeds 1 and
+        # 150 draw one that does in their first 64 replicates)
+        total = assert_equals_window_reference(
+            HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=7)
+        assert total >= 2**63
+
+    def test_exact_totals_in_int64_equal_reference(self):
+        total = assert_equals_window_reference(
+            HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=26)
+        assert total < 2**63
+
+    def test_tail_papers_rounded_below_k_prime_count_k_prime(self, monkeypatch):
+        # a normal just below a = (ln K' - mu) / sigma gives a draw just
+        # below K', which exp's rounding can also do; such a tail paper
+        # counts K' citations, as one drawn at K' + 1/2 does
+        mu, sigma = SERIES_1.params.mu, SERIES_1.params.sigma
+        top = mc._window(SERIES_1)[1]
+        edge = (math.log(top) - mu) / sigma
+        while np.exp(np.float64(edge) * sigma + mu) >= top:
+            edge = math.nextafter(edge, -math.inf)
+        summaries = []
+        for z in (edge, (math.log(top + 0.5) - mu) / sigma):
+            monkeypatch.setattr(mc, "_conditioned_normals", lambda rng, a, count: np.full(count, z))
+            summaries.append(run_replicates(SERIES_1, 130, seed=3))
+        assert summaries[0] == summaries[1]
 
     def test_rejects_tail_counts_beyond_int64(self):
         # about one replicate in 55 draws a paper past 2^63
         with pytest.raises(ValueError, match="2\\^63"):
             run_replicates(HEAVY_TAIL, 640, seed=1)
+
+
+class TestWindowDomain:
+    """The window path holds for every valid spec. The cost model gives
+    K = 0 wherever N < 143 or nearly every paper would be a tail paper,
+    so K is forced to at least 1 here: the window path then also meets
+    N = 1, sigma -> 0 and h = N."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        mu=st.floats(-50.0, 50.0),
+        log_sigma=st.floats(math.log(1e-9), math.log(10.0)),
+        n=st.integers(1, 10**4),
+        replicates=st.integers(1, 70),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    # sigma -> 0: every paper has floor(e^2) = 7 citations
+    @example(mu=2.0, log_sigma=math.log(1e-9), n=10**4, replicates=3, seed=1)
+    # N = 1
+    @example(mu=0.5, log_sigma=0.0, n=1, replicates=70, seed=1)
+    # h = N: every paper has e^5 or more citations
+    @example(mu=10.0, log_sigma=math.log(0.5), n=100, replicates=5, seed=1)
+    # every paper has 0 citations
+    @example(mu=-50.0, log_sigma=math.log(1e-9), n=10**4, replicates=2, seed=1)
+    def test_summary_is_bounded_or_overflows(self, mu, log_sigma, n, replicates, seed):
+        spec = SeriesSpec.from_values(mu, math.exp(log_sigma), n)
+        bins = max(1, mc._bin_count(spec))
+        low, high = mc._window(spec)
+        assert 0 <= low < high <= n + 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_bin_count", lambda spec: bins)
+            try:
+                summary = run_replicates(spec, replicates, DEFAULT_THRESHOLDS, seed)
+            except ValueError as exc:
+                assert "2^63" in str(exc)
+                return
+        assert 0 <= summary.h_mean <= n
+        assert summary.h_stddev >= 0
+        assert summary.sum_citations_mean >= 0
+        counts = list(summary.counts_above.values())
+        assert all(0 <= count <= n for count in counts)
+        assert counts == sorted(counts, reverse=True)
 
 
 def exact_law(spec, thresholds):
@@ -679,34 +865,68 @@ def z_scores(summary, law):
 class TestExactLaw:
     """h_mean, the mean citation total and every threshold count lie
     within 5 standard errors of their exact discrete expectations, on both
-    paths; tampered histograms do not."""
+    paths and with windows forced narrow; tampered draws do not."""
 
     REPLICATES = 20_000
 
     @pytest.mark.parametrize(
-        "spec", [SERIES_1, SERIES_9, SERIES_22], ids=["series-1", "series-9", "series-22"])
+        "spec", [SERIES_1, SERIES_9, SERIES_22, SERIES_2],
+        ids=["series-1", "series-9", "series-22", "series-2"])
     def test_within_five_standard_errors(self, spec):
         summary = run_replicates(spec, self.REPLICATES, seed=DEFAULT_SEED)
         scores = z_scores(summary, exact_law(spec, DEFAULT_THRESHOLDS))
         assert max(map(abs, scores.values())) <= 5, scores
 
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_narrow_window_within_five_standard_errors(self, monkeypatch, width):
+        # most rows draw their own breakdown below L or above U
+        assert max(map(abs, self.narrow_scores(monkeypatch, width).values())) <= 5
+
+    def narrow_scores(self, monkeypatch, width):
+        narrow_window(monkeypatch, SERIES_9, width)
+        summary = run_replicates(SERIES_9, self.REPLICATES, seed=DEFAULT_SEED)
+        return z_scores(summary, exact_law(SERIES_9, DEFAULT_THRESHOLDS))
+
     def tampered_scores(self):
         summary = run_replicates(SERIES_9, self.REPLICATES, seed=DEFAULT_SEED)
         return z_scores(summary, exact_law(SERIES_9, DEFAULT_THRESHOLDS))
 
-    def test_bin_shifted_by_one_fails(self, monkeypatch):
+    def shifted_scores(self, monkeypatch, counts):
+        """Scores with the papers of each of `counts` counted one lower."""
         bin_probabilities = mc._bin_probabilities
 
         def shifted(params, bins):
-            # the papers of count 10 counted as 9
             p = bin_probabilities(params, bins).copy()
-            p[9], p[10] = p[9] + p[10], 0.0
+            for k in counts:
+                p[k - 1], p[k] = p[k - 1] + p[k], 0.0
             return p
 
         monkeypatch.setattr(mc, "_bin_probabilities", shifted)
-        assert max(map(abs, self.tampered_scores().values())) > 5
+        return self.tampered_scores()
+
+    def test_bin_shifted_by_one_fails(self, monkeypatch):
+        # the papers of count 10 counted as 9: below series 9's window
+        # [96, 143), so in every row's pooled breakdown below L
+        assert 10 < mc._window(SERIES_9)[0]
+        assert max(map(abs, self.shifted_scores(monkeypatch, [10]).values())) > 5
+
+    def test_window_shifted_by_one_fails(self, monkeypatch):
+        # every count of the window counted one lower in every window row,
+        # which moves h
+        low, high = mc._window(SERIES_9)
+        assert max(map(abs, self.shifted_scores(monkeypatch, range(low, high)).values())) > 5
 
     def test_unconditioned_tail_fails(self, monkeypatch):
         monkeypatch.setattr(
             mc, "_conditioned_normals", lambda rng, a, count: rng.standard_normal(count))
         assert max(map(abs, self.tampered_scores().values())) > 5
+
+    def test_refined_row_left_out_fails(self, monkeypatch):
+        refined_row = mc._refined_row
+
+        def left_out(rng, count, base, first, probabilities, hist):
+            # drawn, and used for the row's h, but counted nowhere
+            return refined_row(rng, count, base, first, probabilities, np.zeros_like(hist))
+
+        monkeypatch.setattr(mc, "_refined_row", left_out)
+        assert max(map(abs, self.narrow_scores(monkeypatch, 1).values())) > 5
