@@ -1,22 +1,22 @@
 """CLI stdout diffed byte for byte against committed golden files.
 
-The simulate files under tests/golden/ were written by sampling scheme 4
-with numpy 2.4.6. Specs with K = 0 bins (series 22, 13 and 25, and
-simulate_mu1.7_s1.0_n100_r500.csv) draw every paper and print what
-schemes 2 and 3 printed. The others draw multinomial counts inside a
-window [L, U) around each replicate's h, one row per replicate, and pool
-the papers outside it over each chunk of 64 replicates, which is exact
-in law because a sum of multinomials with the same cell probabilities
-is multinomial; rows whose h falls outside the window draw that side on
+The simulate files under tests/golden/ were written by sampling scheme 5
+with numpy 2.4.6. Every spec draws multinomial counts inside a window
+[L, U) around each replicate's h, one row per replicate, and pools the
+papers outside it over each chunk of 64 replicates, which is exact in
+law because a sum of multinomials with the same cell probabilities is
+multinomial; rows whose h falls outside the window draw that side on
 their own. Their h columns come from per-replicate h, their other
 columns sums over all replicates' papers divided by the replicate count;
 the first R replicates' h are the same for any larger R.
 Simulated cells depend on numpy's PCG64 stream, its multinomial and its
 exp, so another numpy release may legitimately print other digits.
 verify_r100.csv is the stdout of ``verify --format csv --replicates
-100``, which exits 1: at 100 replicates simulation-agreement fails its
-fixed 0.005 gate on a tail fraction, a gate that does not scale with the
-replicate count, not a fault.
+100``, whose exit code VERIFY_CODE pins too. At 100 replicates
+simulation-agreement's fixed 0.005 gate on a tail fraction does not
+scale with the replicate count, so whether it passes depends on the
+draws: under scheme 5 it passes and verify exits 0, under scheme 4 it
+failed and verify exited 1.
 
 tests/golden/analytic.md5 holds one line per closed-form command: the md5
 of its stdout, two spaces and its argv. All of them run in one process,
@@ -78,6 +78,7 @@ def analytic_commands() -> list[list[str]]:
 
 
 VERIFY = ("verify", "--format", "csv", "--replicates", "100")
+VERIFY_CODE = 0
 
 
 def stdout_of(argv, code=0) -> str:
@@ -103,7 +104,7 @@ def test_stdout_matches_golden(name, capsys):
 
 
 def test_verify_stdout_and_exit_code_match_golden(capsys):
-    assert main(list(VERIFY)) == 1
+    assert main(list(VERIFY)) == VERIFY_CODE
     assert capsys.readouterr().out == (GOLDEN / "verify_r100.csv").read_text(encoding="utf-8")
 
 
@@ -126,4 +127,4 @@ if __name__ == "__main__":
     )
     for name, argv in COMMANDS.items():
         (GOLDEN / name).write_text(stdout_of(argv), encoding="utf-8")
-    (GOLDEN / "verify_r100.csv").write_text(stdout_of(VERIFY, code=1), encoding="utf-8")
+    (GOLDEN / "verify_r100.csv").write_text(stdout_of(VERIFY, code=VERIFY_CODE), encoding="utf-8")

@@ -1,9 +1,7 @@
 """Replicate-averaged empirical indicators of synthetic series."""
 
 import math
-import sys
 import threading
-import types
 
 import numpy as np
 import pytest
@@ -44,100 +42,39 @@ class TestDeriveSeed:
             derive_seed(1, -1)
 
 
-@pytest.fixture
-def per_paper(monkeypatch):
-    """Every spec takes K = 0 bins: the per-paper kernel, whose stream is
-    seeding scheme 2's."""
-    monkeypatch.setattr(mc, "_bin_count", lambda spec: 0)
-
-
-def reference_counts(spec, replicates, seed):
-    """Each replicate's counts, sorted descending, on the per-paper path
-    (K = 0) drawn independently of montecarlo: chunk j's rows in one call
-    from default_rng(derive_seed(seed, j)), then floor(exp(mu + sigma * z))."""
-    n, chunk = spec.n_papers, 64
-    rows = [
-        np.random.default_rng(derive_seed(seed, j)).standard_normal(
-            (min(chunk, replicates - j * chunk), n))
-        for j in range(-(-replicates // chunk))
-    ]
-    z = np.concatenate(rows)
-    counts = np.floor(np.exp(spec.params.mu + spec.params.sigma * z)).astype(np.int64)
-    return -np.sort(-counts, axis=1)
-
-
-def assert_equals_sample_metrics(spec, replicates, thresholds, seed, reference=reference_counts):
-    """run_replicates equals its per-replicate reference exactly: the
-    counts of `reference`, measured row by row with plain numpy and
-    averaged the same way."""
-    summary = run_replicates(spec, replicates, thresholds, seed)
-    counts = reference(spec, replicates, seed)
-    h = np.array([np.count_nonzero(row >= np.arange(1, row.size + 1)) for row in counts])
-    # exact Python-int sums, in float64 only when one passes int64
-    exact = [sum(row.tolist()) for row in counts]
-    totals = np.array(exact, dtype=np.int64 if max(exact) < 2**63 else np.float64)
-    above = np.array([[np.count_nonzero(row >= x) for x in thresholds] for row in counts])
-    assert summary.h_mean == float(h.mean())
-    assert summary.h_stddev == (float(h.std(ddof=1)) if replicates > 1 else 0.0)
-    assert summary.sum_citations_mean == float(totals.mean())
-    assert summary.counts_above == {x: float(v) for x, v in zip(thresholds, above.mean(axis=0))}
-
-
 class TestRunReplicates:
-    @pytest.mark.usefixtures("per_paper")
     def test_single_replicate_equals_sample_metrics(self):
-        assert_equals_sample_metrics(SERIES_13, 1, ThresholdSet((5, 10, 20)), seed=77)
+        assert_equals_window_reference(SERIES_13, 1, ThresholdSet((5, 10, 20)), seed=77)
 
     @pytest.mark.parametrize(
         "n, replicates, thresholds",
         [
-            # a single partial block of 32768 rows
+            # N = 1: h is 0 or 1, and cuts fall between whole counts
             (1, 300, (0.5, 1, 2.5, 7)),
-            # blocks of 327 rows, the last one holding 46
             (100, 700, (0.5, 5, 10.5, 20, 100)),
-            # one row per block at N = B, then rows longer than B
-            (mc._BLOCK_ELEMENTS, 3, (5, 10, 20, 50, 100, 500)),
-            (mc._BLOCK_ELEMENTS + 1, 2, (5, 10, 20, 50, 100, 500)),
-            # cuts too large for lifted keys: counted threshold by threshold
+            # rows of 2^15 and 2^15 + 1 papers
+            (2**15, 3, (5, 10, 20, 50, 100, 500)),
+            (2**15 + 1, 2, (5, 10, 20, 50, 100, 500)),
+            # cuts beyond K', counted among the tail papers
             (100, 400, (5, 10, 1e15)),
-            # a lifted stride of 2^40 + 1
             (1, 50, (1, 2**40)),
         ],
     )
-    @pytest.mark.usefixtures("per_paper")
     def test_blocks_equal_sample_metrics(self, n, replicates, thresholds):
         spec = SeriesSpec.from_values(2.1, 1.1, n)
-        assert_equals_sample_metrics(spec, replicates, ThresholdSet(thresholds), seed=77)
+        assert_equals_window_reference(spec, replicates, ThresholdSet(thresholds), seed=77)
 
     @pytest.mark.parametrize("replicates", [63, 64, 65, 128, 129])
-    @pytest.mark.parametrize(
-        "n",
-        [
-            # chunk boundaries inside one block of 327 rows
-            100,
-            # blocks of 10 rows: a chunk spans several blocks
-            3000,
-        ],
-    )
-    @pytest.mark.usefixtures("per_paper")
+    @pytest.mark.parametrize("n", [100, 3000])
     def test_chunk_boundaries_equal_sample_metrics(self, n, replicates):
         spec = SeriesSpec.from_values(2.1, 1.1, n)
-        assert_equals_sample_metrics(spec, replicates, ThresholdSet((5, 10, 20, 50)), seed=77)
+        assert_equals_window_reference(spec, replicates, ThresholdSet((5, 10, 20, 50)), seed=77)
 
-    @pytest.mark.parametrize("block_elements", [1, 150, 2**15])
-    @pytest.mark.usefixtures("per_paper")
-    def test_independent_of_block_size(self, monkeypatch, block_elements):
-        spec = SeriesSpec.from_values(2.1, 1.1, 50)
-        expected = run_replicates(spec, 150, seed=9)
-        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_elements)
-        assert run_replicates(spec, 150, seed=9) == expected
-
-    @pytest.mark.usefixtures("per_paper")
     def test_exact_totals_equal_sample_metrics(self):
-        # N times the largest draw exceeds 2^62, so the totals are summed
-        # in Python ints; each still fits in int64
+        # a huge median: every paper is a tail paper, and the chunk's tail
+        # sum passes 2^53, so it is summed as int64 in two halves
         spec = SeriesSpec.from_values(30, 2, 3000)
-        assert_equals_sample_metrics(spec, 20, ThresholdSet((5, 1e9, 1e13)), seed=5)
+        assert_equals_window_reference(spec, 20, ThresholdSet((5, 1e9, 1e13)), seed=5)
 
     def test_deterministic(self):
         a = run_replicates(SERIES_13, 50, seed=3)
@@ -182,314 +119,14 @@ class TestEmpiricalCounts:
         assert summary.counts_above[100] == pytest.approx(28.1, abs=0.5)
 
 
-def summaries_by_workers(monkeypatch, spec, replicates, thresholds=ThresholdSet((5, 10, 20, 50)),
-                         seed=77, workers=(1, 2, 3)):
-    """run_replicates with the CPU count forced to each of `workers`."""
-    summaries = []
-    for count in workers:
-        monkeypatch.setattr(mc, "_cpu_count", lambda: count)
-        summaries.append(run_replicates(spec, replicates, thresholds, seed))
-    return summaries
-
-
-@pytest.mark.usefixtures("per_paper")
-class TestWorkers:
-    """Units of whole chunks run on one thread per CPU (mc._cpu_count);
-    the summary must not depend on how many there are. Run on the
-    per-paper path; the window path runs on the calling thread
-    (TestHistograms)."""
-
-    @pytest.mark.parametrize("replicates", [63, 64, 65, 129, 300])
-    @pytest.mark.parametrize(
-        "n",
-        [
-            # one block holds many chunks
-            100,
-            # blocks of 10 rows: a chunk spans several blocks
-            3000,
-        ],
-    )
-    def test_summary_independent_of_worker_count(self, monkeypatch, n, replicates):
-        spec = SeriesSpec.from_values(2.1, 1.1, n)
-        serial, *threaded = summaries_by_workers(monkeypatch, spec, replicates)
-        assert all(summary == serial for summary in threaded)
-
-    @pytest.mark.parametrize("mu", [33.96, 36])
-    def test_exact_totals_independent_of_worker_count(self, monkeypatch, mu):
-        # each total is near or beyond 2^63: blocks of 3 rows return their
-        # totals as int64 or, when one passes 2^63, as float64
-        dtypes = set()
-        row_sums = mc._row_sums
-
-        def recording(counts, top):
-            sums = row_sums(counts, top)
-            dtypes.add(sums.dtype.type)
-            return sums
-
-        monkeypatch.setattr(mc, "_row_sums", recording)
-        spec = SeriesSpec.from_values(mu, 1, 10_000)
-        serial, *threaded = summaries_by_workers(monkeypatch, spec, 130, ThresholdSet((5, 1e15)))
-        assert all(summary == serial for summary in threaded)
-        assert np.float64 in dtypes
-        assert (np.int64 in dtypes) == (mu < 35)
-        assert serial.sum_citations_mean == pytest.approx(10_000 * math.exp(mu + 0.5), rel=0.02)
-
-    @pytest.mark.parametrize(
-        "mu, sigma, n, replicates, thresholds",
-        [
-            # the cases of the sample-metrics tests above
-            (2.1, 1.1, 200, 1, (5, 10, 20)),
-            (2.1, 1.1, 1, 300, (0.5, 1, 2.5, 7)),
-            (2.1, 1.1, 100, 700, (0.5, 5, 10.5, 20, 100)),
-            (2.1, 1.1, mc._BLOCK_ELEMENTS, 3, (5, 10, 20, 50, 100, 500)),
-            (2.1, 1.1, mc._BLOCK_ELEMENTS + 1, 2, (5, 10, 20, 50, 100, 500)),
-            (2.1, 1.1, 100, 400, (5, 10, 1e15)),
-            (2.1, 1.1, 1, 50, (1, 2**40)),
-            (2.1, 1.1, 100, 129, (5, 10, 20, 50)),
-            (2.1, 1.1, 3000, 129, (5, 10, 20, 50)),
-            (30, 2, 3000, 20, (5, 1e9, 1e13)),
-        ],
-    )
-    def test_two_workers_equal_sample_metrics(self, monkeypatch, mu, sigma, n, replicates, thresholds):
-        monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
-        seed = 5 if mu == 30 else 77
-        spec = SeriesSpec.from_values(mu, sigma, n)
-        assert_equals_sample_metrics(spec, replicates, ThresholdSet(thresholds), seed)
-
-    def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
-        spec = SeriesSpec.from_values(1.7, 1.0, 100)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            serial, threaded = summaries_by_workers(monkeypatch, spec, 5000, workers=(1, 8))
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == serial
-
-    def test_failed_helper_stops_the_run(self, monkeypatch):
-        # a fault planted in the helpers only; the caller's first block
-        # waits until a helper has failed and exited, which it does only
-        # after setting the run's stop flag, so a helper fails every time
-        # and the caller sees the flag before it could take another unit
-        caller = threading.current_thread()
-        helper_failed = threading.Event()
-        failed_helpers = []
-        caller_blocks = []
-        floor_exp = mc._floor_exp
-
-        def planted(z, spec):
-            if threading.current_thread() is not caller:
-                failed_helpers.append(threading.current_thread())
-                helper_failed.set()
-                raise ValueError("planted in a helper")
-            assert helper_failed.wait(timeout=60)
-            failed_helpers[0].join(timeout=60)
-            assert not failed_helpers[0].is_alive()
-            caller_blocks.append(len(z))
-            return floor_exp(z, spec)
-
-        monkeypatch.setattr(mc, "_floor_exp", planted)
-        monkeypatch.setattr(mc, "_cpu_count", lambda: 3)
-        spec = SeriesSpec.from_values(2.1, 1.1, 10)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="planted in a helper"):
-            # 10,000 replicates of N = 10 make 4 units of one block each
-            run_replicates(spec, 10_000, seed=3)
-        assert threading.active_count() == before
-        # the caller finished the unit it held, then took no other
-        assert len(caller_blocks) == 1
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_earliest_failed_unit_is_reported(self, monkeypatch, workers):
-        # the first draw to reach 2^63 lies in the fourth unit, and later
-        # units fail with other values
-        spec = SeriesSpec.from_values(39.4, 1, 10)
-        messages = []
-        for count in (1, workers):
-            monkeypatch.setattr(mc, "_cpu_count", lambda: count)
-            with pytest.raises(ValueError, match="2\\^63") as failure:
-                run_replicates(spec, 100_000, seed=DEFAULT_SEED)
-            messages.append(str(failure.value))
-        assert messages[1] == messages[0]
-
-    @staticmethod
-    def late_flag_reads(monkeypatch, fail=False):
-        """Make helpers read the stop flag only once the caller has set it,
-        and hold the caller's first unit until a helper is reading it.
-
-        A unit a helper took before that read would be left unrun. Returns
-        the (first, last) replicate range of every unit run; with `fail`,
-        each unit raises ValueError naming its first replicate instead.
-        """
-        caller = threading.get_ident()
-        helper_reading = threading.Event()
-        ranges = []
-        normal_blocks = mc._normal_blocks
-
-        class LateEvent(threading.Event):
-            def is_set(self):
-                if threading.get_ident() != caller:
-                    helper_reading.set()
-                    self.wait(timeout=60)
-                return super().is_set()
-
-        def recording(draws, first, last, seed):
-            if threading.get_ident() == caller:
-                assert helper_reading.wait(timeout=60)
-            ranges.append((first, last))
-            if fail:
-                raise ValueError(f"unit at replicate {first}")
-            return normal_blocks(draws, first, last, seed)
-
-        late = types.SimpleNamespace(Event=LateEvent, Thread=threading.Thread)
-        monkeypatch.setattr(mc, "threading", late)
-        monkeypatch.setattr(mc, "_normal_blocks", recording)
-        monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
-        return ranges
-
-    def test_every_unit_taken_is_run(self, monkeypatch):
-        spec = SeriesSpec.from_values(2.1, 1.1, 100)
-        ranges = self.late_flag_reads(monkeypatch)
-        threaded = run_replicates(spec, 1000, seed=77)
-        monkeypatch.undo()
-        # 1000 replicates of N = 100 make 4 units of 320 replicates or fewer
-        assert sorted(ranges) == [(0, 320), (320, 640), (640, 960), (960, 1000)]
-        assert threaded == run_replicates(spec, 1000, seed=77)
-
-    def test_no_unit_before_the_failed_one_is_skipped(self, monkeypatch):
-        spec = SeriesSpec.from_values(2.1, 1.1, 100)
-        self.late_flag_reads(monkeypatch, fail=True)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="unit at replicate 0$"):
-            run_replicates(spec, 1000, seed=77)
-        assert threading.active_count() == before
-
-
-def recorded_dtypes(monkeypatch, name):
-    """Patch montecarlo's `name` to record the dtype of each block it gets."""
-    dtypes = []
-    original = getattr(mc, name)
-
-    def recording(counts, *args):
-        dtypes.append(counts.dtype.type)
-        return original(counts, *args)
-
-    monkeypatch.setattr(mc, name, recording)
-    return dtypes
-
-
-@pytest.mark.usefixtures("per_paper")
-class TestCountDtypes:
-    """A per-paper block is counted in int32 while its lifted keys, rows x
-    (largest count or cut + 1), stay below 2^31, and in int64 from there
-    on; the summary must not depend on which."""
-
-    # e^15 is 3.3e6: about one block of 10 rows of 3000 papers in three
-    # holds a draw of 2^31 / 10 or more
-    STRADDLING = SeriesSpec.from_values(15, 1, 3000)
-    # cuts well below that bound
-    STRADDLING_THRESHOLDS = ThresholdSet((1e5, 1e6, 1e7))
-
-    def test_blocks_straddling_int32_equal_sample_metrics(self, monkeypatch):
-        dtypes = recorded_dtypes(monkeypatch, "_row_sums")
-        assert_equals_sample_metrics(self.STRADDLING, 200, self.STRADDLING_THRESHOLDS, seed=77)
-        assert set(dtypes) == {np.int32, np.int64}
-
-    def test_blocks_straddling_int32_independent_of_worker_count(self, monkeypatch):
-        dtypes = recorded_dtypes(monkeypatch, "_row_sums")
-        serial, *threaded = summaries_by_workers(
-            monkeypatch, self.STRADDLING, 200, self.STRADDLING_THRESHOLDS)
-        assert all(summary == serial for summary in threaded)
-        assert set(dtypes) == {np.int32, np.int64}
-
-    def test_lifted_keys_beyond_int32_equal_sample_metrics(self, monkeypatch):
-        # 327 rows lifted by 10^7 + 1 reach 3.3e9: past 2^31, far below 2^53
-        dtypes = recorded_dtypes(monkeypatch, "_count_at_least")
-        spec = SeriesSpec.from_values(2.1, 1.1, 100)
-        assert_equals_sample_metrics(spec, 400, ThresholdSet((5, 10, 1e7)), seed=77)
-        assert np.int64 in dtypes
-
-    def test_study_blocks_are_int32(self, monkeypatch):
-        for spec in study_specs():
-            with monkeypatch.context() as patch:
-                dtypes = recorded_dtypes(patch, "_count_at_least")
-                run_replicates(spec, 130, seed=DEFAULT_SEED)
-            assert dtypes and set(dtypes) == {np.int32}, spec
-
-
 class TestBlockReductions:
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 600) | st.integers(0, 2**62), min_size=4, max_size=4),
-            min_size=1, max_size=6,
-        ),
-        st.lists(
-            st.floats(min_value=1e-3, max_value=1e19, allow_nan=False), min_size=1, max_size=5,
-            unique=True,
-        ),
-    )
-    # numpy compares int64 with a float in float64, where 2^54 - 1 rounds up
-    # to 2^54; the lifted integer keys must not be used there
-    @example(rows=[[2**54 - 1, 0, 0, 0]], xs=[2.0**54])
-    def test_count_at_least_matches_naive(self, rows, xs):
-        xs = sorted(xs)
-        block = np.sort(np.array(rows, dtype=np.int64), axis=1)
-        expected = [[np.count_nonzero(row >= x) for x in xs] for row in block]
-        out = np.empty((len(rows), len(xs)), dtype=np.int64)
-        mc._count_at_least(block, xs, out)
-        assert out.tolist() == expected
-
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 600) | st.integers(0, 2**31 - 1), min_size=4, max_size=4),
-            min_size=1, max_size=6,
-        ),
-        st.lists(
-            st.floats(min_value=1e-3, max_value=1e12, allow_nan=False), min_size=1, max_size=5,
-            unique=True,
-        ),
-    )
-    # two rows lifted by 2^30: the largest key is 2^31 - 1, the last one int32 holds
-    @example(rows=[[2**30 - 1] * 4, [0, 1, 2**30 - 2, 2**30 - 1]], xs=[2**30 - 2.5, 2.0**30 - 1])
-    @example(rows=[[0, 5, 9, 2**30 - 1], [0, 0, 3, 7]], xs=[1, 5.5, 10])
-    # one more and the keys would reach 2^31: counted threshold by threshold
-    @example(rows=[[0, 5, 9, 2**30], [0, 0, 3, 7]], xs=[1, 5.5, 10])
-    @example(rows=[[2**31 - 1] * 4, [0, 1, 2**30, 2**31 - 2]], xs=[5.5, 2.0**30])
-    def test_count_at_least_on_int32_matches_naive(self, rows, xs):
-        xs = sorted(xs)
-        block = np.sort(np.array(rows, dtype=np.int32), axis=1)
-        expected = [[np.count_nonzero(row >= x) for x in xs] for row in block]
-        out = np.empty((len(rows), len(xs)), dtype=np.int64)
-        mc._count_at_least(block, xs, out)
-        assert out.tolist() == expected
-
-    # N * top below 2^30 accumulates in int32, from 2^30 on in int64
-    @pytest.mark.parametrize("top", [3, 2**27, 2**28, 2**31 - 1])
-    def test_row_sums_of_int32_blocks_are_exact(self, top):
-        rows = [[top, top, 1, 0], [top // 3, 5, 0, 0]]
-        sums = mc._row_sums(np.array(rows, dtype=np.int32), float(top))
-        assert sums.dtype == np.int64
-        assert sums.tolist() == [sum(row) for row in rows]
-
-    @pytest.mark.parametrize("top", [3, 2**40, 2**62 - 1, 2**63 - 1])
-    def test_row_sums_are_exact(self, top):
-        rows = [[top, top, 1, 0], [top // 3, 5, 0, 0]]
-        sums = mc._row_sums(np.array(rows, dtype=np.int64), float(top))
-        exact = [sum(row) for row in rows]
-        if max(exact) < 2**63:
-            assert sums.dtype == np.int64
-            assert sums.tolist() == exact
-        else:
-            assert sums.tolist() == [float(t) for t in exact]
-
-
     @pytest.mark.parametrize(
         "papers",
         [
             [0, 1, 5],
             # float64 partial sums stay exact below 2^53
             [2**51, 2**51 - 1],
-            # past it, and past 2^63, summed in Python ints
+            # past it, and past 2^63, summed as int64 in two halves
             [2**53, 1, 1],
             [2**62, 2**62 + 2**40, 2**62, 7],
         ],
@@ -498,6 +135,7 @@ class TestBlockReductions:
         array = np.array(papers, dtype=np.float64)
         assert mc._exact_sum(array, float(max(papers))) == sum(papers)
 
+
 # the window [L, U) lies near h = 2580, so each replicate has about 2500
 # tail papers; a chunk's pooled tail sum passes 2^62
 HEAVY_TAIL = SeriesSpec.from_values(2, 9, 10_000)
@@ -505,7 +143,7 @@ HEAVY_TAIL = SeriesSpec.from_values(2, 9, 10_000)
 
 def conditioned_normals(rng, a, count):
     """`count` standard normals conditioned on z >= a, as sampling scheme
-    v4 draws them: rounds of ceil((1.1 r + 8) / rate) candidates, r the
+    v5 draws them: rounds of ceil((1.1 r + 8) / rate) candidates, r the
     number still needed, by Marsaglia's method (x = sqrt(a^2 - 2 ln(1 - U1)),
     kept when U2 x < a) where it accepts more than plain rejection."""
     plain = 0.5 * math.erfc(a / math.sqrt(2.0))
@@ -525,19 +163,19 @@ def conditioned_normals(rng, a, count):
 
 
 def reference_window_run(spec, replicates, seed):
-    """Sampling scheme v4's window path, drawn independently of
-    montecarlo but for the window [L, U) (mc._window) and the bin count K
-    (mc._bin_count): each replicate's h, and every paper of the run.
+    """Sampling scheme v5, drawn independently of montecarlo but for the
+    window [L, U) (mc._window): each replicate's h, and every paper of the
+    run.
 
     Per chunk of 64: the window rows over [1 - S(L), p_L .. p_{U-1}, S(U)];
     then, in row order over the rows used, each row whose h lies below L
     its papers below L over p_0 .. p_{L-1}, or each row whose h lies at U
     or above its papers at U or more over p_U .. p_{K'-1} and S(K'),
-    K' = max(U, K), and their tail; then the other rows' papers below L,
+    K' = max(U, 256), and their tail; then the other rows' papers below L,
     pooled, and their papers at U or more, pooled, with the pool's tail.
     """
     low, high = mc._window(spec)
-    top = max(high, mc._bin_count(spec))
+    top = max(high, 256)
     mu, sigma, n = spec.params.mu, spec.params.sigma, spec.n_papers
     survival = [1.0] + [0.5 * math.erfc((math.log(k) - mu) / (sigma * math.sqrt(2.0)))
                         for k in range(1, top + 1)]
@@ -636,46 +274,75 @@ def recorded_h(monkeypatch):
 
 
 class TestHistograms:
-    """Specs with K > 0 bins draw each replicate's papers inside a window
-    [L, U) around h one count at a time and pool the rest of their chunk
-    (sampling scheme v4)."""
+    """Every spec draws each replicate's papers inside a window [L, U)
+    around h one count at a time and pools the rest of its chunk
+    (sampling scheme v5)."""
 
-    def test_bin_counts(self):
-        assert mc._bin_count(SERIES_1) > 0
-        assert mc._bin_count(SERIES_9) > 0
-        assert mc._bin_count(HEAVY_TAIL) > 0
-        # series 22, 13 and 25 draw per paper, as do huge medians
-        for spec in (SERIES_22, SERIES_13, SeriesSpec.from_values(1.5, 0.9, 200),
-                     SeriesSpec.from_values(800, 1, 10), SeriesSpec.from_values(36, 1, 10_000)):
-            assert mc._bin_count(spec) == 0, spec
-        assert all(0 <= mc._bin_count(spec) <= mc._MAX_BINS for spec in study_specs())
+    def test_bin_counts(self, monkeypatch):
+        # K' = max(U, 256) for every spec, series 22, 13 and 25 and huge
+        # medians included; U sets it where h lies near 256 or above
+        tops = []
+        bin_probabilities = mc._bin_probabilities
+
+        def recording(params, bins):
+            tops.append(bins)
+            return bin_probabilities(params, bins)
+
+        monkeypatch.setattr(mc, "_bin_probabilities", recording)
+        specs = [SERIES_1, SERIES_9, SERIES_22, SERIES_13, SeriesSpec.from_values(1.5, 0.9, 200),
+                 SeriesSpec.from_values(6, 1.5, 1000), SeriesSpec.from_values(30, 2, 3000)]
+        for spec in specs:
+            run_replicates(spec, 1, seed=1)
+        assert tops == [256] * 5 + [mc._window(specs[5])[1], 3001]
 
     def test_windows(self):
-        # 7 standard deviations of h on either side of k*
-        assert mc._window(SERIES_1) == (38, 83)
-        assert mc._window(SERIES_9) == (96, 143)
-        # h ~ 145 lies above series 2's K = 142, so U sets K'
-        assert mc._window(SERIES_2) == (115, 174)
-        assert mc._bin_count(SERIES_2) < 145
+        # 4 standard deviations of h on either side of k*
+        assert mc._window(SERIES_1) == (47, 74)
+        assert mc._window(SERIES_9) == (106, 133)
+        assert mc._window(SERIES_2) == (127, 162)
+        assert mc._window(SERIES_22) == (9, 22)
         # each side capped at 128 counts
         assert mc._window(HEAVY_TAIL) == (2448, 2705)
-        # within [0, N + 1): sigma -> 0 gives one count, N = 1 gives h = 0 or 1
+        # within [0, N + 1): sigma -> 0 gives one count, N = 1 gives h = 0
+        # or 1, and a huge median gives h = N
         assert mc._window(SeriesSpec.from_values(2, 1e-9, 10_000)) == (7, 8)
         assert mc._window(SeriesSpec.from_values(2, 1, 1)) == (0, 1)
+        assert mc._window(SeriesSpec.from_values(30, 2, 3000)) == (3000, 3001)
         for spec in study_specs():
             low, high = mc._window(spec)
             assert 0 <= low <= central_h(spec) < high <= spec.n_papers + 1
-            assert high - low <= 61, spec
+            assert high - low <= 35, spec
+
+    def test_study_rows_rarely_leave_the_window(self, monkeypatch):
+        # 3 to 4 rows in 10^5 fall outside a 4-sd window
+        runs = recorded_h(monkeypatch)
+        windows = []
+        for spec in study_specs():
+            windows.append(mc._window(spec))
+            run_replicates(spec, 2000, seed=DEFAULT_SEED)
+        outside = sum(np.count_nonzero((h < low) | (h >= high))
+                      for h, (low, high) in zip(runs, windows))
+        assert outside < 0.001 * 30 * 2000
+
+    def test_bin_probabilities_equal_survival_differences(self):
+        specs = [*study_specs(), HEAVY_TAIL, SeriesSpec.from_values(30, 2, 3000),
+                 SeriesSpec.from_values(2, 1e-9, 10_000), SeriesSpec.from_values(2, 1, 1)]
+        for spec in specs:
+            top = max(mc._window(spec)[1], mc._MAX_BINS)
+            survival = [1.0] + [survival_probability(k, spec.params) for k in range(1, top + 1)]
+            expected = np.array([s - t for s, t in zip(survival, survival[1:])] + [survival[-1]])
+            assert mc._bin_probabilities(spec.params, top).tobytes() == expected.tobytes(), spec
 
     @pytest.mark.parametrize(
         "spec, replicates",
         [
             (SERIES_1, 200),
             (SERIES_9, 70),
-            # one row beyond the per-paper block size
-            (SeriesSpec.from_values(2.1, 1.1, mc._BLOCK_ELEMENTS + 1), 3),
+            (SeriesSpec.from_values(2.1, 1.1, 2**15 + 1), 3),
+            (SERIES_22, 300),
+            (SERIES_13, 300),
         ],
-        ids=["series-1", "series-9", "n-2^15+1"],
+        ids=["series-1", "series-9", "n-2^15+1", "series-22", "series-13"],
     )
     def test_equals_reference(self, spec, replicates):
         assert_equals_window_reference(spec, replicates, DEFAULT_THRESHOLDS, seed=77)
@@ -689,22 +356,19 @@ class TestHistograms:
     @pytest.mark.parametrize(
         "spec, width",
         [
-            # K' = U: tail papers decide h whenever G(U) >= U
+            # K' = 256 > U: high rows' h can come from their bins above U
             (SERIES_1, 1),
             (SERIES_1, 2),
-            # K' = K > U: high rows' h can come from their bins above U
             (SERIES_9, 3),
             (SERIES_9, 4),
-            # N = 40, which draws per paper unless K is forced above 0: a
-            # third of the papers lie in the tail
             (SeriesSpec.from_values(2.1, 1.1, 40), 1),
+            # h ~ 460, so K' = U: tail papers decide h whenever G(U) >= U
+            (SeriesSpec.from_values(6, 1.5, 1000), 1),
         ],
         ids=["series-1-width-1", "series-1-width-2", "series-9-width-3", "series-9-width-4",
-             "n-40-width-1"],
+             "n-40-width-1", "k-prime-u-width-1"],
     )
     def test_narrow_window_equals_reference(self, monkeypatch, spec, width):
-        if not mc._bin_count(spec):
-            monkeypatch.setattr(mc, "_bin_count", lambda spec: 3)
         narrow_window(monkeypatch, spec, width)
         runs = recorded_h(monkeypatch)
         thresholds = ThresholdSet((2, 5, 10, 50, 61, 100, 500))
@@ -728,30 +392,19 @@ class TestHistograms:
             assert runs[0][0] == runs[1][0]
             assert (runs[1] == runs[2][:65]).all()
 
-    @pytest.mark.parametrize("block_elements", [1, 150, 2**15])
-    def test_independent_of_block_size(self, monkeypatch, block_elements):
-        expected = run_replicates(SERIES_1, 300, seed=9)
-        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_elements)
-        assert run_replicates(SERIES_1, 300, seed=9) == expected
-
-    @pytest.mark.parametrize("replicates", [63, 65, 300])
-    def test_independent_of_worker_count(self, monkeypatch, replicates):
-        serial, *threaded = summaries_by_workers(monkeypatch, SERIES_1, replicates)
-        assert all(summary == serial for summary in threaded)
-
     def test_runs_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(mc, "_cpu_count", lambda: 4)
         before = threading.active_count()
         threads = set()
-        conditioned = mc._conditioned_normals
+        h_of_cells = mc._h_of_cells
 
         def recording(*args):
             threads.add(threading.get_ident())
             assert threading.active_count() == before
-            return conditioned(*args)
+            return h_of_cells(*args)
 
-        monkeypatch.setattr(mc, "_conditioned_normals", recording)
-        run_replicates(SERIES_9, 300, seed=1)
+        monkeypatch.setattr(mc, "_h_of_cells", recording)
+        for spec in (SERIES_9, SERIES_22):
+            run_replicates(spec, 300, seed=1)
         assert threads == {threading.get_ident()}
 
     def test_exact_totals_equal_reference(self):
@@ -772,7 +425,7 @@ class TestHistograms:
         # below K', which exp's rounding can also do; such a tail paper
         # counts K' citations, as one drawn at K' + 1/2 does
         mu, sigma = SERIES_1.params.mu, SERIES_1.params.sigma
-        top = mc._window(SERIES_1)[1]
+        top = max(mc._window(SERIES_1)[1], mc._MAX_BINS)
         edge = (math.log(top) - mu) / sigma
         while np.exp(np.float64(edge) * sigma + mu) >= top:
             edge = math.nextafter(edge, -math.inf)
@@ -789,10 +442,8 @@ class TestHistograms:
 
 
 class TestWindowDomain:
-    """The window path holds for every valid spec. The cost model gives
-    K = 0 wherever N < 143 or nearly every paper would be a tail paper,
-    so K is forced to at least 1 here: the window path then also meets
-    N = 1, sigma -> 0 and h = N."""
+    """The window path holds for every valid spec, N = 1, sigma -> 0,
+    h = N and huge medians included."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -812,16 +463,13 @@ class TestWindowDomain:
     @example(mu=-50.0, log_sigma=math.log(1e-9), n=10**4, replicates=2, seed=1)
     def test_summary_is_bounded_or_overflows(self, mu, log_sigma, n, replicates, seed):
         spec = SeriesSpec.from_values(mu, math.exp(log_sigma), n)
-        bins = max(1, mc._bin_count(spec))
         low, high = mc._window(spec)
         assert 0 <= low < high <= n + 1
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mc, "_bin_count", lambda spec: bins)
-            try:
-                summary = run_replicates(spec, replicates, DEFAULT_THRESHOLDS, seed)
-            except ValueError as exc:
-                assert "2^63" in str(exc)
-                return
+        try:
+            summary = run_replicates(spec, replicates, DEFAULT_THRESHOLDS, seed)
+        except ValueError as exc:
+            assert "2^63" in str(exc)
+            return
         assert 0 <= summary.h_mean <= n
         assert summary.h_stddev >= 0
         assert summary.sum_citations_mean >= 0
@@ -834,21 +482,33 @@ def exact_law(spec, thresholds):
     """Per-replicate mean and standard deviation of h, the citation total
     and each threshold count under the discrete law of N papers with
     P(c >= k) = S(k): P(h >= k) = P(Bin(N, S(k)) >= k), E[c] = sum S(k),
-    E[c^2] = sum (2k - 1) S(k), and the count at x is Bin(N, S(ceil x))."""
+    E[c^2] = sum (2k - 1) S(k), and the count at x is Bin(N, S(ceil x)).
+
+    The sums run to K = 10^6 term by term. Beyond K they are the
+    integrals of S(x) and (2x - 1) S(x) from K, less half of each one's
+    value at K (the Euler-Maclaurin correction), taken from the
+    lognormal's partial moments E[(X^p - K^p)^+] =
+    e^(p mu + p^2 sigma^2 / 2) Phi((mu + p sigma^2 - ln K) / sigma) - K^p S(K).
+    For the study's series they add below 1e-6; for a huge median they
+    are nearly the whole sum."""
     from scipy import stats
 
     mu, sigma, n = spec.params.mu, spec.params.sigma, spec.n_papers
-    # S(10^6) is below 1e-12 for the specs tested, with sum k S(k) beyond it
-    # below 1e-6
-    k = np.arange(1, 10**6 + 1, dtype=np.float64)
+    cut = 10**6
+    k = np.arange(1, cut + 1, dtype=np.float64)
     survival = stats.norm.sf((np.log(k) - mu) / sigma)
     at_least_h = stats.binom.sf(k[:n] - 1, n, survival[:n])
     h_mean = at_least_h.sum()
-    mean_c = survival.sum()
-    var_c = ((2 * k - 1) * survival).sum() - mean_c**2
+
+    def beyond(p):
+        moment = math.exp(p * mu + 0.5 * (p * sigma) ** 2)
+        return moment * stats.norm.sf((math.log(cut) - mu - p * sigma**2) / sigma) - cut**p * survival[-1]
+
+    mean_c = survival.sum() + beyond(1) - survival[-1] / 2
+    square_c = ((2 * k - 1) * survival).sum() + beyond(2) - beyond(1) - (2 * cut - 1) * survival[-1] / 2
     law = {
         "h": (h_mean, math.sqrt(((2 * k[:n] - 1) * at_least_h).sum() - h_mean**2)),
-        "sum_c": (n * mean_c, math.sqrt(n * var_c)),
+        "sum_c": (n * mean_c, math.sqrt(n * (square_c - mean_c**2))),
     }
     for x in thresholds:
         p = survival[math.ceil(x) - 1]
@@ -857,21 +517,32 @@ def exact_law(spec, thresholds):
 
 
 def z_scores(summary, law):
+    """Each quantity's distance from its exact mean in standard errors; one
+    with no spread (a huge median's h and counts) scores 0 when it equals
+    its mean and inf otherwise."""
     root = math.sqrt(summary.replicates)
     observed = {"h": summary.h_mean, "sum_c": summary.sum_citations_mean, **summary.counts_above}
-    return {key: (observed[key] - mean) / (sd / root) for key, (mean, sd) in law.items()}
+    scores = {}
+    for key, (mean, sd) in law.items():
+        error = observed[key] - mean
+        scores[key] = error / (sd / root) if sd else (0.0 if error == 0 else math.inf)
+    return scores
 
 
 class TestExactLaw:
     """h_mean, the mean citation total and every threshold count lie
-    within 5 standard errors of their exact discrete expectations, on both
-    paths and with windows forced narrow; tampered draws do not."""
+    within 5 standard errors of their exact discrete expectations, with
+    the default windows and with windows forced narrow; tampered draws do
+    not."""
 
     REPLICATES = 20_000
 
     @pytest.mark.parametrize(
-        "spec", [SERIES_1, SERIES_9, SERIES_22, SERIES_2],
-        ids=["series-1", "series-9", "series-22", "series-2"])
+        "spec",
+        [SERIES_1, SERIES_9, SERIES_22, SERIES_2, SERIES_13, SeriesSpec.from_values(1.5, 0.9, 200),
+         SeriesSpec.from_values(30, 2, 3000)],
+        ids=["series-1", "series-9", "series-22", "series-2", "series-13", "series-25",
+             "huge-median"])
     def test_within_five_standard_errors(self, spec):
         summary = run_replicates(spec, self.REPLICATES, seed=DEFAULT_SEED)
         scores = z_scores(summary, exact_law(spec, DEFAULT_THRESHOLDS))
@@ -906,7 +577,7 @@ class TestExactLaw:
 
     def test_bin_shifted_by_one_fails(self, monkeypatch):
         # the papers of count 10 counted as 9: below series 9's window
-        # [96, 143), so in every row's pooled breakdown below L
+        # [106, 133), so in every row's pooled breakdown below L
         assert 10 < mc._window(SERIES_9)[0]
         assert max(map(abs, self.shifted_scores(monkeypatch, [10]).values())) > 5
 
