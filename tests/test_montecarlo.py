@@ -1,6 +1,8 @@
 """Replicate-averaged empirical indicators of synthetic series."""
 
+import functools
 import math
+import sys
 import threading
 
 import numpy as np
@@ -119,7 +121,239 @@ class TestEmpiricalCounts:
         assert summary.counts_above[100] == pytest.approx(28.1, abs=0.5)
 
 
+def concurrent_runs(workers, run):
+    """`run()` on `workers` threads started together: what each returned,
+    or the exception it raised, in thread order."""
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def worker(i):
+        start.wait(timeout=60)
+        try:
+            results[i] = run()
+        except Exception as exc:
+            results[i] = exc
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+        assert not thread.is_alive()
+    return results
+
+
+def summaries_by_workers(spec, replicates, thresholds=ThresholdSet((5, 10, 20, 50)),
+                         seed=77, workers=(1, 2, 3)):
+    """run_replicates on `count` threads at once for each count of
+    `workers`: every summary, the lone run's first."""
+    summaries = []
+    for count in workers:
+        summaries += concurrent_runs(count, lambda: run_replicates(spec, replicates, thresholds, seed))
+    return summaries
+
+
+def recorded_units(monkeypatch, fail_from=None):
+    """Record the unit (chunk) index of every generator montecarlo seeds,
+    with the thread that seeds it; from unit `fail_from` on, raise
+    ValueError naming the unit's first replicate instead of seeding."""
+    units = []
+
+    def recording(master, index):
+        units.append((threading.get_ident(), index))
+        if fail_from is not None and index >= fail_from:
+            raise ValueError(f"unit at replicate {index * 64}")
+        return derive_seed(master, index)
+
+    monkeypatch.setattr(mc, "derive_seed", recording)
+    return units
+
+
+class TestWorkers:
+    """run_replicates keeps no state between calls, so worker threads may
+    run it at once: each gets the summary it gets alone, and a failure
+    stops only its own run. Within a run, units of 64 replicates (one
+    generator each) are drawn in order on the calling thread, each once."""
+
+    @pytest.mark.parametrize("replicates", [63, 64, 65, 129, 300])
+    @pytest.mark.parametrize("n", [100, 3000])
+    def test_summary_independent_of_worker_count(self, n, replicates):
+        spec = SeriesSpec.from_values(2.1, 1.1, n)
+        serial, *threaded = summaries_by_workers(spec, replicates)
+        assert all(summary == serial for summary in threaded)
+
+    @pytest.mark.parametrize("mu", [33.96, 36])
+    def test_exact_totals_independent_of_worker_count(self, mu):
+        # each replicate's total lies near 2^63 (mu 33.96) or beyond it
+        # (mu 36); every paper is a tail paper, summed as int64 halves
+        spec = SeriesSpec.from_values(mu, 1, 10_000)
+        thresholds = ThresholdSet((5, 1e15))
+        serial, *threaded = summaries_by_workers(spec, 130, thresholds)
+        assert all(summary == serial for summary in threaded)
+        assert serial.sum_citations_mean == pytest.approx(10_000 * math.exp(mu + 0.5), rel=0.02)
+        total = assert_equals_window_reference(spec, 130, thresholds, seed=77)
+        assert total > 130 * 2**62
+
+    @pytest.mark.parametrize(
+        "mu, sigma, n, replicates, thresholds",
+        [
+            # the cases of TestRunReplicates' sample-metrics tests
+            (2.1, 1.1, 200, 1, (5, 10, 20)),
+            (2.1, 1.1, 1, 300, (0.5, 1, 2.5, 7)),
+            (2.1, 1.1, 100, 700, (0.5, 5, 10.5, 20, 100)),
+            (2.1, 1.1, 2**15, 3, (5, 10, 20, 50, 100, 500)),
+            (2.1, 1.1, 2**15 + 1, 2, (5, 10, 20, 50, 100, 500)),
+            (2.1, 1.1, 100, 400, (5, 10, 1e15)),
+            (2.1, 1.1, 1, 50, (1, 2**40)),
+            (2.1, 1.1, 100, 129, (5, 10, 20, 50)),
+            (2.1, 1.1, 3000, 129, (5, 10, 20, 50)),
+            (30, 2, 3000, 20, (5, 1e9, 1e13)),
+        ],
+    )
+    def test_two_workers_equal_sample_metrics(self, mu, sigma, n, replicates, thresholds):
+        seed = 5 if mu == 30 else 77
+        spec = SeriesSpec.from_values(mu, sigma, n)
+        assert_equals_window_reference(spec, replicates, ThresholdSet(thresholds), seed, workers=2)
+
+    def test_more_workers_than_cores_with_frequent_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            serial, *threaded = summaries_by_workers(SERIES_22, 5000, workers=(1, 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == 8
+        assert all(summary == serial for summary in threaded)
+
+    def test_failed_helper_stops_the_run(self, monkeypatch):
+        # a fault planted in _h_of_cells at unit 2 of the first worker to
+        # reach it: that worker's run raises and draws no later unit, and
+        # the others run on to the summary they get alone
+        spec = SeriesSpec.from_values(2.1, 1.1, 100)
+        expected = run_replicates(spec, 300, seed=3)
+        units = recorded_units(monkeypatch)
+        failing = []
+        lock = threading.Lock()
+        h_of_cells = mc._h_of_cells
+
+        def planted(*args):
+            me = threading.get_ident()
+            current = [index for thread, index in units if thread == me][-1]
+            with lock:
+                if current == 2 and not failing:
+                    failing.append(me)
+            if failing == [me]:
+                raise ValueError("planted in a helper")
+            return h_of_cells(*args)
+
+        monkeypatch.setattr(mc, "_h_of_cells", planted)
+        before = threading.active_count()
+        results = concurrent_runs(3, lambda: run_replicates(spec, 300, seed=3))
+        assert threading.active_count() == before
+        failed = [r for r in results if isinstance(r, Exception)]
+        assert len(failed) == 1 and str(failed[0]) == "planted in a helper"
+        assert [index for thread, index in units if thread == failing[0]] == [0, 1, 2]
+        assert [r for r in results if r is not failed[0]] == [expected, expected]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_earliest_failed_unit_is_reported(self, monkeypatch, workers):
+        # a draw reaches 2^63 in some unit after the first; the run stops
+        # there, and later units never run
+        spec = SeriesSpec.from_values(39.4, 1, 10)
+        with monkeypatch.context() as patch:
+            units = recorded_units(patch)
+            with pytest.raises(ValueError, match="2\\^63") as failure:
+                run_replicates(spec, 100_000, seed=DEFAULT_SEED)
+        first = units[-1][1]
+        assert first > 0
+        assert [index for _, index in units] == list(range(first + 1))
+        # the units before it draw no such paper; with it, the run fails the same way
+        run_replicates(spec, 64 * first, seed=DEFAULT_SEED)
+        with pytest.raises(ValueError) as alone:
+            run_replicates(spec, 64 * (first + 1), seed=DEFAULT_SEED)
+        assert str(alone.value) == str(failure.value)
+        results = concurrent_runs(workers, lambda: run_replicates(spec, 100_000, seed=DEFAULT_SEED))
+        assert [str(result) for result in results] == [str(failure.value)] * workers
+
+    def test_every_unit_taken_is_run(self, monkeypatch):
+        spec = SeriesSpec.from_values(2.1, 1.1, 100)
+        units = recorded_units(monkeypatch)
+        runs = recorded_h(monkeypatch)
+        summary = run_replicates(spec, 1000, seed=77)
+        monkeypatch.undo()
+        # 1000 replicates make 16 units of 64 or fewer, on the calling thread
+        assert units == [(threading.get_ident(), index) for index in range(16)]
+        assert len(runs[0]) == 1000
+        assert summary == run_replicates(spec, 1000, seed=77)
+
+    def test_no_unit_before_the_failed_one_is_skipped(self, monkeypatch):
+        # every unit from the sixth on fails
+        spec = SeriesSpec.from_values(2.1, 1.1, 100)
+        units = recorded_units(monkeypatch, fail_from=5)
+        windows = []
+        h_of_cells = mc._h_of_cells
+
+        def recording(cells, *args):
+            if cells.ndim == 2:
+                windows.append(len(cells))
+            return h_of_cells(cells, *args)
+
+        monkeypatch.setattr(mc, "_h_of_cells", recording)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="unit at replicate 320$"):
+            run_replicates(spec, 1000, seed=77)
+        assert threading.active_count() == before
+        assert [index for _, index in units] == [0, 1, 2, 3, 4, 5]
+        # each unit before it drew its window rows
+        assert windows == [64] * 5
+
+
 class TestBlockReductions:
+    """The run's block reductions: each threshold's count over the
+    run's papers, from the histogram below K' and the tail papers
+    beyond it, and the tail papers' exact sum (_exact_sum)."""
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=1e-3, max_value=1e19, allow_nan=False), min_size=1, max_size=5,
+            unique=True,
+        ),
+    )
+    # cuts at, just below and just above K' = 256, which splits the
+    # histogram's counts from the tail's, and a cut beyond every paper
+    @example(xs=[255.5, 256.0, math.nextafter(256.0, math.inf), 256.5])
+    @example(xs=[2.0**54])
+    def test_count_at_least_matches_naive(self, xs):
+        assert_counts_match_naive(WIDE_SPAN, xs)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=1e-3, max_value=1e12, allow_nan=False), min_size=1, max_size=5,
+            unique=True,
+        ),
+    )
+    # cuts at series 1's window edges L = 47 and U = 74 and half a count
+    # either side of them
+    @example(xs=[46.5, 47.0, 47.5])
+    @example(xs=[73.5, 74.0, 74.5])
+    @example(xs=[5.5, 2.0**30, 2.0**31 - 1])
+    def test_count_at_least_on_int32_matches_naive(self, xs):
+        # a study series: every count is far inside int32
+        assert_counts_match_naive(SERIES_1, xs)
+
+    # N * top below 2^53: float64 partial sums are exact
+    @pytest.mark.parametrize("top", [3, 2**27, 2**28, 2**31 - 1])
+    def test_row_sums_of_int32_blocks_are_exact(self, top):
+        assert_rows_sum_exactly(top)
+
+    # past 2^53, and for the largest counts past 2^63 over the rows:
+    # summed as int64 halves
+    @pytest.mark.parametrize("top", [3, 2**40, 2**62 - 1, 2**63 - 1])
+    def test_row_sums_are_exact(self, top):
+        assert_rows_sum_exactly(top)
+
     @pytest.mark.parametrize(
         "papers",
         [
@@ -229,19 +463,55 @@ def reference_window_run(spec, replicates, seed):
     return np.array(h_values), papers
 
 
-def assert_equals_window_reference(spec, replicates, thresholds, seed):
+def assert_equals_window_reference(spec, replicates, thresholds, seed, workers=1):
     """run_replicates equals reference_window_run exactly: h averaged
     over the replicates, and the citation total and threshold counts of
-    all the run's papers, summed exactly, over the replicate count."""
-    summary = run_replicates(spec, replicates, thresholds, seed)
+    all the run's papers, summed exactly, over the replicate count. With
+    `workers` > 1, so does each of that many runs on threads at once."""
     h, papers = reference_window_run(spec, replicates, seed)
-    assert summary.h_mean == float(h.mean())
-    assert summary.h_stddev == (float(h.std(ddof=1)) if replicates > 1 else 0.0)
     total = sum(papers.tolist())
-    assert summary.sum_citations_mean == total / replicates
-    assert summary.counts_above == {
-        x: np.count_nonzero(papers >= x) / replicates for x in thresholds}
+    run = lambda: run_replicates(spec, replicates, thresholds, seed)
+    for summary in concurrent_runs(workers, run) if workers > 1 else [run()]:
+        assert summary.h_mean == float(h.mean())
+        assert summary.h_stddev == (float(h.std(ddof=1)) if replicates > 1 else 0.0)
+        assert summary.sum_citations_mean == total / replicates
+        assert summary.counts_above == {
+            x: np.count_nonzero(papers >= x) / replicates for x in thresholds}
     return total
+
+
+# papers from 0 to beyond 10^16 citations, a third of them at K' = 256
+# or more
+WIDE_SPAN = SeriesSpec.from_values(2, 9, 300)
+
+
+@functools.lru_cache
+def reference_papers(spec):
+    """Every paper of reference_window_run's 64 replicates at seed 26."""
+    return reference_window_run(spec, 64, seed=26)[1]
+
+
+def assert_counts_match_naive(spec, xs):
+    """run_replicates' count at each of `xs`, over 64 replicates at seed
+    26, equals the reference run's papers at x or more, counted x by x.
+    The papers are whole float64 values, so numpy compares them with x
+    exactly."""
+    xs = sorted(xs)
+    papers = reference_papers(spec)
+    summary = run_replicates(spec, 64, ThresholdSet(xs), seed=26)
+    assert summary.counts_above == {x: np.count_nonzero(papers >= x) / 64 for x in xs}
+
+
+def assert_rows_sum_exactly(top):
+    """_exact_sum adds each of two rows of papers up to `top`, and both
+    rows together, exactly. Papers are whole float64 values below 2^63,
+    so `top` is taken down to the largest such value not above it."""
+    largest = float(top)
+    if largest > top:
+        largest = math.nextafter(largest, 0)
+    rows = np.array([[largest, largest, 1, 0], [float(int(largest) // 3), 5, 0, 0]])
+    for papers in (*rows, rows.ravel()):
+        assert mc._exact_sum(papers, float(papers.max())) == sum(map(int, papers.tolist()))
 
 
 def central_h(spec):
@@ -391,6 +661,11 @@ class TestHistograms:
                     run_replicates(SERIES_1, replicates, seed=5)
             assert runs[0][0] == runs[1][0]
             assert (runs[1] == runs[2][:65]).all()
+
+    @pytest.mark.parametrize("replicates", [63, 65, 300])
+    def test_independent_of_worker_count(self, replicates):
+        serial, *threaded = summaries_by_workers(SERIES_1, replicates)
+        assert all(summary == serial for summary in threaded)
 
     def test_runs_on_the_calling_thread(self, monkeypatch):
         before = threading.active_count()
