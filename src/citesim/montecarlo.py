@@ -10,34 +10,39 @@ mean fractional part of the draws, about half a citation. Counts are
 int64 at most, so a draw whose exp reaches 2**63 raises ValueError
 instead of wrapping.
 
-Sampling scheme v5 (SEEDING_VERSION): replicates are grouped in chunks of
-64. Chunk j owns one generator, seeded from (master seed, j) through a
-SplitMix64-style avalanche. Every simulated number is either a
-replicate's h or a replicate average of an additive count (the citation
-total and the threshold counts), and every spec draws them the same way,
-exactly in law. With S(k) = P(c >= k) = erfc((ln k - mu) / (sigma
-sqrt 2)) / 2 and p_k = S(k) - S(k + 1), the chunk's generator first
-draws 64 rows of Multinomial(N; 1 - S(L), p_L, ..., p_{U-1}, S(U)):
-each replicate's papers below L, at each count of the window [L, U),
-and at U or more. G(k), the number of papers with k or more citations,
-is then known for k in [L, U], and a row's h is the largest k in [L, U)
-with G(k) >= k. Then, in row order over the rows the run uses, a row
-whose h lies outside the window draws its own breakdown of that side:
-below L, one multinomial of its papers over p_0, ..., p_{L-1}; at U or
-above, one over p_U, ..., p_{K'-1} and S(K'), K' = max(U, 256), then its
-papers at K' or more as floor(exp(mu + sigma z)) with z conditioned on
-z >= (ln K' - mu) / sigma (_conditioned_normals). Last, every other
-row's papers below L and at U or above are drawn pooled: one
-multinomial for each side, then one tail of conditioned normals. All 64
-window rows are drawn even in a short last chunk.
+Sampling scheme v6 (SEEDING_VERSION): a run with master seed s draws from
+two generators, the rows stream seeded from (s, 0) and the rest stream
+from (s, 1) through a SplitMix64-style avalanche. Every simulated number
+is either a replicate's h or a replicate average of an additive count
+(the citation total and the threshold counts), and every spec draws them
+the same way, exactly in law. With S(k) = P(c >= k) = erfc((ln k - mu) /
+(sigma sqrt 2)) / 2 and p_k = S(k) - S(k + 1), the rows stream draws one
+row of Multinomial(N; 1 - S(L), p_L, ..., p_{U-1}, S(U)) per replicate:
+its papers below L, at each count of the window [L, U), and at U or
+more. G(k), the number of papers with k or more citations, is then known
+for k in [L, U], and a row's h is the largest k in [L, U) with
+G(k) >= k. The rows are drawn in blocks of _BLOCK_ROWS, one multinomial
+call each; numpy draws the rows of a call one after another, so the
+bytes do not depend on the block size.
+
+The rest stream draws everything else. First, in row order, a row whose
+h lies outside the window draws its own breakdown of that side: below L,
+one multinomial of its papers over p_0, ..., p_{L-1}; at U or above, one
+over p_U, ..., p_{K'-1} and S(K'), K' = max(U, 256), then its papers at
+K' or more as floor(exp(mu + sigma z)) with z conditioned on
+z >= (ln K' - mu) / sigma (_conditioned_normals). Then every other row's
+papers below L and at U or above are drawn pooled over the whole run:
+one multinomial for each side, then the pool's tail in pieces of at most
+_TAIL_PIECE papers. The piece size is part of the scheme, since
+_conditioned_normals' rounds depend on the count asked for.
 
 The pooling is exact: given the window rows, the rows' breakdowns are
 independent multinomials with the same cell probabilities, and a sum of
 such multinomials is the multinomial of the summed count. So the
 per-replicate h, the summed citation total and the summed threshold
 counts have exactly the joint law of R fully drawn series, while a
-replicate costs W + 2 binomials, W = U - L, plus its share of the
-chunk's pooled draws. Per-replicate totals and counts are never formed;
+replicate costs W + 2 binomials, W = U - L, and the run a fixed number
+of pooled draws. Per-replicate totals and counts are never formed;
 ReplicateSummary holds only their means.
 
 The window is a pure function of (mu, sigma, N) (_window): it is
@@ -47,18 +52,20 @@ first-order standard deviation of h; each side is capped at 128 counts
 and the window at [0, N + 1). 3 to 4 rows in 10^5 of the study's series
 fall outside it, so the refinements cost little on average.
 
-A window row's refinement comes before the pooled draws of its chunk,
-so results depend only on the master seed, N and the replicate count,
-never on evaluation order, and the first R replicates' h are the same
-for any larger replicate count. Schemes 1 (one generator per
-replicate), 2 (every spec per paper), 3 (each replicate's whole
-histogram) and 4 (a 7-sd window, a K' from a cost model, and small N
-and huge medians drawn per paper, as under scheme 2) gave other
-simulated values; such output does not reproduce under scheme 5.
+Row i's window draw and its refinement are prefixes of their streams,
+and the pooled draws come after all of them, so results depend only on
+the master seed, N and the replicate count, never on evaluation order,
+and the first R replicates' h are the same for any larger replicate
+count. Schemes 1 (one generator per replicate), 2 (every spec per
+paper), 3 (each replicate's whole histogram), 4 (a 7-sd window, a K'
+from a cost model, and small N and huge medians drawn per paper, as
+under scheme 2) and 5 (one generator per chunk of 64 replicates, each
+chunk pooling its own papers outside the window) gave other simulated
+values; such output does not reproduce under scheme 6.
 
-:func:`run_replicates` draws the chunks one after another on the
-calling thread, which holds one chunk's 64 x (W + 2) window counts and
-its tail papers, and a run-wide histogram of K' + 1 counts.
+:func:`run_replicates` runs on the calling thread, which holds one block
+of _BLOCK_ROWS x (W + 2) window counts or one piece of tail papers at a
+time, and a run-wide histogram of K' + 1 counts.
 """
 
 from __future__ import annotations
@@ -79,8 +86,11 @@ from .lognormal import (
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-#: Replicates drawn in sequence from one generator.
-_CHUNK_REPLICATES = 64
+#: Window rows drawn by one multinomial call; the bytes do not depend on it.
+_BLOCK_ROWS = 1024
+#: Most pooled tail papers drawn at once. Part of the sampling scheme:
+#: _conditioned_normals' rounds depend on the count asked for.
+_TAIL_PIECE = 2**16
 #: Draws must stay below this for their floor to fit in int64.
 _COUNT_LIMIT = 2.0**63
 
@@ -94,7 +104,7 @@ _WINDOW_SDS = 4
 #: Master seed used when none is given; echoed in CLI output metadata.
 DEFAULT_SEED = 20200212
 #: How replicate streams derive from the master seed; echoed with it.
-SEEDING_VERSION = 5
+SEEDING_VERSION = 6
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -162,18 +172,18 @@ def run_replicates(
 ) -> ReplicateSummary:
     """Generate `replicates` independent series and average their metrics.
 
-    Chunk j of 64 replicates draws from a generator seeded with
-    derive_seed(seed, j) (sampling scheme v5). Each chunk draws 64
-    multinomial rows of the papers below, inside and above the window
-    [L, U) around the expected h (see _window), from which each row's h
-    follows; the few rows whose h lies outside the window draw that
-    side's breakdown on their own, and the papers below L and at U or
-    above of all other rows are drawn pooled, which is exact because a
-    sum of multinomials with the same cell probabilities is multinomial.
-    The citation total and the threshold counts are then summed over the
-    run's papers, exactly, and divided by the replicate count. The first
-    R replicates' h are the same for any larger replicate count. Every
-    chunk runs on the calling thread.
+    Sampling scheme v6: a generator seeded with derive_seed(seed, 0)
+    draws one multinomial row per replicate of the papers below, inside
+    and above the window [L, U) around the expected h (see _window), from
+    which each row's h follows. A second, seeded with derive_seed(seed,
+    1), draws the breakdown of each of the few rows whose h lies outside
+    the window, in row order, and then the papers below L and at U or
+    above of all other rows, pooled over the run, which is exact because
+    a sum of multinomials with the same cell probabilities is
+    multinomial. The citation total and the threshold counts are then
+    summed over the run's papers, exactly, and divided by the replicate
+    count. The first R replicates' h are the same for any larger
+    replicate count. The run stays on the calling thread.
     """
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
@@ -192,7 +202,7 @@ def run_replicates(
 
 def _window_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: int):
     """Per-replicate h, and the citation total and the count at each of
-    `xs` summed over all replicates, as Python ints (sampling scheme v5).
+    `xs` summed over all replicates, as Python ints (sampling scheme v6).
 
     hist[k] counts the run's papers with k citations for k < K' =
     max(U, _MAX_BINS) and hist[K'] its tail papers, those at K' or more,
@@ -212,11 +222,13 @@ def _window_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed:
     tail_sum = 0
     tail_counts = [0] * len(xs)
     h_values = np.empty(replicates, dtype=np.int64)
+    rows_rng = np.random.default_rng(derive_seed(seed, 0))
+    rest_rng = np.random.default_rng(derive_seed(seed, 1))
 
-    def tail(rng: np.random.Generator, count: int) -> np.ndarray:
+    def tail(count: int) -> np.ndarray:
         """`count` tail papers, counted into the tail's sum and counts."""
         nonlocal tail_sum
-        papers = _conditioned_normals(rng, a, count)
+        papers = _conditioned_normals(rest_rng, a, count)
         largest = _floor_exp(papers, spec)
         # exp can round a draw just past ln K' down below K'
         np.maximum(papers, top, out=papers)
@@ -226,11 +238,10 @@ def _window_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed:
                 tail_counts[j] += int(np.count_nonzero(papers >= x))
         return papers
 
-    for start in range(0, replicates, _CHUNK_REPLICATES):
-        rows = min(_CHUNK_REPLICATES, replicates - start)
-        rng = np.random.default_rng(derive_seed(seed, start // _CHUNK_REPLICATES))
-        window = rng.multinomial(n, window_p, size=_CHUNK_REPLICATES)[:rows]
-        h = h_values[start : start + rows]
+    pooled_below = pooled_above = 0
+    for start in range(0, replicates, _BLOCK_ROWS):
+        window = rows_rng.multinomial(n, window_p, size=min(_BLOCK_ROWS, replicates - start))
+        h = h_values[start : start + len(window)]
         # the largest k in [L, U] with G(k) >= k, or L - 1 when G(L) < L;
         # U means h >= U
         h[:] = _h_of_cells(window[:, 1:], 0, low)
@@ -240,20 +251,21 @@ def _window_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed:
         for i in np.flatnonzero(below | above):
             if below[i]:
                 # G(L) is the row's papers at L or more
-                h[i], _ = _refined_row(rng, window[i, 0], n - window[i, 0], 0, below_p, hist)
+                h[i], _ = _refined_row(rest_rng, window[i, 0], n - window[i, 0], 0, below_p, hist)
             else:
-                h[i], count = _refined_row(rng, window[i, -1], 0, high, above_p, hist)
+                h[i], count = _refined_row(rest_rng, window[i, -1], 0, high, above_p, hist)
                 if count:
-                    h[i] = max(h[i], _h_of_papers(tail(rng, count)))
-        count = window[~below, 0].sum()
-        if count:
-            hist[:low] += rng.multinomial(count, below_p)
-        count = window[~above, -1].sum()
-        if count:
-            cells = rng.multinomial(count, above_p)
-            hist[high:] += cells
-            if cells[-1]:
-                tail(rng, cells[-1])
+                    h[i] = max(h[i], _h_of_papers(tail(count)))
+        pooled_below += int(window[~below, 0].sum())
+        pooled_above += int(window[~above, -1].sum())
+    if pooled_below:
+        hist[:low] += rest_rng.multinomial(pooled_below, below_p)
+    if pooled_above:
+        cells = rest_rng.multinomial(pooled_above, above_p)
+        hist[high:] += cells
+        count = int(cells[-1])
+        for done in range(0, count, _TAIL_PIECE):
+            tail(min(_TAIL_PIECE, count - done))
 
     total = sum(k * c for k, c in enumerate(hist[:-1].tolist())) + tail_sum
     # at_least[k] = the run's papers with k citations or more, k <= K'

@@ -299,7 +299,7 @@ class TestSimulate:
     def test_echoes_seeding_scheme_on_stderr(self):
         result = run_cli("simulate", "--mu", "1.7", "--sigma", "1.0", "--n", "100",
                          "--replicates", "50", "--seed", "3")
-        assert result.stderr.splitlines() == ["# command=simulate seed=3 replicates=50 seeding=5"]
+        assert result.stderr.splitlines() == ["# command=simulate seed=3 replicates=50 seeding=6"]
         assert "seeding" not in result.stdout
 
     def test_totals_beyond_int64_stay_positive(self):
@@ -315,8 +315,8 @@ class TestSimulate:
         assert_one_error_line(result)
 
     def test_counts_beyond_int64_in_several_units_are_an_error(self):
-        # 16 chunks, each of which would raise; the first one's error is
-        # reported
+        # 10,000 tail papers in one piece, each of which would raise; the
+        # first one's error is reported
         result = run_cli("simulate", "--mu", "800", "--sigma", "1", "--n", "10",
                          "--replicates", "1000", check=False)
         assert_one_error_line(result)

@@ -1,22 +1,24 @@
 """CLI stdout diffed byte for byte against committed golden files.
 
-The simulate files under tests/golden/ were written by sampling scheme 5
+The simulate files under tests/golden/ were written by sampling scheme 6
 with numpy 2.4.6. Every spec draws multinomial counts inside a window
-[L, U) around each replicate's h, one row per replicate, and pools the
-papers outside it over each chunk of 64 replicates, which is exact in
-law because a sum of multinomials with the same cell probabilities is
-multinomial; rows whose h falls outside the window draw that side on
-their own. Their h columns come from per-replicate h, their other
-columns sums over all replicates' papers divided by the replicate count;
-the first R replicates' h are the same for any larger R.
+[L, U) around each replicate's h, one row per replicate from a rows
+stream, and pools the papers outside it over the whole run from a rest
+stream, which is exact in law because a sum of multinomials with the
+same cell probabilities is multinomial; rows whose h falls outside the
+window first draw that side on their own, in row order. Their h columns
+come from per-replicate h, their other columns sums over all replicates'
+papers divided by the replicate count; the first R replicates' h are the
+same for any larger R. Scheme 5's simulated bytes, drawn from one
+generator per chunk of 64 replicates, no longer reproduce.
 Simulated cells depend on numpy's PCG64 stream, its multinomial and its
 exp, so another numpy release may legitimately print other digits.
 verify_r100.csv is the stdout of ``verify --format csv --replicates
 100``, whose exit code VERIFY_CODE pins too. At 100 replicates
 simulation-agreement's fixed 0.005 gate on a tail fraction does not
 scale with the replicate count, so whether it passes depends on the
-draws: under scheme 5 it passes and verify exits 0, under scheme 4 it
-failed and verify exited 1.
+draws: under schemes 5 and 6 it passes and verify exits 0 (worst P dev
+0.00454, then 0.00424), under scheme 4 it failed and verify exited 1.
 
 tests/golden/analytic.md5 holds one line per closed-form command: the md5
 of its stdout, two spaces and its argv. All of them run in one process,

@@ -66,14 +66,16 @@ class TestRunReplicates:
         spec = SeriesSpec.from_values(2.1, 1.1, n)
         assert_equals_window_reference(spec, replicates, ThresholdSet(thresholds), seed=77)
 
-    @pytest.mark.parametrize("replicates", [63, 64, 65, 128, 129])
+    # runs cut where sampling scheme 5 began a generator (every 64 rows)
+    # and where scheme 6 begins a block of window rows (every 1024)
+    @pytest.mark.parametrize("replicates", [63, 64, 65, 128, 129, 1023, 1024, 1025, 2049])
     @pytest.mark.parametrize("n", [100, 3000])
     def test_chunk_boundaries_equal_sample_metrics(self, n, replicates):
         spec = SeriesSpec.from_values(2.1, 1.1, n)
         assert_equals_window_reference(spec, replicates, ThresholdSet((5, 10, 20, 50)), seed=77)
 
     def test_exact_totals_equal_sample_metrics(self):
-        # a huge median: every paper is a tail paper, and the chunk's tail
+        # a huge median: every paper is a tail paper, and the pooled tail's
         # sum passes 2^53, so it is summed as int64 in two halves
         spec = SeriesSpec.from_values(30, 2, 3000)
         assert_equals_window_reference(spec, 20, ThresholdSet((5, 1e9, 1e13)), seed=5)
@@ -153,27 +155,63 @@ def summaries_by_workers(spec, replicates, thresholds=ThresholdSet((5, 10, 20, 5
     return summaries
 
 
-def recorded_units(monkeypatch, fail_from=None):
-    """Record the unit (chunk) index of every generator montecarlo seeds,
-    with the thread that seeds it; from unit `fail_from` on, raise
-    ValueError naming the unit's first replicate instead of seeding."""
-    units = []
+def recorded_streams(monkeypatch):
+    """Record the stream index of every generator montecarlo seeds, with
+    the thread that seeds it."""
+    streams = []
 
     def recording(master, index):
-        units.append((threading.get_ident(), index))
-        if fail_from is not None and index >= fail_from:
-            raise ValueError(f"unit at replicate {index * 64}")
+        streams.append((threading.get_ident(), index))
         return derive_seed(master, index)
 
     monkeypatch.setattr(mc, "derive_seed", recording)
-    return units
+    return streams
+
+
+def recorded_blocks(monkeypatch, planted=None):
+    """Record the thread and the row count of every block of window rows
+    that montecarlo reduces to h; before reducing one, call
+    `planted(thread, index)` with the block's index among that thread's
+    blocks."""
+    blocks = []
+    lock = threading.Lock()
+    h_of_cells = mc._h_of_cells
+
+    def recording(cells, *args):
+        if cells.ndim == 2:
+            me = threading.get_ident()
+            with lock:
+                index = sum(thread == me for thread, _ in blocks)
+                blocks.append((me, len(cells)))
+            if planted:
+                planted(me, index)
+        return h_of_cells(cells, *args)
+
+    monkeypatch.setattr(mc, "_h_of_cells", recording)
+    return blocks
+
+
+def recorded_tail_pieces(monkeypatch):
+    """Record the count of tail papers every call to _conditioned_normals
+    asks for, and the largest of the normals it returns."""
+    pieces = []
+    conditioned_normals = mc._conditioned_normals
+
+    def recording(rng, a, count):
+        z = conditioned_normals(rng, a, count)
+        pieces.append((count, float(z.max())))
+        return z
+
+    monkeypatch.setattr(mc, "_conditioned_normals", recording)
+    return pieces
 
 
 class TestWorkers:
     """run_replicates keeps no state between calls, so worker threads may
     run it at once: each gets the summary it gets alone, and a failure
-    stops only its own run. Within a run, units of 64 replicates (one
-    generator each) are drawn in order on the calling thread, each once."""
+    stops only its own run. Within a run, two generators (streams 0 and 1)
+    are seeded on the calling thread, and the blocks of window rows and
+    the pieces of the pooled tail are drawn in order, each once."""
 
     @pytest.mark.parametrize("replicates", [63, 64, 65, 129, 300])
     @pytest.mark.parametrize("n", [100, 3000])
@@ -226,86 +264,89 @@ class TestWorkers:
         assert all(summary == serial for summary in threaded)
 
     def test_failed_helper_stops_the_run(self, monkeypatch):
-        # a fault planted in _h_of_cells at unit 2 of the first worker to
-        # reach it: that worker's run raises and draws no later unit, and
-        # the others run on to the summary they get alone
+        # a fault planted in block 2 of the first worker to reach it: that
+        # worker's run raises and draws no later block, and the others run
+        # on to the summary they get alone
         spec = SeriesSpec.from_values(2.1, 1.1, 100)
-        expected = run_replicates(spec, 300, seed=3)
-        units = recorded_units(monkeypatch)
+        expected = run_replicates(spec, 5000, seed=3)
         failing = []
         lock = threading.Lock()
-        h_of_cells = mc._h_of_cells
 
-        def planted(*args):
-            me = threading.get_ident()
-            current = [index for thread, index in units if thread == me][-1]
+        def planted(thread, index):
             with lock:
-                if current == 2 and not failing:
-                    failing.append(me)
-            if failing == [me]:
+                if index == 2 and not failing:
+                    failing.append(thread)
+            if failing == [thread]:
                 raise ValueError("planted in a helper")
-            return h_of_cells(*args)
 
-        monkeypatch.setattr(mc, "_h_of_cells", planted)
+        blocks = recorded_blocks(monkeypatch, planted)
         before = threading.active_count()
-        results = concurrent_runs(3, lambda: run_replicates(spec, 300, seed=3))
+        results = concurrent_runs(3, lambda: run_replicates(spec, 5000, seed=3))
         assert threading.active_count() == before
         failed = [r for r in results if isinstance(r, Exception)]
         assert len(failed) == 1 and str(failed[0]) == "planted in a helper"
-        assert [index for thread, index in units if thread == failing[0]] == [0, 1, 2]
+        assert [rows for thread, rows in blocks if thread == failing[0]] == [1024] * 3
+        # 5000 replicates make blocks of 1024, 1024, 1024, 1024 and 904
+        others = [rows for thread, rows in blocks if thread != failing[0]]
+        assert sorted(others) == [904] * 2 + [1024] * 8
         assert [r for r in results if r is not failed[0]] == [expected, expected]
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_earliest_failed_unit_is_reported(self, monkeypatch, workers):
-        # a draw reaches 2^63 in some unit after the first; the run stops
-        # there, and later units never run
-        spec = SeriesSpec.from_values(39.4, 1, 10)
+    def test_earliest_failed_piece_is_reported(self, monkeypatch, workers):
+        # every paper is a pooled tail paper, drawn in pieces of 2^16 after
+        # all window rows; a draw reaches 2^63 in some piece after the
+        # first (about one paper in 10^5 reaches it), the run stops there,
+        # and later pieces are never drawn
+        mu = 39.4
+        spec = SeriesSpec.from_values(mu, 1, 10)
         with monkeypatch.context() as patch:
-            units = recorded_units(patch)
+            pieces = recorded_tail_pieces(patch)
             with pytest.raises(ValueError, match="2\\^63") as failure:
                 run_replicates(spec, 100_000, seed=DEFAULT_SEED)
-        first = units[-1][1]
-        assert first > 0
-        assert [index for _, index in units] == list(range(first + 1))
-        # the units before it draw no such paper; with it, the run fails the same way
-        run_replicates(spec, 64 * first, seed=DEFAULT_SEED)
+        first = len(pieces) - 1
+        # 10^6 papers would take 16 pieces
+        assert 0 < first < 15
+        assert [count for count, _ in pieces] == [2**16] * (first + 1)
+        # the pieces before it draw no such paper; a run whose pool fills
+        # it fails the same way
+        assert all(np.exp(z + mu) < 2**63 for _, z in pieces[:-1])
+        assert np.exp(pieces[-1][1] + mu) >= 2**63
         with pytest.raises(ValueError) as alone:
-            run_replicates(spec, 64 * (first + 1), seed=DEFAULT_SEED)
+            run_replicates(spec, -(-(2**16) * (first + 1) // 10), seed=DEFAULT_SEED)
         assert str(alone.value) == str(failure.value)
         results = concurrent_runs(workers, lambda: run_replicates(spec, 100_000, seed=DEFAULT_SEED))
         assert [str(result) for result in results] == [str(failure.value)] * workers
 
-    def test_every_unit_taken_is_run(self, monkeypatch):
+    def test_every_run_seeds_streams_0_and_1_on_the_calling_thread(self, monkeypatch):
         spec = SeriesSpec.from_values(2.1, 1.1, 100)
-        units = recorded_units(monkeypatch)
-        runs = recorded_h(monkeypatch)
-        summary = run_replicates(spec, 1000, seed=77)
-        monkeypatch.undo()
-        # 1000 replicates make 16 units of 64 or fewer, on the calling thread
-        assert units == [(threading.get_ident(), index) for index in range(16)]
-        assert len(runs[0]) == 1000
-        assert summary == run_replicates(spec, 1000, seed=77)
+        me = threading.get_ident()
+        for replicates in (1, 1025, 3000):
+            with monkeypatch.context() as patch:
+                streams = recorded_streams(patch)
+                runs = recorded_h(patch)
+                summary = run_replicates(spec, replicates, seed=77)
+            # the rows stream and the rest stream, whatever the replicate count
+            assert streams == [(me, 0), (me, 1)]
+            assert len(runs[0]) == replicates
+            assert summary == run_replicates(spec, replicates, seed=77)
 
-    def test_no_unit_before_the_failed_one_is_skipped(self, monkeypatch):
-        # every unit from the sixth on fails
+    def test_no_block_before_the_failed_one_is_skipped(self, monkeypatch):
+        # every block from the sixth on fails
         spec = SeriesSpec.from_values(2.1, 1.1, 100)
-        units = recorded_units(monkeypatch, fail_from=5)
-        windows = []
-        h_of_cells = mc._h_of_cells
+        streams = recorded_streams(monkeypatch)
 
-        def recording(cells, *args):
-            if cells.ndim == 2:
-                windows.append(len(cells))
-            return h_of_cells(cells, *args)
+        def planted(thread, index):
+            if index >= 5:
+                raise ValueError(f"block at replicate {index * 1024}")
 
-        monkeypatch.setattr(mc, "_h_of_cells", recording)
+        blocks = recorded_blocks(monkeypatch, planted)
         before = threading.active_count()
-        with pytest.raises(ValueError, match="unit at replicate 320$"):
-            run_replicates(spec, 1000, seed=77)
+        with pytest.raises(ValueError, match="block at replicate 5120$"):
+            run_replicates(spec, 10_000, seed=77)
         assert threading.active_count() == before
-        assert [index for _, index in units] == [0, 1, 2, 3, 4, 5]
-        # each unit before it drew its window rows
-        assert windows == [64] * 5
+        assert [index for _, index in streams] == [0, 1]
+        # each block before it drew its 1024 window rows
+        assert [rows for _, rows in blocks] == [1024] * 6
 
 
 class TestBlockReductions:
@@ -371,13 +412,13 @@ class TestBlockReductions:
 
 
 # the window [L, U) lies near h = 2580, so each replicate has about 2500
-# tail papers; a chunk's pooled tail sum passes 2^62
+# tail papers; a run's pooled tail sum passes 2^62
 HEAVY_TAIL = SeriesSpec.from_values(2, 9, 10_000)
 
 
 def conditioned_normals(rng, a, count):
-    """`count` standard normals conditioned on z >= a, as sampling scheme
-    v5 draws them: rounds of ceil((1.1 r + 8) / rate) candidates, r the
+    """`count` standard normals conditioned on z >= a, as sampling schemes
+    5 and 6 draw them: rounds of ceil((1.1 r + 8) / rate) candidates, r the
     number still needed, by Marsaglia's method (x = sqrt(a^2 - 2 ln(1 - U1)),
     kept when U2 x < a) where it accepts more than plain rejection."""
     plain = 0.5 * math.erfc(a / math.sqrt(2.0))
@@ -397,16 +438,18 @@ def conditioned_normals(rng, a, count):
 
 
 def reference_window_run(spec, replicates, seed):
-    """Sampling scheme v5, drawn independently of montecarlo but for the
+    """Sampling scheme v6, drawn independently of montecarlo but for the
     window [L, U) (mc._window): each replicate's h, and every paper of the
     run.
 
-    Per chunk of 64: the window rows over [1 - S(L), p_L .. p_{U-1}, S(U)];
-    then, in row order over the rows used, each row whose h lies below L
-    its papers below L over p_0 .. p_{L-1}, or each row whose h lies at U
-    or above its papers at U or more over p_U .. p_{K'-1} and S(K'),
-    K' = max(U, 256), and their tail; then the other rows' papers below L,
-    pooled, and their papers at U or more, pooled, with the pool's tail.
+    Stream derive_seed(seed, 0) draws the window rows over
+    [1 - S(L), p_L .. p_{U-1}, S(U)], all in one call. Stream
+    derive_seed(seed, 1) draws, in row order, each row whose h lies below
+    L its papers below L over p_0 .. p_{L-1}, or each row whose h lies at
+    U or above its papers at U or more over p_U .. p_{K'-1} and S(K'),
+    K' = max(U, 256), and their tail; then the other rows' papers below
+    L, pooled, and their papers at U or more, pooled; last the pool's
+    tail, in pieces of 2^16 papers.
     """
     low, high = mc._window(spec)
     top = max(high, 256)
@@ -424,41 +467,40 @@ def reference_window_run(spec, replicates, seed):
         assert x.max() < 2**63
         return np.maximum(np.floor(x).astype(np.int64), top)
 
+    window = np.random.default_rng(derive_seed(seed, 0)).multinomial(n, window_p, size=replicates)
+    rng = np.random.default_rng(derive_seed(seed, 1))
     h_values, cells, tails = [], np.zeros(top, dtype=np.int64), []
-    for j in range(-(-replicates // 64)):
-        rng = np.random.default_rng(derive_seed(seed, j))
-        window = rng.multinomial(n, window_p, size=64)[: min(64, replicates - 64 * j)]
-        pooled_below = pooled_above = 0
-        for row in window:
-            cells[low:high] += row[1:-1]
-            # G(k) = papers with k citations or more, for k = L .. U
-            at_least = {k: int(row[k - low + 1 :].sum()) for k in range(low, high + 1)}
-            if at_least[high] >= high:
-                counts = rng.multinomial(row[-1], above_p)
-                cells[high:] += counts[:-1]
-                papers = np.concatenate([np.repeat(np.arange(high, top), counts[:-1]),
-                                         tail(rng, counts[-1]) if counts[-1] else np.empty(0, np.int64)])
-                tails.append(papers[len(papers) - counts[-1] :])
-                ranked = np.sort(papers)[::-1]
-                h_values.append(int(np.count_nonzero(ranked >= np.arange(1, len(ranked) + 1))))
-                pooled_below += row[0]
-            elif at_least[low] < low:
-                counts = rng.multinomial(row[0], below_p)
-                cells[:low] += counts
-                at_least = {k: at_least[low] + int(counts[k:].sum()) for k in range(low)}
-                h_values.append(max(k for k in range(low) if at_least[k] >= k))
-                pooled_above += row[-1]
-            else:
-                h_values.append(max(k for k in range(low, high) if at_least[k] >= k))
-                pooled_below += row[0]
-                pooled_above += row[-1]
-        if pooled_below:
-            cells[:low] += rng.multinomial(pooled_below, below_p)
-        if pooled_above:
-            counts = rng.multinomial(pooled_above, above_p)
+    pooled_below = pooled_above = 0
+    for row in window:
+        cells[low:high] += row[1:-1]
+        # G(k) = papers with k citations or more, for k = L .. U
+        at_least = {k: int(row[k - low + 1 :].sum()) for k in range(low, high + 1)}
+        if at_least[high] >= high:
+            counts = rng.multinomial(row[-1], above_p)
             cells[high:] += counts[:-1]
-            if counts[-1]:
-                tails.append(tail(rng, counts[-1]))
+            papers = np.concatenate([np.repeat(np.arange(high, top), counts[:-1]),
+                                     tail(rng, counts[-1]) if counts[-1] else np.empty(0, np.int64)])
+            tails.append(papers[len(papers) - counts[-1] :])
+            ranked = np.sort(papers)[::-1]
+            h_values.append(int(np.count_nonzero(ranked >= np.arange(1, len(ranked) + 1))))
+            pooled_below += row[0]
+        elif at_least[low] < low:
+            counts = rng.multinomial(row[0], below_p)
+            cells[:low] += counts
+            at_least = {k: at_least[low] + int(counts[k:].sum()) for k in range(low)}
+            h_values.append(max(k for k in range(low) if at_least[k] >= k))
+            pooled_above += row[-1]
+        else:
+            h_values.append(max(k for k in range(low, high) if at_least[k] >= k))
+            pooled_below += row[0]
+            pooled_above += row[-1]
+    if pooled_below:
+        cells[:low] += rng.multinomial(pooled_below, below_p)
+    if pooled_above:
+        counts = rng.multinomial(pooled_above, above_p)
+        cells[high:] += counts[:-1]
+        for done in range(0, counts[-1], 2**16):
+            tails.append(tail(rng, min(2**16, counts[-1] - done)))
     papers = np.concatenate([np.repeat(np.arange(top), cells), *tails])
     return np.array(h_values), papers
 
@@ -545,8 +587,8 @@ def recorded_h(monkeypatch):
 
 class TestHistograms:
     """Every spec draws each replicate's papers inside a window [L, U)
-    around h one count at a time and pools the rest of its chunk
-    (sampling scheme v5)."""
+    around h one count at a time and pools the rest of the run
+    (sampling scheme v6)."""
 
     def test_bin_counts(self, monkeypatch):
         # K' = max(U, 256) for every spec, series 22, 13 and 25 and huge
@@ -617,7 +659,9 @@ class TestHistograms:
     def test_equals_reference(self, spec, replicates):
         assert_equals_window_reference(spec, replicates, DEFAULT_THRESHOLDS, seed=77)
 
-    @pytest.mark.parametrize("replicates", [63, 64, 65, 129])
+    # scheme 5's chunk and scheme 6's block boundaries, as in
+    # TestRunReplicates
+    @pytest.mark.parametrize("replicates", [63, 64, 65, 129, 1023, 1024, 1025, 2049])
     def test_chunk_boundaries_equal_reference(self, replicates):
         spec = SeriesSpec.from_values(2.1, 1.1, 3000)
         thresholds = ThresholdSet((0.5, 5, 10.5, 50, 1e15))
@@ -651,16 +695,17 @@ class TestHistograms:
 
     def test_first_replicates_independent_of_replicate_count(self, monkeypatch):
         # with the default window, then with one of 2 counts, where most
-        # rows draw their own breakdown before the chunk's pooled draws
+        # rows draw their own breakdown before the run's pooled draws;
+        # 1025 and 2100 replicates end in different blocks
         for width in (None, 2):
             with monkeypatch.context() as patch:
                 if width:
                     narrow_window(patch, SERIES_1, width)
                 runs = recorded_h(patch)
-                for replicates in (1, 65, 130):
+                for replicates in (1, 1025, 2100):
                     run_replicates(SERIES_1, replicates, seed=5)
             assert runs[0][0] == runs[1][0]
-            assert (runs[1] == runs[2][:65]).all()
+            assert (runs[1] == runs[2][:1025]).all()
 
     @pytest.mark.parametrize("replicates", [63, 65, 300])
     def test_independent_of_worker_count(self, replicates):
@@ -683,11 +728,11 @@ class TestHistograms:
         assert threads == {threading.get_ident()}
 
     def test_exact_totals_equal_reference(self):
-        # a chunk's pooled tail sums past 2^62, in Python ints, and the
-        # run's total passes 2^63 with no draw reaching it (seeds 1 and
-        # 150 draw one that does in their first 64 replicates)
+        # the run's pooled tail sums past 2^62, in Python ints, and the
+        # run's total passes 2^63 with no draw reaching it (seeds 1 and 2
+        # draw one that does in their first 64 replicates)
         total = assert_equals_window_reference(
-            HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=7)
+            HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=3)
         assert total >= 2**63
 
     def test_exact_totals_in_int64_equal_reference(self):
@@ -714,6 +759,41 @@ class TestHistograms:
         # about one replicate in 55 draws a paper past 2^63
         with pytest.raises(ValueError, match="2\\^63"):
             run_replicates(HEAVY_TAIL, 640, seed=1)
+
+
+class TestBlocks:
+    """The rows stream draws the window rows in blocks of _BLOCK_ROWS,
+    row after row, so no output depends on the block size; the rest
+    stream draws the pooled tail in pieces of at most _TAIL_PIECE papers.
+    A run holds one block of window rows and one tail piece at a time."""
+
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_independent_of_block_rows(self, monkeypatch, width):
+        # with a window of 2 counts most rows draw their own breakdown
+        if width:
+            narrow_window(monkeypatch, SERIES_1, width)
+        runs = recorded_h(monkeypatch)
+        summaries = []
+        for size in (1, 7, 1024):
+            with monkeypatch.context() as patch:
+                patch.setattr(mc, "_BLOCK_ROWS", size)
+                blocks = recorded_blocks(patch)
+                summaries.append(run_replicates(SERIES_1, 2100, seed=5))
+            assert max(rows for _, rows in blocks) == size
+            assert sum(rows for _, rows in blocks) == 2100
+        assert summaries[0] == summaries[1] == summaries[2]
+        assert (runs[0] == runs[1]).all() and (runs[0] == runs[2]).all()
+
+    def test_pooled_tail_drawn_in_bounded_pieces(self, monkeypatch):
+        # a huge median: each of the 20,000 replicates' 3000 papers is a
+        # pooled tail paper
+        spec = SeriesSpec.from_values(30, 2, 3000)
+        pieces = recorded_tail_pieces(monkeypatch)
+        run_replicates(spec, 20_000, seed=DEFAULT_SEED)
+        asked = [count for count, _ in pieces]
+        assert sum(asked) == 3000 * 20_000
+        assert max(asked) <= mc._TAIL_PIECE
+        assert asked[:-1] == [mc._TAIL_PIECE] * (len(asked) - 1)
 
 
 class TestWindowDomain:
