@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .indicators import X_AXES, Y_INDICATORS
@@ -33,10 +34,20 @@ from .verification import run_checks
 THRESHOLD_CHOICES = tuple(float(x) for x in sorted((*DEFAULT_THRESHOLDS, 30)))
 
 
+#: A negative number, exponent notation included: argparse's own pattern
+#: (-1, -.5, -2.5) takes -1e-05 for an option and rejects it as a value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the class of its subcommand parsers, that
-    raises ValueError on invalid arguments, so that main reports them as
-    it reports every other invalid input: one error line and exit 1."""
+    reads every negative number, -1e-05 and -2.5E+3 included, as a value,
+    and raises ValueError on invalid arguments, so that main reports them
+    as it reports every other invalid input: one error line and exit 1."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):
         raise ValueError(message)

@@ -10,67 +10,78 @@ mean fractional part of the draws, about half a citation. Counts are
 int64 at most, so a draw whose exp reaches 2**63 raises ValueError
 instead of wrapping.
 
-Sampling scheme v6 (SEEDING_VERSION): a run with master seed s draws from
+Sampling scheme v7 (SEEDING_VERSION): a run with master seed s draws from
 two generators, the rows stream seeded from (s, 0) and the rest stream
 from (s, 1) through a SplitMix64-style avalanche. Every simulated number
 is either a replicate's h or a replicate average of an additive count
 (the citation total and the threshold counts), and every spec draws them
 the same way, exactly in law. With S(k) = P(c >= k) = erfc((ln k - mu) /
-(sigma sqrt 2)) / 2 and p_k = S(k) - S(k + 1), the rows stream draws one
-row of Multinomial(N; 1 - S(L), p_L, ..., p_{U-1}, S(U)) per replicate:
-its papers below L, at each count of the window [L, U), and at U or
-more. G(k), the number of papers with k or more citations, is then known
-for k in [L, U], and a row's h is the largest k in [L, U) with
-G(k) >= k. The rows are drawn in blocks of _BLOCK_ROWS, one multinomial
-call each; numpy draws the rows of a call one after another, so the
-bytes do not depend on the block size.
+(sigma sqrt 2)) / 2 and p_k = S(k) - S(k + 1), each replicate finds its h
+by a scan of G(k), its number of papers with k or more citations, from
+k*, the largest k <= N with N S(k) >= k (_scan_start). This is the
+conditional-distribution method for multinomials (Davis 1993, Comput.
+Stat. Data Anal. 16:205; Devroye 1986, Non-Uniform Random Variate
+Generation), stopped as soon as h is known:
 
-The rest stream draws everything else. First, in row order, a row whose
-h lies outside the window draws its own breakdown of that side: below L,
-one multinomial of its papers over p_0, ..., p_{L-1}; at U or above, one
-over p_U, ..., p_{K'-1} and S(K'), K' = max(U, 256), then its papers at
-K' or more as floor(exp(mu + sigma z)) with z conditioned on
-z >= (ln K' - mu) / sigma (_conditioned_normals). Then every other row's
-papers below L and at U or above are drawn pooled over the whole run:
-one multinomial for each side, then the pool's tail in pieces of at most
-_TAIL_PIECE papers. The piece size is part of the scheme, since
-_conditioned_normals' rounds depend on the count asked for.
+- every row draws G(k*) ~ Bin(N, S(k*));
+- a row with G(k*) >= k* steps up, G(k + 1) ~ Bin(G(k), S(k + 1) / S(k)),
+  until G(k) < k, and its h is k - 1;
+- any other row steps down until G(k) >= k, and its h is k: of its
+  N - G(k) papers below k, Bin(N - G(k), (1 - S(k - 1)) / (1 - S(k)))
+  stay below k - 1, the same law as G(k - 1) = G(k) + Bin(N - G(k),
+  p_{k-1} / (1 - S(k))), so that both directions draw the papers a row
+  keeps on its far side (_kept).
 
-The pooling is exact: given the window rows, the rows' breakdowns are
-independent multinomials with the same cell probabilities, and a sum of
-such multinomials is the multinomial of the summed count. So the
-per-replicate h, the summed citation total and the summed threshold
-counts have exactly the joint law of R fully drawn series, while a
-replicate costs W + 2 binomials, W = U - L, and the run a fixed number
-of pooled draws. Per-replicate totals and counts are never formed;
-ReplicateSummary holds only their means.
-
-The window is a pure function of (mu, sigma, N) (_window): it is
-k* +- ceil(4 sd), where k* is the largest k <= N with N S(k) >= k and
-sd = sqrt(N S (1 - S)) / (1 + N p), S = S(k*) and p = p_{k*}, is the
-first-order standard deviation of h; each side is capped at 128 counts
-and the window at [0, N + 1). 3 to 4 rows in 10^5 of the study's series
-fall outside it, so the refinements cost little on average.
-
-Row i's window draw and its refinement are prefixes of their streams,
-and the pooled draws come after all of them, so results depend only on
-the master seed, N and the replicate count, never on evaluation order,
+An up-row costs |h - k*| + 2 binomials and a down-row |h - k*| + 1, where
+scheme 6's window row cost 12 to 36; on a 2-vCPU x86-64 machine a row of
+series 22, 13 and 25 took 0.49, 0.64 and 0.54 us in runs of 20,000
+replicates, against 1.25, 1.80 and 1.45 us for the window row. Scan step
+t (t = 0 draws G(k*)) draws from substream t of the rows stream, that
+stream jumped t times (PCG64.jumped), carried from one block of
+_BLOCK_ROWS rows to the next. A step draws one binomial per row still
+scanning, in row order, so the bytes do not depend on the block size,
 and the first R replicates' h are the same for any larger replicate
-count. Schemes 1 (one generator per replicate), 2 (every spec per
-paper), 3 (each replicate's whole histogram), 4 (a 7-sd window, a K'
-from a cost model, and small N and huge medians drawn per paper, as
-under scheme 2) and 5 (one generator per chunk of 64 replicates, each
-chunk pooling its own papers outside the window) gave other simulated
-values; such output does not reproduce under scheme 6.
+count.
+
+A row leaves some papers unresolved: those at or above the count where an
+up-row stopped, or below it for a down-row, and those on the other side
+of k*. Given the scan, the papers known to lie at j or more are
+independent draws from the law conditioned on c >= j, whichever row they
+belong to, and likewise below j. So the rest stream pools them over the
+whole run, exactly in law, with a cascade on each side: below k*, from k*
+down, one Bin(M, p_{j-1} / (1 - S(j))) at each count j for the M papers
+known to lie below j, those carried from above plus those of the rows
+that stopped at j, then one multinomial over p_0, ..., p_{J-1} for the M
+papers below the lowest such J; above, from the lowest count up, one
+Bin(M, p_j / S(j)) at each j, then one multinomial over p_J, ...,
+p_{K'-1} and S(K') for the highest J, K' = max(J, _MAX_BINS). The papers
+at K' or more are drawn as floor(exp(mu + sigma z)) with z conditioned on
+z >= (ln K' - mu) / sigma (_conditioned_normals), in pieces of at most
+_TAIL_PIECE papers; the piece size is part of the scheme, since
+_conditioned_normals' rounds depend on the count asked for. Every S(k)
+the scans, the cascades and the multinomials use comes from _survival,
+evaluated once per count and only at the counts the scans visit and over
+the bins of pools that hold papers; k* alone is found with
+survival_probability, and the law does not depend on it.
+
+Per-replicate totals and counts are never formed; ReplicateSummary holds
+only their means. Schemes 1 (one generator per replicate), 2 (every spec
+per paper), 3 (each replicate's whole histogram), 4 (a 7-sd window, a K'
+from a cost model, and small N and huge medians drawn per paper), 5 (one
+generator per chunk of 64 replicates, each chunk pooling its own papers
+outside a 4-sd window) and 6 (one multinomial row per replicate over that
+window, from two streams a run) gave other simulated values; such output
+does not reproduce under scheme 7.
 
 :func:`run_replicates` runs on the calling thread, which holds one block
-of _BLOCK_ROWS x (W + 2) window counts or one piece of tail papers at a
-time, and a run-wide histogram of K' + 1 counts.
+of rows or one piece of tail papers at a time, besides the replicates'
+h, and a histogram of the counts the run's papers reach below K'.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,25 +97,34 @@ from .lognormal import (
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-#: Window rows drawn by one multinomial call; the bytes do not depend on it.
-_BLOCK_ROWS = 1024
+#: Rows scanned together; the bytes do not depend on it.
+_BLOCK_ROWS = 2**16
+#: A stopped row's limit in a scan: no count of papers is at most it,
+#: however many steps it rises.
+_STOPPED = -(1 << 62)
+#: PCG64's jump, (phi - 1) 2**128 draws (numpy's PCG64.jumped). Scan step t
+#: draws from the rows stream jumped t times. A power-of-two spacing would
+#: not do: PCG64 states 2**100 apart share their low bits, so their outputs
+#: correlate, and h came out biased.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+#: Scans with at most this many rows left finish one row at a time.
+_SCALAR_ROWS = 8
+#: Scan arrays at most this long keep their stopped rows.
+_COMPACT_ROWS = 512
 #: Most pooled tail papers drawn at once. Part of the sampling scheme:
 #: _conditioned_normals' rounds depend on the count asked for.
 _TAIL_PIECE = 2**16
 #: Draws must stay below this for their floor to fit in int64.
 _COUNT_LIMIT = 2.0**63
 
-#: The least K': papers below it are tallied bin by bin, those at K' or
-#: more drawn one by one. Also twice the most counts on either side of k*
-#: in a window.
+#: The least K': pooled papers below it are tallied bin by bin, those at
+#: K' or more drawn one by one.
 _MAX_BINS = 256
-#: Standard deviations of h on either side of k* in a window (_window).
-_WINDOW_SDS = 4
 
 #: Master seed used when none is given; echoed in CLI output metadata.
 DEFAULT_SEED = 20200212
 #: How replicate streams derive from the master seed; echoed with it.
-SEEDING_VERSION = 6
+SEEDING_VERSION = 7
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -172,23 +192,25 @@ def run_replicates(
 ) -> ReplicateSummary:
     """Generate `replicates` independent series and average their metrics.
 
-    Sampling scheme v6: a generator seeded with derive_seed(seed, 0)
-    draws one multinomial row per replicate of the papers below, inside
-    and above the window [L, U) around the expected h (see _window), from
-    which each row's h follows. A second, seeded with derive_seed(seed,
-    1), draws the breakdown of each of the few rows whose h lies outside
-    the window, in row order, and then the papers below L and at U or
-    above of all other rows, pooled over the run, which is exact because
-    a sum of multinomials with the same cell probabilities is
-    multinomial. The citation total and the threshold counts are then
-    summed over the run's papers, exactly, and divided by the replicate
-    count. The first R replicates' h are the same for any larger
-    replicate count. The run stays on the calling thread.
+    Sampling scheme v7: a generator seeded with derive_seed(seed, 0) finds
+    each replicate's h by a scan of binomials from k*, the h of the expected
+    exceedance counts (see _scan_start): |h - k*| + 2 binomials for a
+    replicate with h >= k*, |h - k*| + 1 for any other. Step t of every
+    replicate's scan draws from that generator jumped t times, in replicate
+    order. A second, seeded with derive_seed(seed, 1), then draws the papers
+    the scans left unresolved, pooled over the run by a cascade of binomials
+    on each side of k*, one multinomial per side and the tail, which is
+    exact because the papers known to lie on one side of a count are
+    independent draws from the law conditioned on that side. The citation
+    total and the threshold counts are then summed over the run's papers,
+    exactly, and divided by the replicate count. The first R replicates' h
+    are the same for any larger replicate count. The run stays on the
+    calling thread.
     """
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     xs = list(thresholds)
-    h_values, total, counts = _window_replicates(spec, replicates, xs, seed)
+    h_values, total, counts = _scan_replicates(spec, replicates, xs, seed)
     return ReplicateSummary(
         spec=spec,
         replicates=replicates,
@@ -200,35 +222,97 @@ def run_replicates(
     )
 
 
-def _window_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: int):
-    """Per-replicate h, and the citation total and the count at each of
-    `xs` summed over all replicates, as Python ints (sampling scheme v6).
+class _Pools:
+    """The papers a run's scans have placed: `exact[k]` at count k,
+    `above[j]` at j or more, `below[j]` below j."""
 
-    hist[k] counts the run's papers with k citations for k < K' =
-    max(U, _MAX_BINS) and hist[K'] its tail papers, those at K' or more,
-    whose own citation sum and counts at each x beyond K' are kept apart.
+    def __init__(self) -> None:
+        self.exact: defaultdict[int, int] = defaultdict(int)
+        self.above: defaultdict[int, int] = defaultdict(int)
+        self.below: defaultdict[int, int] = defaultdict(int)
+
+
+def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: int):
+    """Per-replicate h, and the citation total and the count at each of
+    `xs` summed over all replicates, as Python ints (sampling scheme v7).
+
+    hist[k - base] counts the run's papers with k citations for base <= k
+    < K' and hist[-1] its tail papers, those at K' or more, whose own
+    citation sum and counts at each x beyond K' are kept apart; base is 0
+    unless no pooled paper was drawn below the scanned counts.
     """
     n, params = spec.n_papers, spec.params
-    low, high = _window(spec)
-    top = max(high, _MAX_BINS)
-    probabilities = _bin_probabilities(params, top)
-    window_p = np.concatenate(
-        ([probabilities[:low].sum()], probabilities[low:high], [probabilities[high:].sum()]))
-    below_p = _conditional(probabilities[:low])
-    above_p = _conditional(probabilities[high:])
+    start = _scan_start(spec)
+    survival = _SurvivalTable(params)
+    streams = _Substreams(derive_seed(seed, 0))
+    rest_rng = np.random.default_rng(derive_seed(seed, 1))
+    pools = _Pools()
+    h_values = np.empty(replicates, dtype=np.int64)
+    for first in range(0, replicates, _BLOCK_ROWS):
+        size = min(_BLOCK_ROWS, replicates - first)
+        streams.carry = first + size < replicates
+        h_values[first : first + size] = _scan(streams, size, n, start, survival, pools)
+
+    exact = pools.exact
+    # below k*: from the highest count down, each count's papers among
+    # those known to lie below the count above it
+    held = sorted(j for j, m in pools.below.items() if m)
+    lowest = held[0] if held else start
+    carried = 0
+    if held:
+        s = survival(lowest, held[-1] + 1)
+        for j in range(held[-1], lowest, -1):
+            carried += pools.below.get(j, 0)
+            if carried:
+                s_low, s_high = s[j - 1 - lowest], s[j - lowest]
+                placed = int(rest_rng.binomial(carried, (s_low - s_high) / (1.0 - s_high)))
+                exact[j - 1] += placed
+                carried -= placed
+    carried += pools.below.get(lowest, 0)
+    low_cells = None
+    if carried:
+        s = np.array(survival(0, lowest + 1))
+        low_cells = rest_rng.multinomial(carried, _conditional(s[:-1] - s[1:]))
+
+    # at k* and above: from the lowest count up, each count's papers among
+    # those known to lie at it or more
+    held = sorted(j for j, m in pools.above.items() if m)
+    highest = held[-1] if held else start
+    top = max(highest, _MAX_BINS)
+    carried = 0
+    if held:
+        s = survival(held[0], highest + 1)
+        for j in range(held[0], highest):
+            carried += pools.above.get(j, 0)
+            if carried:
+                s_low, s_high = s[j - held[0]], s[j + 1 - held[0]]
+                placed = int(rest_rng.binomial(carried, (s_low - s_high) / s_low))
+                exact[j] += placed
+                carried -= placed
+    carried += pools.above.get(highest, 0)
+    high_cells = None
+    tail_count = carried
+    if carried and highest < top:
+        s = np.array(survival(highest, top + 1))
+        high_cells = rest_rng.multinomial(carried, _conditional(np.append(s[:-1] - s[1:], s[-1])))
+        tail_count = int(high_cells[-1])
+
+    base = 0 if low_cells is not None else min(*exact, highest)
+    hist = np.zeros(top + 1 - base, dtype=np.int64)
+    if low_cells is not None:
+        hist[:lowest] += low_cells
+    if high_cells is not None:
+        hist[highest - base : top - base] += high_cells[:-1]
+    for k, m in exact.items():
+        hist[k - base] += m
+    hist[-1] = tail_count
+
     # a tail paper reaches K' citations exactly when its normal reaches a
     a = (math.log(top) - params.mu) / params.sigma
-    hist = np.zeros(top + 1, dtype=np.int64)
     tail_sum = 0
     tail_counts = [0] * len(xs)
-    h_values = np.empty(replicates, dtype=np.int64)
-    rows_rng = np.random.default_rng(derive_seed(seed, 0))
-    rest_rng = np.random.default_rng(derive_seed(seed, 1))
-
-    def tail(count: int) -> np.ndarray:
-        """`count` tail papers, counted into the tail's sum and counts."""
-        nonlocal tail_sum
-        papers = _conditioned_normals(rest_rng, a, count)
+    for done in range(0, tail_count, _TAIL_PIECE):
+        papers = _conditioned_normals(rest_rng, a, min(_TAIL_PIECE, tail_count - done))
         largest = _floor_exp(papers, spec)
         # exp can round a draw just past ln K' down below K'
         np.maximum(papers, top, out=papers)
@@ -236,72 +320,203 @@ def _window_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed:
         for j, x in enumerate(xs):
             if x > top:
                 tail_counts[j] += int(np.count_nonzero(papers >= x))
-        return papers
 
-    pooled_below = pooled_above = 0
-    for start in range(0, replicates, _BLOCK_ROWS):
-        window = rows_rng.multinomial(n, window_p, size=min(_BLOCK_ROWS, replicates - start))
-        h = h_values[start : start + len(window)]
-        # the largest k in [L, U] with G(k) >= k, or L - 1 when G(L) < L;
-        # U means h >= U
-        h[:] = _h_of_cells(window[:, 1:], 0, low)
-        hist[low:high] += window[:, 1:-1].sum(axis=0)
-        below = h < low
-        above = h == high
-        for i in np.flatnonzero(below | above):
-            if below[i]:
-                # G(L) is the row's papers at L or more
-                h[i], _ = _refined_row(rest_rng, window[i, 0], n - window[i, 0], 0, below_p, hist)
-            else:
-                h[i], count = _refined_row(rest_rng, window[i, -1], 0, high, above_p, hist)
-                if count:
-                    h[i] = max(h[i], _h_of_papers(tail(count)))
-        pooled_below += int(window[~below, 0].sum())
-        pooled_above += int(window[~above, -1].sum())
-    if pooled_below:
-        hist[:low] += rest_rng.multinomial(pooled_below, below_p)
-    if pooled_above:
-        cells = rest_rng.multinomial(pooled_above, above_p)
-        hist[high:] += cells
-        count = int(cells[-1])
-        for done in range(0, count, _TAIL_PIECE):
-            tail(min(_TAIL_PIECE, count - done))
-
-    total = sum(k * c for k, c in enumerate(hist[:-1].tolist())) + tail_sum
-    # at_least[k] = the run's papers with k citations or more, k <= K'
+    if top * int(hist.sum()) < 2**63:
+        total = int(np.dot(hist[:-1], np.arange(base, top))) + tail_sum
+    else:
+        total = sum(k * c for k, c in enumerate(hist[:-1].tolist(), base)) + tail_sum
+    # at_least[k - base] = the run's papers with k citations or more, k <= K'
     at_least = np.cumsum(hist[::-1])[::-1].tolist()
-    counts = [at_least[math.ceil(x)] if x <= top else tail_counts[j] for j, x in enumerate(xs)]
+    counts = [at_least[max(math.ceil(x) - base, 0)] if x <= top else tail_counts[j]
+              for j, x in enumerate(xs)]
     return h_values, total, counts
 
 
-def _window(spec: SeriesSpec) -> tuple[int, int]:
-    """The window [L, U) of counts whose papers every replicate draws
-    one count at a time: k* +- ceil(_WINDOW_SDS sd) within [0, N + 1),
-    each side at most _MAX_BINS / 2 counts.
+def _scan(streams: _Substreams, size: int, n: int, start: int,
+          survival: _SurvivalTable, pools: _Pools) -> np.ndarray:
+    """The h of each of `size` rows of N papers, scanned from k* =
+    `start`, with the papers each row places added to `pools`.
 
-    k* is the largest k <= N with N S(k) >= k, the h of the expected
-    exceedance counts, and sd = sqrt(N S (1 - S)) / (1 + N p), with
-    S = S(k*) and p = S(k*) - S(k* + 1), is h's standard deviation to
-    first order: G(k*) has variance N S (1 - S), and the expected G falls
-    by N p, the identity rises by 1, from one count to the next.
+    t holds each row's papers on the far side of its count k: G(k) for
+    an up-row, N - G(k) for a down-row. A step keeps each of them past
+    the next count with probability _kept and places the rest at k (up)
+    or k - 1 (down), so up-rows reach k* + s at step s and down-rows
+    k* - s. A row stops once it keeps at most its limit, which rises by
+    one a step, so a scanning row keeps at least one paper. A stopped
+    row's t is 0, which draws nothing, and its limit _STOPPED. Large
+    arrays shrink to the scanning rows once those are fewer than half of
+    them, and the last _SCALAR_ROWS rows finish in _finish_scan.
     """
+    g = streams.binomial(0, n, survival(start, start + 1)[0], size)
+    up = g >= start
+    u = up.astype(np.int64)
+    ups = int(u.sum())
+    t = np.where(up, g, n - g)
+    # the papers the up-rows and the down-rows keep on their far sides
+    held_up = int(np.dot(t, u))
+    held_down = int(t.sum()) - held_up
+    pools.above[start] += n * (size - ups) - held_down
+    pools.below[start] += n * ups - held_up
+    # up: G(k* + s) <= k* + s - 1; down: N - G(k* - s) <= N - k* + s
+    limit = np.where(up, start - 1, n - start)
+    rows = np.arange(size)
+    stops = np.zeros(size, dtype=np.int64)
+    stopped_at = stops
+    scanning = size
+    step = 0
+    while scanning > _SCALAR_ROWS:
+        step += 1
+        high, low = start + step, start - step
+        downs = scanning - ups
+        r_up = _kept(survival, high - 1, True) if ups else 0.0
+        r_down = _kept(survival, low + 1, False) if downs else 0.0
+        p = np.where(up, r_up, r_down) if ups and downs else r_up if ups else r_down
+        t = streams.binomial(step, t, p)
+        kept_up = int(np.dot(t, u))
+        kept_down = int(t.sum()) - kept_up
+        if ups:
+            pools.exact[high - 1] += held_up - kept_up
+        if downs:
+            pools.exact[low] += held_down - kept_down
+        limit += 1
+        stop = t <= limit
+        stopped = int(np.count_nonzero(stop))
+        if stopped:
+            ups -= int(np.dot(stop, u))
+            scanning -= stopped
+            stopped_at[stop] = step
+            t[stop] = 0
+            limit[stop] = _STOPPED
+            held_up = int(np.dot(t, u))
+            held_down = int(t.sum()) - held_up
+            pools.above[high] += kept_up - held_up
+            pools.below[low] += kept_down - held_down
+            if 2 * scanning < len(rows) > _COMPACT_ROWS:
+                stops[rows] = stopped_at
+                going = t > 0
+                rows, t, limit, up, u = rows[going], t[going], limit[going], up[going], u[going]
+                stopped_at = stopped_at[going]
+        else:
+            held_up, held_down = kept_up, kept_down
+    stops[rows] = stopped_at
+    if scanning:
+        going = t > 0
+        _finish_scan(streams, step, n, start, survival, pools,
+                     rows[going].tolist(), t[going].tolist(), up[going].tolist(), stops)
+    # an up-row that stops at step s has h = k* + s - 1, a down-row k* - s
+    return np.where(g >= start, start + stops - 1, start - stops)
+
+
+def _finish_scan(streams: _Substreams, step: int, n: int, start: int, survival: _SurvivalTable,
+                 pools: _Pools, rows: list[int], t: list[int], up: list[bool],
+                 stops: np.ndarray) -> None:
+    """_scan's steps after `step` for its last few `rows`, one by one: a
+    handful of scalar draws costs less than numpy's array call, and draws
+    the same values in the same order. Sets each row's stop step."""
+    while rows:
+        step += 1
+        high, low = start + step, start - step
+        r_up = _kept(survival, high - 1, True) if any(up) else 0.0
+        r_down = _kept(survival, low + 1, False) if not all(up) else 0.0
+        drawn = streams.binomial(step, t, [r_up if is_up else r_down for is_up in up])
+        going = []
+        for row, held, kept, is_up in zip(rows, t, drawn, up):
+            pools.exact[high - 1 if is_up else low] += held - kept
+            if kept > (high - 1 if is_up else n - low):
+                going.append((row, kept, is_up))
+            elif is_up:
+                pools.above[high] += kept
+                stops[row] = step
+            else:
+                pools.below[low] += kept
+                stops[row] = step
+        rows, t, up = (list(column) for column in zip(*going)) if going else ([], [], [])
+
+
+def _kept(survival: _SurvivalTable, k: int, up: bool) -> float:
+    """The probability that a paper on the far side of count k, at k or
+    more for an up-row and below k for a down-row, lies past the next
+    count too: S(k + 1) / S(k) up, (1 - S(k - 1)) / (1 - S(k)) down.
+    A down-step so draws the papers that stay below, G(k - 1) = N -
+    Bin(N - G(k), (1 - S(k - 1)) / (1 - S(k))), the same law as adding
+    Bin(N - G(k), p_{k-1} / (1 - S(k))) to G(k)."""
+    if up:
+        s_k, s_next = survival(k, k + 2)
+        return min(s_next / s_k, 1.0)
+    s_next, s_k = survival(k - 1, k + 1)
+    return min((1.0 - s_next) / (1.0 - s_k), 1.0)
+
+
+class _Substreams:
+    """Scan step t draws from substream t of one PCG64 stream, that
+    stream jumped t times, then carried from one call to the next while
+    `carry` is set: a later block of rows draws after this one."""
+
+    def __init__(self, seed: int) -> None:
+        self._bits = np.random.PCG64(seed)
+        self._rng = np.random.Generator(self._bits)
+        self._origin = self._bits.state
+        self._states: list[dict] = []
+        self.carry = False
+
+    def binomial(self, step: int, trials, p, size=None):
+        """Bin(trials, p) from substream `step`, after its earlier draws:
+        one numpy call, or one scalar call each for lists of trials and
+        probabilities, which draws the same values."""
+        bits = self._bits
+        if step < len(self._states):
+            bits.state = self._states[step]
+        else:
+            bits.state = self._origin
+            bits.advance(step * _JUMP % 2**128)
+        if isinstance(trials, list):
+            rng = self._rng
+            drawn = [rng.binomial(m, q) for m, q in zip(trials, p)]
+        else:
+            drawn = self._rng.binomial(trials, p, size)
+        if self.carry:
+            if step < len(self._states):
+                self._states[step] = bits.state
+            else:
+                self._states.append(bits.state)
+        return drawn
+
+
+class _SurvivalTable:
+    """S(k) for the counts a run has asked for, evaluated by _survival
+    once each. The counts asked for grow outward from k* as one range."""
+
+    def __init__(self, params: LognormalParams) -> None:
+        self._params = params
+        self._first = 0
+        self._values: list[float] = []
+
+    def __call__(self, first: int, last: int) -> list[float]:
+        """S(k) for k in [first, last)."""
+        if not self._values:
+            self._first, self._values = first, _survival(self._params, first, last)
+        if first < self._first:
+            self._values = _survival(self._params, first, self._first) + self._values
+            self._first = first
+        end = self._first + len(self._values)
+        if last > end:
+            self._values += _survival(self._params, end, last)
+        return self._values[first - self._first : last - self._first]
+
+
+def _scan_start(spec: SeriesSpec) -> int:
+    """k*, where every replicate's scan starts: the largest k <= N with
+    N S(k) >= k, the h of the expected exceedance counts."""
     n, params = spec.n_papers, spec.params
-
-    def survival(k: int) -> float:
-        return survival_probability(k, params) if k else 1.0
-
     # N S(k) - k falls with k and is N at k = 0
     lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if n * survival(mid) >= mid:
+        if n * survival_probability(mid, params) >= mid:
             lo = mid
         else:
             hi = mid - 1
-    s = survival(lo)
-    sd = math.sqrt(n * s * (1.0 - s)) / (1.0 + n * (s - survival(lo + 1)))
-    reach = min(math.ceil(_WINDOW_SDS * sd), _MAX_BINS // 2)
-    return max(0, lo - reach), min(n + 1, lo + reach + 1)
+    return lo
 
 
 def _conditional(probabilities: np.ndarray) -> np.ndarray:
@@ -309,36 +524,6 @@ def _conditional(probabilities: np.ndarray) -> np.ndarray:
     paper falls in them, and they are never drawn from."""
     total = probabilities.sum()
     return probabilities / total if total > 0 else probabilities
-
-
-def _refined_row(rng: np.random.Generator, count: int, base: int, first: int,
-                 probabilities: np.ndarray, hist: np.ndarray) -> tuple[int, int]:
-    """Draw one row's breakdown of `count` papers over the counts first,
-    first + 1, ... (the last cell: that count or more) and add it to
-    `hist`. Returns the row's h over those counts, given `base` papers
-    above them, and the papers in the last cell."""
-    cells = rng.multinomial(count, probabilities)
-    hist[first : first + len(cells)] += cells
-    return int(_h_of_cells(cells, base, first)), int(cells[-1])
-
-
-def _h_of_cells(cells: np.ndarray, base: int, first: int):
-    """first - 1 plus the number of k = first, first + 1, ... with G(k) >= k,
-    along the last axis of `cells`, the papers at each count from `first`
-    (the last cell: that count or more), with `base` papers above them.
-
-    G falls and k rises, so the k that G reaches run from `first` up to
-    h: this is h when G(first) >= first and h is below the last count,
-    and first - 1 when G(first) < first.
-    """
-    at_least = base + np.cumsum(cells[..., ::-1], axis=-1)[..., ::-1]
-    return first - 1 + np.count_nonzero(at_least >= np.arange(first, first + cells.shape[-1]), axis=-1)
-
-
-def _h_of_papers(papers: np.ndarray) -> int:
-    """The h of `papers` on their own: the papers that reach their rank."""
-    ranked = np.sort(papers)[::-1]
-    return int(np.count_nonzero(ranked >= np.arange(1, len(ranked) + 1)))
 
 
 def _exact_sum(papers: np.ndarray, top: float) -> int:
@@ -354,17 +539,17 @@ def _exact_sum(papers: np.ndarray, top: float) -> int:
     return (int((counts >> 32).sum()) << 32) + int(low)
 
 
-def _bin_probabilities(params: LognormalParams, bins: int) -> np.ndarray:
-    """[p_0, ..., p_{K-1}, S(K)] for K = `bins`: p_k = S(k) - S(k + 1) is
-    the probability that a paper's whole count is k, S(k) = P(c >= k).
+def _survival(params: LognormalParams, first: int, last: int) -> list[float]:
+    """S(k) = P(c >= k) for k in [first, last), S(0) = 1. Every S(k) and
+    p_k = S(k) - S(k + 1) a run uses comes from here.
 
     S(k) is survival_probability's expression, written out here because
     the call's own cost would dominate: the same operations, so the same
     bits."""
     mu, scale = params.mu, params.sigma * math.sqrt(2.0)
-    survival = np.array(
-        [1.0] + [0.5 * math.erfc((math.log(k) - mu) / scale) for k in range(1, bins + 1)])
-    return np.append(survival[:-1] - survival[1:], survival[-1])
+    erfc, log = math.erfc, math.log
+    return [1.0] * (first == 0 < last) + [
+        0.5 * erfc((log(k) - mu) / scale) for k in range(max(first, 1), last)]
 
 
 def _conditioned_normals(rng: np.random.Generator, a: float, count: int) -> np.ndarray:
@@ -376,9 +561,10 @@ def _conditioned_normals(rng: np.random.Generator, a: float, count: int) -> np.n
     rate a sqrt(2 pi) e^(a^2 / 2) P(Z >= a); plain rejection accepts
     standard normals at or above a, at the rate P(Z >= a). The one that
     accepts more is used: Marsaglia's method above a = 0.372. Each round
-    draws ceil((1.1 r + 8) / rate) candidates, r the number still needed:
-    two rows of uniforms, U1 then U2, for Marsaglia's method, standard
-    normals otherwise. Accepted values beyond `count` are dropped.
+    draws ceil((1.1 r + 8) / rate) candidates, r the number still needed,
+    or just r when plain rejection's rate is 1 in double precision: two
+    rows of uniforms, U1 then U2, for Marsaglia's method, standard normals
+    otherwise. Accepted values beyond `count` are dropped.
     """
     plain = 0.5 * math.erfc(a / math.sqrt(2.0))
     if a <= 0:
@@ -392,7 +578,7 @@ def _conditioned_normals(rng: np.random.Generator, a: float, count: int) -> np.n
     accepted = []
     need = count
     while need > 0:
-        m = math.ceil((1.1 * need + 8) / rate)
+        m = need if plain == 1.0 else math.ceil((1.1 * need + 8) / rate)
         if marsaglia > plain:
             x, u = rng.random((2, m))
             # x = sqrt(a^2 - 2 ln(1 - u)), in place

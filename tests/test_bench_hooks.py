@@ -37,12 +37,14 @@ def test_wrapped_name_exists(module, attr):
     assert hasattr(module, attr)
 
 
+# montecarlo._survival is where a round-to-nearest fault, S(k - 1/2) in
+# place of S(k), reaches every S(k) the simulation uses
 @pytest.mark.parametrize(
     "module, attr",
     [(hindex, "solve_h"), (indicators, "solve_h"), (montecarlo, "_floor_exp"),
-     (montecarlo, "_draw_sorted_counts")],
+     (montecarlo, "_draw_sorted_counts"), (montecarlo, "_survival")],
     ids=["hindex.solve_h", "indicators.solve_h", "montecarlo._floor_exp",
-         "montecarlo._draw_sorted_counts"],
+         "montecarlo._draw_sorted_counts", "montecarlo._survival"],
 )
 def test_selftest_patch_point_exists(module, attr):
     assert hasattr(module, attr)

@@ -217,6 +217,48 @@ class TestRejectedArguments:
         assert result.stderr == ""
 
 
+class TestNegativeNumbers:
+    """A negative value in exponent notation follows its flag as any other
+    negative number does, in every subcommand."""
+
+    def test_exponent_value_prints_what_the_joined_flag_prints(self, capsys):
+        from citesim.cli import main
+
+        outputs = []
+        for mu in (["--mu", "-1e-05"], ["--mu=-1e-05"]):
+            assert main(["hcurve", *mu, "--sigma", "1", "--n-max", "100"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
+
+    @pytest.mark.parametrize("value", ["-1e-05", "-2.5E+3", "-3e2", "-.5e-3", "-7"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--replicates", "{}"],
+            ["hcurve", "--mu", "{}", "--sigma", "1"],
+            ["scatter", "--y", "h", "--threshold", "{}"],
+            ["fit", "--kind", "power", "--y", "h", "--x", "h", "--threshold", "{}"],
+            ["simulate", "--mu", "{}", "--sigma", "1", "--n", "10"],
+            ["verify", "--seed", "{}"],
+        ],
+        ids=["table1", "hcurve", "scatter", "fit", "simulate", "verify"],
+    )
+    def test_every_subcommand_reads_exponent_values(self, argv, value):
+        from citesim.cli import build_parser
+
+        def parsed(args):
+            try:
+                return vars(build_parser().parse_args(args))
+            except ValueError as exc:
+                return str(exc)
+
+        spaced = [arg.format(value) for arg in argv]
+        flag = argv.index("{}") - 1
+        joined = [*argv[:flag], f"{argv[flag]}={value}", *argv[flag + 2 :]]
+        assert parsed(spaced) == parsed(joined)
+        assert "expected one argument" not in str(parsed(spaced))
+
+
 class TestScatter:
     def test_h_versus_counts_panel(self):
         rows = parse_csv(run_cli("scatter", "--y", "h", "--x", "counts", "--threshold", "100").stdout)
@@ -299,7 +341,7 @@ class TestSimulate:
     def test_echoes_seeding_scheme_on_stderr(self):
         result = run_cli("simulate", "--mu", "1.7", "--sigma", "1.0", "--n", "100",
                          "--replicates", "50", "--seed", "3")
-        assert result.stderr.splitlines() == ["# command=simulate seed=3 replicates=50 seeding=6"]
+        assert result.stderr.splitlines() == ["# command=simulate seed=3 replicates=50 seeding=7"]
         assert "seeding" not in result.stdout
 
     def test_totals_beyond_int64_stay_positive(self):

@@ -1,24 +1,30 @@
 """CLI stdout diffed byte for byte against committed golden files.
 
-The simulate files under tests/golden/ were written by sampling scheme 6
-with numpy 2.4.6. Every spec draws multinomial counts inside a window
-[L, U) around each replicate's h, one row per replicate from a rows
-stream, and pools the papers outside it over the whole run from a rest
-stream, which is exact in law because a sum of multinomials with the
-same cell probabilities is multinomial; rows whose h falls outside the
-window first draw that side on their own, in row order. Their h columns
-come from per-replicate h, their other columns sums over all replicates'
-papers divided by the replicate count; the first R replicates' h are the
-same for any larger R. Scheme 5's simulated bytes, drawn from one
-generator per chunk of 64 replicates, no longer reproduce.
-Simulated cells depend on numpy's PCG64 stream, its multinomial and its
-exp, so another numpy release may legitimately print other digits.
-verify_r100.csv is the stdout of ``verify --format csv --replicates
-100``, whose exit code VERIFY_CODE pins too. At 100 replicates
-simulation-agreement's fixed 0.005 gate on a tail fraction does not
-scale with the replicate count, so whether it passes depends on the
-draws: under schemes 5 and 6 it passes and verify exits 0 (worst P dev
-0.00454, then 0.00424), under scheme 4 it failed and verify exited 1.
+The simulate files under tests/golden/ were written by sampling scheme 7
+with numpy 2.4.6. Every replicate finds its h by a scan of binomial
+counts from k*, the h of the expected exceedance counts: up from k* one
+count a step while it has at least k papers at k or more, else down
+until it has; |h - k*| + 2 binomials up, |h - k*| + 1 down. Scan step t
+of every replicate draws from the rows stream jumped t times, in
+replicate order, so the first R replicates' h are the same for any
+larger R. A rest stream then places the papers the scans left
+unresolved, pooled over the whole run by a cascade of binomials on each
+side of k*, one multinomial per side and a conditioned tail, which is
+exact in law because the papers known to lie on one side of a count are
+independent draws conditioned on that side. The h columns come from
+per-replicate h, the other columns from sums over all replicates' papers
+divided by the replicate count. Scheme 6's simulated bytes, drawn as one
+multinomial row per replicate over a 4-sd window, no longer reproduce.
+Simulated cells depend on numpy's PCG64 stream and jump, its binomial
+and multinomial and its exp, so another numpy release may legitimately
+print other digits. verify_r100.csv is the stdout of ``verify --format
+csv --replicates 100``, whose exit code VERIFY_CODE pins too. At 100
+replicates simulation-agreement's fixed 0.005 gate on a tail fraction
+does not scale with the replicate count, so whether it passes depends on
+the draws: under schemes 5 and 6 it passed and verify exited 0 (worst P
+dev 0.00454, then 0.00424); under schemes 4 and 7 it fails and verify
+exits 1 (scheme 7: worst P dev 0.00969, series 22's P(10), about 2.2 of
+its standard errors).
 
 tests/golden/analytic.md5 holds one line per closed-form command: the md5
 of its stdout, two spaces and its argv. All of them run in one process,
@@ -80,7 +86,7 @@ def analytic_commands() -> list[list[str]]:
 
 
 VERIFY = ("verify", "--format", "csv", "--replicates", "100")
-VERIFY_CODE = 0
+VERIFY_CODE = 1
 
 
 def stdout_of(argv, code=0) -> str:

@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ class TestDeriveSeed:
 
 class TestRunReplicates:
     def test_single_replicate_equals_sample_metrics(self):
-        assert_equals_window_reference(SERIES_13, 1, ThresholdSet((5, 10, 20)), seed=77)
+        assert_equals_scan_reference(SERIES_13, 1, ThresholdSet((5, 10, 20)), seed=77)
 
     @pytest.mark.parametrize(
         "n, replicates, thresholds",
@@ -64,21 +65,21 @@ class TestRunReplicates:
     )
     def test_blocks_equal_sample_metrics(self, n, replicates, thresholds):
         spec = SeriesSpec.from_values(2.1, 1.1, n)
-        assert_equals_window_reference(spec, replicates, ThresholdSet(thresholds), seed=77)
+        assert_equals_scan_reference(spec, replicates, ThresholdSet(thresholds), seed=77)
 
     # runs cut where sampling scheme 5 began a generator (every 64 rows)
-    # and where scheme 6 begins a block of window rows (every 1024)
+    # and where scheme 6 began a block of window rows (every 1024)
     @pytest.mark.parametrize("replicates", [63, 64, 65, 128, 129, 1023, 1024, 1025, 2049])
     @pytest.mark.parametrize("n", [100, 3000])
     def test_chunk_boundaries_equal_sample_metrics(self, n, replicates):
         spec = SeriesSpec.from_values(2.1, 1.1, n)
-        assert_equals_window_reference(spec, replicates, ThresholdSet((5, 10, 20, 50)), seed=77)
+        assert_equals_scan_reference(spec, replicates, ThresholdSet((5, 10, 20, 50)), seed=77)
 
     def test_exact_totals_equal_sample_metrics(self):
         # a huge median: every paper is a tail paper, and the pooled tail's
         # sum passes 2^53, so it is summed as int64 in two halves
         spec = SeriesSpec.from_values(30, 2, 3000)
-        assert_equals_window_reference(spec, 20, ThresholdSet((5, 1e9, 1e13)), seed=5)
+        assert_equals_scan_reference(spec, 20, ThresholdSet((5, 1e9, 1e13)), seed=5)
 
     def test_deterministic(self):
         a = run_replicates(SERIES_13, 50, seed=3)
@@ -169,25 +170,23 @@ def recorded_streams(monkeypatch):
 
 
 def recorded_blocks(monkeypatch, planted=None):
-    """Record the thread and the row count of every block of window rows
-    that montecarlo reduces to h; before reducing one, call
-    `planted(thread, index)` with the block's index among that thread's
-    blocks."""
+    """Record the thread and the row count of every block of rows that
+    montecarlo scans; before scanning one, call `planted(thread, index)`
+    with the block's index among that thread's blocks."""
     blocks = []
     lock = threading.Lock()
-    h_of_cells = mc._h_of_cells
+    scan = mc._scan
 
-    def recording(cells, *args):
-        if cells.ndim == 2:
-            me = threading.get_ident()
-            with lock:
-                index = sum(thread == me for thread, _ in blocks)
-                blocks.append((me, len(cells)))
-            if planted:
-                planted(me, index)
-        return h_of_cells(cells, *args)
+    def recording(streams, size, *args):
+        me = threading.get_ident()
+        with lock:
+            index = sum(thread == me for thread, _ in blocks)
+            blocks.append((me, size))
+        if planted:
+            planted(me, index)
+        return scan(streams, size, *args)
 
-    monkeypatch.setattr(mc, "_h_of_cells", recording)
+    monkeypatch.setattr(mc, "_scan", recording)
     return blocks
 
 
@@ -210,8 +209,8 @@ class TestWorkers:
     """run_replicates keeps no state between calls, so worker threads may
     run it at once: each gets the summary it gets alone, and a failure
     stops only its own run. Within a run, two generators (streams 0 and 1)
-    are seeded on the calling thread, and the blocks of window rows and
-    the pieces of the pooled tail are drawn in order, each once."""
+    are seeded on the calling thread, and the blocks of rows and the
+    pieces of the pooled tail are drawn in order, each once."""
 
     @pytest.mark.parametrize("replicates", [63, 64, 65, 129, 300])
     @pytest.mark.parametrize("n", [100, 3000])
@@ -229,7 +228,7 @@ class TestWorkers:
         serial, *threaded = summaries_by_workers(spec, 130, thresholds)
         assert all(summary == serial for summary in threaded)
         assert serial.sum_citations_mean == pytest.approx(10_000 * math.exp(mu + 0.5), rel=0.02)
-        total = assert_equals_window_reference(spec, 130, thresholds, seed=77)
+        total = assert_equals_scan_reference(spec, 130, thresholds, seed=77)
         assert total > 130 * 2**62
 
     @pytest.mark.parametrize(
@@ -251,7 +250,7 @@ class TestWorkers:
     def test_two_workers_equal_sample_metrics(self, mu, sigma, n, replicates, thresholds):
         seed = 5 if mu == 30 else 77
         spec = SeriesSpec.from_values(mu, sigma, n)
-        assert_equals_window_reference(spec, replicates, ThresholdSet(thresholds), seed, workers=2)
+        assert_equals_scan_reference(spec, replicates, ThresholdSet(thresholds), seed, workers=2)
 
     def test_more_workers_than_cores_with_frequent_switches(self):
         interval = sys.getswitchinterval()
@@ -267,6 +266,7 @@ class TestWorkers:
         # a fault planted in block 2 of the first worker to reach it: that
         # worker's run raises and draws no later block, and the others run
         # on to the summary they get alone
+        monkeypatch.setattr(mc, "_BLOCK_ROWS", 1024)
         spec = SeriesSpec.from_values(2.1, 1.1, 100)
         expected = run_replicates(spec, 5000, seed=3)
         failing = []
@@ -294,7 +294,7 @@ class TestWorkers:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_earliest_failed_piece_is_reported(self, monkeypatch, workers):
         # every paper is a pooled tail paper, drawn in pieces of 2^16 after
-        # all window rows; a draw reaches 2^63 in some piece after the
+        # all rows' scans; a draw reaches 2^63 in some piece after the
         # first (about one paper in 10^5 reaches it), the run stops there,
         # and later pieces are never drawn
         mu = 39.4
@@ -331,7 +331,8 @@ class TestWorkers:
             assert summary == run_replicates(spec, replicates, seed=77)
 
     def test_no_block_before_the_failed_one_is_skipped(self, monkeypatch):
-        # every block from the sixth on fails
+        # in blocks of 1024 rows, every block from the sixth on fails
+        monkeypatch.setattr(mc, "_BLOCK_ROWS", 1024)
         spec = SeriesSpec.from_values(2.1, 1.1, 100)
         streams = recorded_streams(monkeypatch)
 
@@ -345,7 +346,7 @@ class TestWorkers:
             run_replicates(spec, 10_000, seed=77)
         assert threading.active_count() == before
         assert [index for _, index in streams] == [0, 1]
-        # each block before it drew its 1024 window rows
+        # each block before it scanned its 1024 rows
         assert [rows for _, rows in blocks] == [1024] * 6
 
 
@@ -375,10 +376,11 @@ class TestBlockReductions:
             unique=True,
         ),
     )
-    # cuts at series 1's window edges L = 47 and U = 74 and half a count
-    # either side of them
-    @example(xs=[46.5, 47.0, 47.5])
-    @example(xs=[73.5, 74.0, 74.5])
+    # cuts at series 1's lowest and highest stop in the 64 replicates,
+    # 53 and 68, where the pooled multinomial cells meet the counts the
+    # scans place, and half a count either side of them
+    @example(xs=[52.5, 53.0, 53.5])
+    @example(xs=[67.5, 68.0, 68.5])
     @example(xs=[5.5, 2.0**30, 2.0**31 - 1])
     def test_count_at_least_on_int32_matches_naive(self, xs):
         # a study series: every count is far inside int32
@@ -411,22 +413,28 @@ class TestBlockReductions:
         assert mc._exact_sum(array, float(max(papers))) == sum(papers)
 
 
-# the window [L, U) lies near h = 2580, so each replicate has about 2500
-# tail papers; a run's pooled tail sum passes 2^62
+# k* lies near h = 2576, so each replicate has about 2500 tail papers at
+# K' = its highest stop or more; a run's pooled tail sum passes 2^62
 HEAVY_TAIL = SeriesSpec.from_values(2, 9, 10_000)
+# seeds whose 64 replicates draw no paper past 2^63, as a run does about
+# one time in three: the first's papers total 2^63 or more, the second's
+# less
+HEAVY_TAIL_SEEDS = (20, 12)
 
 
 def conditioned_normals(rng, a, count):
-    """`count` standard normals conditioned on z >= a, as sampling schemes
-    5 and 6 draw them: rounds of ceil((1.1 r + 8) / rate) candidates, r the
-    number still needed, by Marsaglia's method (x = sqrt(a^2 - 2 ln(1 - U1)),
-    kept when U2 x < a) where it accepts more than plain rejection."""
+    """`count` standard normals conditioned on z >= a, as sampling scheme 7
+    draws them: rounds of ceil((1.1 r + 8) / rate) candidates, r the
+    number still needed, or r when plain rejection accepts every candidate
+    in double precision, by Marsaglia's method (x = sqrt(a^2 - 2 ln(1 -
+    U1)), kept when U2 x < a) where it accepts more than plain rejection."""
     plain = 0.5 * math.erfc(a / math.sqrt(2.0))
     marsaglia = a * math.sqrt(2.0 * math.pi) * math.exp(0.5 * a * a) * plain if a > 0 else 0.0
     rate = max(plain, marsaglia)
     kept = []
     while count > sum(map(len, kept)):
-        m = math.ceil((1.1 * (count - sum(map(len, kept))) + 8) / rate)
+        need = count - sum(map(len, kept))
+        m = need if plain == 1.0 else math.ceil((1.1 * need + 8) / rate)
         if marsaglia > plain:
             u1, u2 = rng.random((2, m))
             x = np.sqrt(a * a - 2.0 * np.log1p(-u1))
@@ -437,80 +445,115 @@ def conditioned_normals(rng, a, count):
     return np.concatenate(kept)[:count] if kept else np.empty(0)
 
 
-def reference_window_run(spec, replicates, seed):
-    """Sampling scheme v6, drawn independently of montecarlo but for the
-    window [L, U) (mc._window): each replicate's h, and every paper of the
-    run.
+def reference_scan_run(spec, replicates, seed, start=None):
+    """Sampling scheme v7, drawn row by row with scalar draws, independently
+    of montecarlo: each replicate's h, and every paper of the run.
 
-    Stream derive_seed(seed, 0) draws the window rows over
-    [1 - S(L), p_L .. p_{U-1}, S(U)], all in one call. Stream
-    derive_seed(seed, 1) draws, in row order, each row whose h lies below
-    L its papers below L over p_0 .. p_{L-1}, or each row whose h lies at
-    U or above its papers at U or more over p_U .. p_{K'-1} and S(K'),
-    K' = max(U, 256), and their tail; then the other rows' papers below
-    L, pooled, and their papers at U or more, pooled; last the pool's
-    tail, in pieces of 2^16 papers.
+    Each row scans from k* = central_h(spec), or `start`. Step t of every
+    row draws from the generator PCG64(derive_seed(seed, 0)).jumped(t),
+    in row order. Step 0 draws G(k*) ~ Bin(N, S(k*)). An up-row, G(k*) >=
+    k*, then draws G(k + 1) ~ Bin(G(k), S(k + 1) / S(k)) until G(k) < k,
+    and h = k - 1; a down-row draws the papers below k - 1 among the B
+    below k, Bin(B, (1 - S(k - 1)) / (1 - S(k))), until G(k) >= k, and h
+    = k. Stream derive_seed(seed, 1) then draws the papers the rows left
+    unresolved. Below k*, from the highest count down: Bin(M, p_{j-1} /
+    (1 - S(j))) at each count j for the M papers known to lie below j,
+    then one multinomial over p_0 .. p_{J-1} below the lowest stop J. At
+    k* and above, from the lowest count up: Bin(M, p_j / S(j)), then one
+    multinomial over p_J .. p_{K'-1}, S(K') from the highest stop J,
+    K' = max(J, 256). Last the tail, in pieces of 2^16 papers.
     """
-    low, high = mc._window(spec)
-    top = max(high, 256)
     mu, sigma, n = spec.params.mu, spec.params.sigma, spec.n_papers
-    survival = [1.0] + [0.5 * math.erfc((math.log(k) - mu) / (sigma * math.sqrt(2.0)))
-                        for k in range(1, top + 1)]
-    p = np.array([s - t for s, t in zip(survival, survival[1:])] + [survival[-1]])
-    window_p = np.concatenate(([p[:low].sum()], p[low:high], [p[high:].sum()]))
-    below_p = p[:low] / p[:low].sum() if p[:low].sum() > 0 else p[:low]
-    above_p = p[high:] / p[high:].sum() if p[high:].sum() > 0 else p[high:]
-    a = (math.log(top) - mu) / sigma
+    k0 = central_h(spec) if start is None else start
 
-    def tail(rng, count):
-        x = np.exp(mu + sigma * conditioned_normals(rng, a, count))
-        assert x.max() < 2**63
-        return np.maximum(np.floor(x).astype(np.int64), top)
+    def S(k):
+        return 1.0 if k == 0 else 0.5 * math.erfc((math.log(k) - mu) / (sigma * math.sqrt(2.0)))
 
-    window = np.random.default_rng(derive_seed(seed, 0)).multinomial(n, window_p, size=replicates)
-    rng = np.random.default_rng(derive_seed(seed, 1))
-    h_values, cells, tails = [], np.zeros(top, dtype=np.int64), []
-    pooled_below = pooled_above = 0
-    for row in window:
-        cells[low:high] += row[1:-1]
-        # G(k) = papers with k citations or more, for k = L .. U
-        at_least = {k: int(row[k - low + 1 :].sum()) for k in range(low, high + 1)}
-        if at_least[high] >= high:
-            counts = rng.multinomial(row[-1], above_p)
-            cells[high:] += counts[:-1]
-            papers = np.concatenate([np.repeat(np.arange(high, top), counts[:-1]),
-                                     tail(rng, counts[-1]) if counts[-1] else np.empty(0, np.int64)])
-            tails.append(papers[len(papers) - counts[-1] :])
-            ranked = np.sort(papers)[::-1]
-            h_values.append(int(np.count_nonzero(ranked >= np.arange(1, len(ranked) + 1))))
-            pooled_below += row[0]
-        elif at_least[low] < low:
-            counts = rng.multinomial(row[0], below_p)
-            cells[:low] += counts
-            at_least = {k: at_least[low] + int(counts[k:].sum()) for k in range(low)}
-            h_values.append(max(k for k in range(low) if at_least[k] >= k))
-            pooled_above += row[-1]
+    rows_bits = np.random.PCG64(derive_seed(seed, 0))
+    steps = []
+
+    def step_rng(t):
+        while len(steps) <= t:
+            steps.append(np.random.Generator(rows_bits.jumped(len(steps))))
+        return steps[t]
+
+    # papers at exactly k, at j or more, and below j
+    exact, above, below = Counter(), Counter(), Counter()
+    h_values = []
+    for _ in range(replicates):
+        g = int(step_rng(0).binomial(n, S(k0)))
+        k = t = k0
+        if g >= k0:
+            below[k0] += n - g
+            while g >= k:
+                k += 1
+                kept = int(step_rng(k - k0).binomial(g, min(S(k) / S(k - 1), 1.0)))
+                exact[k - 1] += g - kept
+                g = kept
+            h_values.append(k - 1)
+            above[k] += g
         else:
-            h_values.append(max(k for k in range(low, high) if at_least[k] >= k))
-            pooled_below += row[0]
-            pooled_above += row[-1]
-    if pooled_below:
-        cells[:low] += rng.multinomial(pooled_below, below_p)
-    if pooled_above:
-        counts = rng.multinomial(pooled_above, above_p)
-        cells[high:] += counts[:-1]
-        for done in range(0, counts[-1], 2**16):
-            tails.append(tail(rng, min(2**16, counts[-1] - done)))
-    papers = np.concatenate([np.repeat(np.arange(top), cells), *tails])
+            above[k0] += g
+            b = n - g
+            while n - b < k:
+                k -= 1
+                kept = int(step_rng(k0 - k).binomial(b, min((1 - S(k)) / (1 - S(k + 1)), 1.0)))
+                exact[k] += b - kept
+                b = kept
+            h_values.append(k)
+            below[k] += b
+
+    rng = np.random.default_rng(derive_seed(seed, 1))
+    cells = Counter(exact)
+    held = [j for j in below if below[j]]
+    if held:
+        m = 0
+        for j in range(max(held), min(held), -1):
+            m += below[j]
+            if m:
+                x = int(rng.binomial(m, (S(j - 1) - S(j)) / (1 - S(j))))
+                cells[j - 1] += x
+                m -= x
+        m += below[min(held)]
+        if m:
+            p = np.array([S(k) - S(k + 1) for k in range(min(held))])
+            cells.update(dict(enumerate(rng.multinomial(m, p / p.sum()).tolist())))
+    held = [j for j in above if above[j]]
+    top = max([*held, 256])
+    tail_count = 0
+    if held:
+        m = 0
+        for j in range(min(held), max(held)):
+            m += above[j]
+            if m:
+                x = int(rng.binomial(m, (S(j) - S(j + 1)) / S(j)))
+                cells[j] += x
+                m -= x
+        m += above[max(held)]
+        tail_count = m
+        if max(held) < top:
+            p = np.array([S(k) - S(k + 1) for k in range(max(held), top)] + [S(top)])
+            counts = rng.multinomial(m, p / p.sum()).tolist()
+            cells.update(dict(zip(range(max(held), top), counts)))
+            tail_count = counts[-1]
+    a = (math.log(top) - mu) / sigma
+    tails = []
+    for done in range(0, tail_count, 2**16):
+        x = np.exp(mu + sigma * conditioned_normals(rng, a, min(2**16, tail_count - done)))
+        assert x.max() < 2**63
+        tails.append(np.maximum(np.floor(x).astype(np.int64), top))
+    bins = sorted(cells)
+    papers = np.concatenate([np.repeat(np.array(bins, dtype=np.int64), [cells[k] for k in bins]),
+                             *tails])
     return np.array(h_values), papers
 
 
-def assert_equals_window_reference(spec, replicates, thresholds, seed, workers=1):
-    """run_replicates equals reference_window_run exactly: h averaged
+def assert_equals_scan_reference(spec, replicates, thresholds, seed, workers=1, start=None):
+    """run_replicates equals reference_scan_run exactly: h averaged
     over the replicates, and the citation total and threshold counts of
     all the run's papers, summed exactly, over the replicate count. With
     `workers` > 1, so does each of that many runs on threads at once."""
-    h, papers = reference_window_run(spec, replicates, seed)
+    h, papers = reference_scan_run(spec, replicates, seed, start)
     total = sum(papers.tolist())
     run = lambda: run_replicates(spec, replicates, thresholds, seed)
     for summary in concurrent_runs(workers, run) if workers > 1 else [run()]:
@@ -529,8 +572,8 @@ WIDE_SPAN = SeriesSpec.from_values(2, 9, 300)
 
 @functools.lru_cache
 def reference_papers(spec):
-    """Every paper of reference_window_run's 64 replicates at seed 26."""
-    return reference_window_run(spec, 64, seed=26)[1]
+    """Every paper of reference_scan_run's 64 replicates at seed 26."""
+    return reference_scan_run(spec, 64, seed=26)[1]
 
 
 def assert_counts_match_naive(spec, xs):
@@ -564,86 +607,133 @@ def central_h(spec):
     return k
 
 
-def narrow_window(monkeypatch, spec, width):
-    """Force the window to `width` counts around k*, so that most rows'
-    h lie outside it and both refinements run."""
-    low = central_h(spec) - (width - 1) // 2
-    monkeypatch.setattr(mc, "_window", lambda spec: (low, low + width))
+def forced_start(monkeypatch, spec, offset):
+    """Start every scan `offset` counts from k*, so that most rows scan
+    that far or farther: up from below k*, or down from above it."""
+    start = central_h(spec) + offset
+    monkeypatch.setattr(mc, "_scan_start", lambda spec: start)
+    return start
 
 
 def recorded_h(monkeypatch):
-    """Record each window run's per-replicate h."""
+    """Record each run's per-replicate h."""
     runs = []
-    window_replicates = mc._window_replicates
+    scan_replicates = mc._scan_replicates
 
     def recording(*args):
-        result = window_replicates(*args)
+        result = scan_replicates(*args)
         runs.append(result[0].copy())
         return result
 
-    monkeypatch.setattr(mc, "_window_replicates", recording)
+    monkeypatch.setattr(mc, "_scan_replicates", recording)
     return runs
 
 
+def recorded_survival(monkeypatch):
+    """Record the [first, last) range of counts of every call to
+    _survival."""
+    ranges = []
+    survival = mc._survival
+
+    def recording(params, first, last):
+        ranges.append((first, last))
+        return survival(params, first, last)
+
+    monkeypatch.setattr(mc, "_survival", recording)
+    return ranges
+
+
+def recorded_draws(monkeypatch):
+    """Record the scan step and the number of binomials of every call
+    that draws a scan step; a row with no trials draws none."""
+    draws = []
+    binomial = mc._Substreams.binomial
+
+    def recording(self, step, trials, p, size=None):
+        draws.append((step, np.count_nonzero(trials) if np.ndim(trials) else size))
+        return binomial(self, step, trials, p, size)
+
+    monkeypatch.setattr(mc._Substreams, "binomial", recording)
+    return draws
+
+
 class TestHistograms:
-    """Every spec draws each replicate's papers inside a window [L, U)
-    around h one count at a time and pools the rest of the run
-    (sampling scheme v6)."""
+    """Every spec scans each replicate's G(k) from k* until its h is
+    known, then pools the papers the scans left unresolved over the run
+    (sampling scheme v7)."""
 
     def test_bin_counts(self, monkeypatch):
-        # K' = max(U, 256) for every spec, series 22, 13 and 25 and huge
-        # medians included; U sets it where h lies near 256 or above
-        tops = []
-        bin_probabilities = mc._bin_probabilities
-
-        def recording(params, bins):
-            tops.append(bins)
-            return bin_probabilities(params, bins)
-
-        monkeypatch.setattr(mc, "_bin_probabilities", recording)
-        specs = [SERIES_1, SERIES_9, SERIES_22, SERIES_13, SeriesSpec.from_values(1.5, 0.9, 200),
-                 SeriesSpec.from_values(6, 1.5, 1000), SeriesSpec.from_values(30, 2, 3000)]
-        for spec in specs:
-            run_replicates(spec, 1, seed=1)
-        assert tops == [256] * 5 + [mc._window(specs[5])[1], 3001]
-
-    def test_windows(self):
-        # 4 standard deviations of h on either side of k*
-        assert mc._window(SERIES_1) == (47, 74)
-        assert mc._window(SERIES_9) == (106, 133)
-        assert mc._window(SERIES_2) == (127, 162)
-        assert mc._window(SERIES_22) == (9, 22)
-        # each side capped at 128 counts
-        assert mc._window(HEAVY_TAIL) == (2448, 2705)
-        # within [0, N + 1): sigma -> 0 gives one count, N = 1 gives h = 0
-        # or 1, and a huge median gives h = N
-        assert mc._window(SeriesSpec.from_values(2, 1e-9, 10_000)) == (7, 8)
-        assert mc._window(SeriesSpec.from_values(2, 1, 1)) == (0, 1)
-        assert mc._window(SeriesSpec.from_values(30, 2, 3000)) == (3000, 3001)
-        for spec in study_specs():
-            low, high = mc._window(spec)
-            assert 0 <= low <= central_h(spec) < high <= spec.n_papers + 1
-            assert high - low <= 35, spec
-
-    def test_study_rows_rarely_leave_the_window(self, monkeypatch):
-        # 3 to 4 rows in 10^5 fall outside a 4-sd window
+        # S is evaluated once per count: at the counts the scan visits,
+        # and over the bins of the pools that hold papers, from 0 to the
+        # lowest stop and from the highest stop (k* at least) to K' =
+        # max(256, highest stop). So at most K' + 1 counts, and for a
+        # huge median, whose every paper is a tail paper, only the 2 or 3
+        # its scan visits (sampling scheme 6 evaluated N + 1)
+        ranges = recorded_survival(monkeypatch)
+        draws = recorded_draws(monkeypatch)
         runs = recorded_h(monkeypatch)
-        windows = []
-        for spec in study_specs():
-            windows.append(mc._window(spec))
-            run_replicates(spec, 2000, seed=DEFAULT_SEED)
-        outside = sum(np.count_nonzero((h < low) | (h >= high))
-                      for h, (low, high) in zip(runs, windows))
-        assert outside < 0.001 * 30 * 2000
+        # the huge median of `simulate --mu 30 --sigma 2 --n 1000000
+        # --replicates 1` at one replicate: 10^6 tail papers
+        runs_of = [(spec, (1, 2000)) for spec in (
+            SERIES_1, SERIES_9, SERIES_22, SERIES_13, SeriesSpec.from_values(1.5, 0.9, 200),
+            SeriesSpec.from_values(6, 1.5, 1000), SeriesSpec.from_values(30, 2, 3000))]
+        runs_of.append((SeriesSpec.from_values(30, 2, 10**6), (1,)))
+        evaluated = []
+        for spec, replicate_counts in runs_of:
+            for replicates in replicate_counts:
+                ranges.clear()
+                draws.clear()
+                run_replicates(spec, replicates, seed=1)
+                counts = [k for first, last in ranges for k in range(first, last)]
+                assert len(counts) == len(set(counts)), spec
+                highest = max(int(runs[-1].max()) + 1, mc._scan_start(spec))
+                assert len(counts) <= max(mc._MAX_BINS, highest) + 1, spec
+                evaluated.append((sorted(counts), len({step for step, _ in draws})))
+        # k* = N, or N - 1 where N S(N) falls a hair short of N
+        assert evaluated[12:] == [([3000, 3001], 2)] * 2 + [([10**6 - 1, 10**6, 10**6 + 1], 3)]
+        for counts, steps in evaluated[12:]:
+            assert len(counts) <= mc._MAX_BINS + steps + 2
 
-    def test_bin_probabilities_equal_survival_differences(self):
+    def test_scan_starts(self):
+        # k*, the h of the expected exceedance counts
+        assert mc._scan_start(SERIES_1) == 60
+        assert mc._scan_start(SERIES_9) == 119
+        assert mc._scan_start(SERIES_2) == 144
+        assert mc._scan_start(SERIES_22) == 15
+        assert mc._scan_start(HEAVY_TAIL) == 2576
+        # sigma -> 0 gives every paper 7 citations, N = 1 gives k* = 0, and
+        # a huge median k* = N
+        assert mc._scan_start(SeriesSpec.from_values(2, 1e-9, 10_000)) == 7
+        assert mc._scan_start(SeriesSpec.from_values(2, 1, 1)) == 0
+        assert mc._scan_start(SeriesSpec.from_values(30, 2, 3000)) == 3000
+        assert mc._scan_start(SeriesSpec.from_values(30, 2, 10**6)) == 10**6 - 1
+        for spec in study_specs():
+            assert mc._scan_start(spec) == central_h(spec), spec
+
+    def test_study_rows_draw_few_binomials(self, monkeypatch):
+        # an up-row draws G(k*) and one binomial per count up to h + 1, a
+        # down-row G(k*) and one per count down to h: |h - k*| + 2 or
+        # |h - k*| + 1 binomials, against 12 to 36 for sampling scheme 6's
+        # window row
+        runs = recorded_h(monkeypatch)
+        draws = recorded_draws(monkeypatch)
+        per_row = []
+        for spec in study_specs():
+            draws.clear()
+            run_replicates(spec, 2000, seed=DEFAULT_SEED)
+            h, start = runs[-1], mc._scan_start(spec)
+            cost = np.abs(h - start) + 1 + (h >= start)
+            assert sum(count for _, count in draws) == cost.sum(), spec
+            per_row.append(cost.mean())
+        assert max(per_row) < 6, per_row
+
+    def test_survival_equals_survival_probability(self):
         specs = [*study_specs(), HEAVY_TAIL, SeriesSpec.from_values(30, 2, 3000),
                  SeriesSpec.from_values(2, 1e-9, 10_000), SeriesSpec.from_values(2, 1, 1)]
         for spec in specs:
-            top = max(mc._window(spec)[1], mc._MAX_BINS)
-            survival = [1.0] + [survival_probability(k, spec.params) for k in range(1, top + 1)]
-            expected = np.array([s - t for s, t in zip(survival, survival[1:])] + [survival[-1]])
-            assert mc._bin_probabilities(spec.params, top).tobytes() == expected.tobytes(), spec
+            expected = [1.0] + [survival_probability(k, spec.params) for k in range(1, 300)]
+            assert mc._survival(spec.params, 0, 300) == expected, spec
+            assert mc._survival(spec.params, 57, 300) == expected[57:], spec
 
     @pytest.mark.parametrize(
         "spec, replicates",
@@ -657,7 +747,7 @@ class TestHistograms:
         ids=["series-1", "series-9", "n-2^15+1", "series-22", "series-13"],
     )
     def test_equals_reference(self, spec, replicates):
-        assert_equals_window_reference(spec, replicates, DEFAULT_THRESHOLDS, seed=77)
+        assert_equals_scan_reference(spec, replicates, DEFAULT_THRESHOLDS, seed=77)
 
     # scheme 5's chunk and scheme 6's block boundaries, as in
     # TestRunReplicates
@@ -665,42 +755,40 @@ class TestHistograms:
     def test_chunk_boundaries_equal_reference(self, replicates):
         spec = SeriesSpec.from_values(2.1, 1.1, 3000)
         thresholds = ThresholdSet((0.5, 5, 10.5, 50, 1e15))
-        assert_equals_window_reference(spec, replicates, thresholds, seed=77)
+        assert_equals_scan_reference(spec, replicates, thresholds, seed=77)
 
     @pytest.mark.parametrize(
-        "spec, width",
+        "spec, offset",
         [
-            # K' = 256 > U: high rows' h can come from their bins above U
-            (SERIES_1, 1),
-            (SERIES_1, 2),
-            (SERIES_9, 3),
-            (SERIES_9, 4),
-            (SeriesSpec.from_values(2.1, 1.1, 40), 1),
-            # h ~ 460, so K' = U: tail papers decide h whenever G(U) >= U
-            (SeriesSpec.from_values(6, 1.5, 1000), 1),
+            (SERIES_1, -6),
+            (SERIES_1, 6),
+            (SERIES_9, -6),
+            (SERIES_9, 6),
+            (SeriesSpec.from_values(2.1, 1.1, 40), 6),
+            # h ~ 463, so K' is the highest stop: tail papers start there
+            (SeriesSpec.from_values(6, 1.5, 1000), -6),
         ],
-        ids=["series-1-width-1", "series-1-width-2", "series-9-width-3", "series-9-width-4",
-             "n-40-width-1", "k-prime-u-width-1"],
+        ids=["series-1-below", "series-1-above", "series-9-below", "series-9-above",
+             "n-40-above", "k-prime-highest-stop-below"],
     )
-    def test_narrow_window_equals_reference(self, monkeypatch, spec, width):
-        narrow_window(monkeypatch, spec, width)
+    def test_forced_start_equals_reference(self, monkeypatch, spec, offset):
+        start = forced_start(monkeypatch, spec, offset)
         runs = recorded_h(monkeypatch)
         thresholds = ThresholdSet((2, 5, 10, 50, 61, 100, 500))
-        assert_equals_window_reference(spec, 130, thresholds, seed=3)
-        low, high = mc._window(spec)
-        # both refinements ran, on most rows
-        assert np.count_nonzero(runs[0] < low) > 10
-        assert np.count_nonzero(runs[0] >= high) > 10
-        assert np.count_nonzero((runs[0] < low) | (runs[0] >= high)) > 65
+        assert_equals_scan_reference(spec, 130, thresholds, seed=3, start=start)
+        # most rows scanned the 6 counts to k* and on, in one direction
+        h = runs[0]
+        assert np.count_nonzero(h >= start if offset < 0 else h < start) > 100
 
     def test_first_replicates_independent_of_replicate_count(self, monkeypatch):
-        # with the default window, then with one of 2 counts, where most
-        # rows draw their own breakdown before the run's pooled draws;
-        # 1025 and 2100 replicates end in different blocks
-        for width in (None, 2):
+        # from k*, then from k* + 6, where most rows step down, then in
+        # blocks of 1024 rows, where 1025 and 2100 replicates end in
+        # different blocks
+        for offset, block_rows in ((None, mc._BLOCK_ROWS), (6, mc._BLOCK_ROWS), (None, 1024)):
             with monkeypatch.context() as patch:
-                if width:
-                    narrow_window(patch, SERIES_1, width)
+                patch.setattr(mc, "_BLOCK_ROWS", block_rows)
+                if offset:
+                    forced_start(patch, SERIES_1, offset)
                 runs = recorded_h(patch)
                 for replicates in (1, 1025, 2100):
                     run_replicates(SERIES_1, replicates, seed=5)
@@ -715,37 +803,37 @@ class TestHistograms:
     def test_runs_on_the_calling_thread(self, monkeypatch):
         before = threading.active_count()
         threads = set()
-        h_of_cells = mc._h_of_cells
+        scan = mc._scan
 
         def recording(*args):
             threads.add(threading.get_ident())
             assert threading.active_count() == before
-            return h_of_cells(*args)
+            return scan(*args)
 
-        monkeypatch.setattr(mc, "_h_of_cells", recording)
+        monkeypatch.setattr(mc, "_scan", recording)
         for spec in (SERIES_9, SERIES_22):
             run_replicates(spec, 300, seed=1)
         assert threads == {threading.get_ident()}
 
     def test_exact_totals_equal_reference(self):
         # the run's pooled tail sums past 2^62, in Python ints, and the
-        # run's total passes 2^63 with no draw reaching it (seeds 1 and 2
-        # draw one that does in their first 64 replicates)
-        total = assert_equals_window_reference(
-            HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=3)
+        # run's total passes 2^63 with no draw reaching it
+        total = assert_equals_scan_reference(
+            HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=HEAVY_TAIL_SEEDS[0])
         assert total >= 2**63
 
     def test_exact_totals_in_int64_equal_reference(self):
-        total = assert_equals_window_reference(
-            HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=26)
+        total = assert_equals_scan_reference(
+            HEAVY_TAIL, 64, ThresholdSet((5, 1e9, 1e18)), seed=HEAVY_TAIL_SEEDS[1])
         assert total < 2**63
 
     def test_tail_papers_rounded_below_k_prime_count_k_prime(self, monkeypatch):
         # a normal just below a = (ln K' - mu) / sigma gives a draw just
         # below K', which exp's rounding can also do; such a tail paper
-        # counts K' citations, as one drawn at K' + 1/2 does
+        # counts K' citations, as one drawn at K' + 1/2 does. Series 1's
+        # scans stop far below K' = 256.
         mu, sigma = SERIES_1.params.mu, SERIES_1.params.sigma
-        top = max(mc._window(SERIES_1)[1], mc._MAX_BINS)
+        top = mc._MAX_BINS
         edge = (math.log(top) - mu) / sigma
         while np.exp(np.float64(edge) * sigma + mu) >= top:
             edge = math.nextafter(edge, -math.inf)
@@ -761,28 +849,45 @@ class TestHistograms:
             run_replicates(HEAVY_TAIL, 640, seed=1)
 
 
-class TestBlocks:
-    """The rows stream draws the window rows in blocks of _BLOCK_ROWS,
-    row after row, so no output depends on the block size; the rest
-    stream draws the pooled tail in pieces of at most _TAIL_PIECE papers.
-    A run holds one block of window rows and one tail piece at a time."""
+class CountingGenerator:
+    """A generator's standard_normal and random, counting the values each
+    returns."""
 
-    @pytest.mark.parametrize("width", [None, 2])
-    def test_independent_of_block_rows(self, monkeypatch, width):
-        # with a window of 2 counts most rows draw their own breakdown
-        if width:
-            narrow_window(monkeypatch, SERIES_1, width)
+    def __init__(self, rng, counts):
+        self.rng, self.counts = rng, counts
+
+    def standard_normal(self, size):
+        self.counts["standard_normal"] += np.prod(size)
+        return self.rng.standard_normal(size)
+
+    def random(self, size):
+        self.counts["random"] += np.prod(size)
+        return self.rng.random(size)
+
+
+class TestBlocks:
+    """The rows stream scans the rows in blocks of _BLOCK_ROWS, each scan
+    step drawing from its own substream, row after row, so no output
+    depends on the block size; the rest stream draws the pooled tail in
+    pieces of at most _TAIL_PIECE papers. A run holds one block of rows
+    and one tail piece at a time."""
+
+    @pytest.mark.parametrize("offset", [None, 2])
+    def test_independent_of_block_rows(self, monkeypatch, offset):
+        # from k* + 2 most rows step down
+        if offset:
+            forced_start(monkeypatch, SERIES_1, offset)
         runs = recorded_h(monkeypatch)
         summaries = []
-        for size in (1, 7, 1024):
+        for size in (1, 7, 1024, mc._BLOCK_ROWS):
             with monkeypatch.context() as patch:
                 patch.setattr(mc, "_BLOCK_ROWS", size)
                 blocks = recorded_blocks(patch)
                 summaries.append(run_replicates(SERIES_1, 2100, seed=5))
-            assert max(rows for _, rows in blocks) == size
+            assert max(rows for _, rows in blocks) == min(size, 2100)
             assert sum(rows for _, rows in blocks) == 2100
-        assert summaries[0] == summaries[1] == summaries[2]
-        assert (runs[0] == runs[1]).all() and (runs[0] == runs[2]).all()
+        assert summaries[0] == summaries[1] == summaries[2] == summaries[3]
+        assert all((runs[0] == h).all() for h in runs[1:])
 
     def test_pooled_tail_drawn_in_bounded_pieces(self, monkeypatch):
         # a huge median: each of the 20,000 replicates' 3000 papers is a
@@ -795,10 +900,30 @@ class TestBlocks:
         assert max(asked) <= mc._TAIL_PIECE
         assert asked[:-1] == [mc._TAIL_PIECE] * (len(asked) - 1)
 
+    def test_certain_acceptance_draws_no_spare_normals(self, monkeypatch):
+        # a = (ln 3001 - 30) / 2 = -11: plain rejection accepts every
+        # normal in double precision, so a round asks for exactly the
+        # papers still needed (sampling scheme 6 drew 66,007,694)
+        spec = SeriesSpec.from_values(30, 2, 3000)
+        counts = Counter()
+        conditioned_normals = mc._conditioned_normals
+        monkeypatch.setattr(mc, "_conditioned_normals", lambda rng, a, count: conditioned_normals(
+            CountingGenerator(rng, counts), a, count))
+        run_replicates(spec, 20_000, seed=DEFAULT_SEED)
+        assert counts == {"standard_normal": 60_000_000}
 
-class TestWindowDomain:
-    """The window path holds for every valid spec, N = 1, sigma -> 0,
-    h = N and huge medians included."""
+    def test_rejection_rounds_keep_their_margin(self):
+        # below certainty a round still asks for 10% more plus 8
+        for a, method in ((1.5, "random"), (-1.0, "standard_normal")):
+            counts = Counter()
+            rng = CountingGenerator(np.random.default_rng(1), counts)
+            assert len(mc._conditioned_normals(rng, a, 1000)) == 1000
+            assert counts[method] >= 1108, (a, counts)
+
+
+class TestScanDomain:
+    """The scan holds for every valid spec, N = 1, sigma -> 0, h = N and
+    huge medians included."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -818,8 +943,7 @@ class TestWindowDomain:
     @example(mu=-50.0, log_sigma=math.log(1e-9), n=10**4, replicates=2, seed=1)
     def test_summary_is_bounded_or_overflows(self, mu, log_sigma, n, replicates, seed):
         spec = SeriesSpec.from_values(mu, math.exp(log_sigma), n)
-        low, high = mc._window(spec)
-        assert 0 <= low < high <= n + 1
+        assert 0 <= mc._scan_start(spec) <= n
         try:
             summary = run_replicates(spec, replicates, DEFAULT_THRESHOLDS, seed)
         except ValueError as exc:
@@ -887,8 +1011,8 @@ def z_scores(summary, law):
 class TestExactLaw:
     """h_mean, the mean citation total and every threshold count lie
     within 5 standard errors of their exact discrete expectations, with
-    the default windows and with windows forced narrow; tampered draws do
-    not."""
+    the scans started at k* and 6 counts to either side of it, and the
+    replicates' h follow the exact law of h; tampered draws do not."""
 
     REPLICATES = 20_000
 
@@ -903,56 +1027,87 @@ class TestExactLaw:
         scores = z_scores(summary, exact_law(spec, DEFAULT_THRESHOLDS))
         assert max(map(abs, scores.values())) <= 5, scores
 
-    @pytest.mark.parametrize("width", [1, 4])
-    def test_narrow_window_within_five_standard_errors(self, monkeypatch, width):
-        # most rows draw their own breakdown below L or above U
-        assert max(map(abs, self.narrow_scores(monkeypatch, width).values())) <= 5
+    @pytest.mark.parametrize("offset", [-6, 6])
+    def test_forced_start_within_five_standard_errors(self, monkeypatch, offset):
+        # most rows scan 6 counts or more, up from below k* or down from
+        # above it, so the law does not depend on where the scans start
+        assert max(map(abs, self.forced_scores(monkeypatch, offset).values())) <= 5
 
-    def narrow_scores(self, monkeypatch, width):
-        narrow_window(monkeypatch, SERIES_9, width)
-        summary = run_replicates(SERIES_9, self.REPLICATES, seed=DEFAULT_SEED)
-        return z_scores(summary, exact_law(SERIES_9, DEFAULT_THRESHOLDS))
+    def forced_scores(self, monkeypatch, offset):
+        forced_start(monkeypatch, SERIES_9, offset)
+        return self.tampered_scores()
 
     def tampered_scores(self):
         summary = run_replicates(SERIES_9, self.REPLICATES, seed=DEFAULT_SEED)
         return z_scores(summary, exact_law(SERIES_9, DEFAULT_THRESHOLDS))
 
-    def shifted_scores(self, monkeypatch, counts):
-        """Scores with the papers of each of `counts` counted one lower."""
-        bin_probabilities = mc._bin_probabilities
-
-        def shifted(params, bins):
-            p = bin_probabilities(params, bins).copy()
-            for k in counts:
-                p[k - 1], p[k] = p[k - 1] + p[k], 0.0
-            return p
-
-        monkeypatch.setattr(mc, "_bin_probabilities", shifted)
-        return self.tampered_scores()
-
     def test_bin_shifted_by_one_fails(self, monkeypatch):
-        # the papers of count 10 counted as 9: below series 9's window
-        # [106, 133), so in every row's pooled breakdown below L
-        assert 10 < mc._window(SERIES_9)[0]
-        assert max(map(abs, self.shifted_scores(monkeypatch, [10]).values())) > 5
+        # the papers of count 10 counted as 9, S(10) taken as S(11): far
+        # below series 9's k* = 119, so in the pooled multinomial below
+        # the lowest stop
+        survival = mc._survival
 
-    def test_window_shifted_by_one_fails(self, monkeypatch):
-        # every count of the window counted one lower in every window row,
-        # which moves h
-        low, high = mc._window(SERIES_9)
-        assert max(map(abs, self.shifted_scores(monkeypatch, range(low, high)).values())) > 5
+        def shifted(params, first, last):
+            return [survival(params, k + (k == 10), k + (k == 10) + 1)[0] for k in range(first, last)]
+
+        monkeypatch.setattr(mc, "_survival", shifted)
+        assert max(map(abs, self.tampered_scores().values())) > 5
+
+    def test_step_ratio_one_count_off_fails(self, monkeypatch):
+        # an up-step keeps a paper with S(k + 2) / S(k), one count too far
+        kept = mc._kept
+
+        def off_by_one(survival, k, up):
+            if up:
+                s_k, _, s_far = survival(k, k + 3)
+                return s_far / s_k
+            return kept(survival, k, up)
+
+        monkeypatch.setattr(mc, "_kept", off_by_one)
+        assert max(map(abs, self.tampered_scores().values())) > 5
 
     def test_unconditioned_tail_fails(self, monkeypatch):
         monkeypatch.setattr(
             mc, "_conditioned_normals", lambda rng, a, count: rng.standard_normal(count))
         assert max(map(abs, self.tampered_scores().values())) > 5
 
-    def test_refined_row_left_out_fails(self, monkeypatch):
-        refined_row = mc._refined_row
+    def test_cascade_pool_left_out_fails(self, monkeypatch):
+        scan = mc._scan
 
-        def left_out(rng, count, base, first, probabilities, hist):
-            # drawn, and used for the row's h, but counted nowhere
-            return refined_row(rng, count, base, first, probabilities, np.zeros_like(hist))
+        def left_out(streams, size, n, start, survival, pools):
+            # the down-rows' papers below their stops: their rows' h stand,
+            # but the cascade below k* never counts them
+            h = scan(streams, size, n, start, survival, pools)
+            for j in [j for j in pools.below if j < start]:
+                del pools.below[j]
+            return h
 
-        monkeypatch.setattr(mc, "_refined_row", left_out)
-        assert max(map(abs, self.narrow_scores(monkeypatch, 1).values())) > 5
+        monkeypatch.setattr(mc, "_scan", left_out)
+        assert max(map(abs, self.tampered_scores().values())) > 5
+
+    def h_law_p_value(self, monkeypatch, spec, replicates):
+        """The chi-square p-value of a run's h counts against the exact
+        P(h = k) = P(h >= k) - P(h >= k + 1), P(h >= k) = P(Bin(N, S(k))
+        >= k), over the k expected 5 times or more."""
+        from scipy import stats
+
+        runs = recorded_h(monkeypatch)
+        run_replicates(spec, replicates, seed=DEFAULT_SEED)
+        mu, sigma, n = spec.params.mu, spec.params.sigma, spec.n_papers
+        k = np.arange(1, n + 2)
+        at_least = stats.binom.sf(k - 1, n, stats.norm.sf((np.log(k) - mu) / sigma))
+        expected = replicates * -np.diff(np.concatenate(([1.0], at_least)))
+        observed = np.bincount(runs[0], minlength=n + 1)
+        kept = expected >= 5
+        chi2 = ((observed[kept] - expected[kept]) ** 2 / expected[kept]).sum()
+        return stats.chi2.sf(chi2, np.count_nonzero(kept) - 1)
+
+    def test_h_follows_exact_law(self, monkeypatch):
+        # 10^6 replicates resolve a shift of 0.008 in series 22's mean h
+        assert self.h_law_p_value(monkeypatch, SERIES_22, 10**6) > 1e-4
+
+    def test_substreams_two_to_the_100_apart_fail(self, monkeypatch):
+        # PCG64 states 2^100 draws apart share their low bits: step t's
+        # draws then correlate with step t + 1's, row by row, and h drifts
+        monkeypatch.setattr(mc, "_JUMP", 2**100)
+        assert self.h_law_p_value(monkeypatch, SERIES_22, 10**6) < 1e-9
