@@ -271,8 +271,8 @@ def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: i
     carried += pools.below.get(lowest, 0)
     low_cells = None
     if carried:
-        s = np.array(survival(0, lowest + 1))
-        low_cells = rest_rng.multinomial(carried, _conditional(s[:-1] - s[1:]))
+        p = _bin_probabilities(survival, 0, lowest)
+        low_cells = rest_rng.multinomial(carried, _conditional(p))
 
     # at k* and above: from the lowest count up, each count's papers among
     # those known to lie at it or more
@@ -293,8 +293,8 @@ def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: i
     high_cells = None
     tail_count = carried
     if carried and highest < top:
-        s = np.array(survival(highest, top + 1))
-        high_cells = rest_rng.multinomial(carried, _conditional(np.append(s[:-1] - s[1:], s[-1])))
+        p = np.append(_bin_probabilities(survival, highest, top), survival(top, top + 1))
+        high_cells = rest_rng.multinomial(carried, _conditional(p))
         tail_count = int(high_cells[-1])
 
     base = 0 if low_cells is not None else min(*exact, highest)
@@ -517,6 +517,13 @@ def _scan_start(spec: SeriesSpec) -> int:
         else:
             hi = mid - 1
     return lo
+
+
+def _bin_probabilities(survival: _SurvivalTable, first: int, last: int) -> np.ndarray:
+    """p_k = S(k) - S(k + 1) for k in [first, last), the bins a pooled
+    multinomial draws from."""
+    s = np.array(survival(first, last + 1))
+    return s[:-1] - s[1:]
 
 
 def _conditional(probabilities: np.ndarray) -> np.ndarray:

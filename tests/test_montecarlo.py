@@ -607,6 +607,18 @@ def central_h(spec):
     return k
 
 
+def window(spec):
+    """[L, U), the counts within 4 standard deviations of h on either side
+    of k*, within [0, N + 1). sd = sqrt(N S (1 - S)) / (1 + N p), with S
+    = S(k*) and p = S(k*) - S(k* + 1), is h's standard deviation to
+    first order: G(k*) has variance N S (1 - S), and the expected G falls
+    by N p, the identity rises by 1, from one count to the next."""
+    n, start = spec.n_papers, central_h(spec)
+    s, s_next = (survival_probability(k, spec.params) if k else 1.0 for k in (start, start + 1))
+    reach = math.ceil(4 * math.sqrt(n * s * (1.0 - s)) / (1.0 + n * (s - s_next)))
+    return max(0, start - reach), min(n + 1, start + reach + 1)
+
+
 def forced_start(monkeypatch, spec, offset):
     """Start every scan `offset` counts from k*, so that most rows scan
     that far or farther: up from below k*, or down from above it."""
@@ -727,6 +739,18 @@ class TestHistograms:
             per_row.append(cost.mean())
         assert max(per_row) < 6, per_row
 
+    def test_study_rows_rarely_leave_the_window(self, monkeypatch):
+        # 3 to 4 rows in 10^5 have an h more than 4 standard deviations
+        # from k*, so nearly every row draws at most 4 sd + 2 binomials
+        runs = recorded_h(monkeypatch)
+        windows = []
+        for spec in study_specs():
+            windows.append(window(spec))
+            run_replicates(spec, 2000, seed=DEFAULT_SEED)
+        outside = sum(np.count_nonzero((h < low) | (h >= high))
+                      for h, (low, high) in zip(runs, windows))
+        assert outside < 0.001 * 30 * 2000
+
     def test_survival_equals_survival_probability(self):
         specs = [*study_specs(), HEAVY_TAIL, SeriesSpec.from_values(30, 2, 3000),
                  SeriesSpec.from_values(2, 1e-9, 10_000), SeriesSpec.from_values(2, 1, 1)]
@@ -734,6 +758,17 @@ class TestHistograms:
             expected = [1.0] + [survival_probability(k, spec.params) for k in range(1, 300)]
             assert mc._survival(spec.params, 0, 300) == expected, spec
             assert mc._survival(spec.params, 57, 300) == expected[57:], spec
+
+    def test_bin_probabilities_equal_survival_differences(self):
+        specs = [*study_specs(), HEAVY_TAIL, SeriesSpec.from_values(30, 2, 3000),
+                 SeriesSpec.from_values(2, 1e-9, 10_000), SeriesSpec.from_values(2, 1, 1)]
+        for spec in specs:
+            top = max(window(spec)[1], mc._MAX_BINS)
+            survival = [1.0] + [survival_probability(k, spec.params) for k in range(1, top + 1)]
+            expected = np.array([s - t for s, t in zip(survival, survival[1:])])
+            table = mc._SurvivalTable(spec.params)
+            assert mc._bin_probabilities(table, 0, top).tobytes() == expected.tobytes(), spec
+            assert mc._bin_probabilities(table, 57, top).tobytes() == expected[57:].tobytes(), spec
 
     @pytest.mark.parametrize(
         "spec, replicates",
@@ -921,9 +956,10 @@ class TestBlocks:
             assert counts[method] >= 1108, (a, counts)
 
 
-class TestScanDomain:
+class TestWindowDomain:
     """The scan holds for every valid spec, N = 1, sigma -> 0, h = N and
-    huge medians included."""
+    huge medians included, and k* and the 4-sd window of h around it lie
+    within [0, N + 1)."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -943,7 +979,8 @@ class TestScanDomain:
     @example(mu=-50.0, log_sigma=math.log(1e-9), n=10**4, replicates=2, seed=1)
     def test_summary_is_bounded_or_overflows(self, mu, log_sigma, n, replicates, seed):
         spec = SeriesSpec.from_values(mu, math.exp(log_sigma), n)
-        assert 0 <= mc._scan_start(spec) <= n
+        low, high = window(spec)
+        assert 0 <= low <= mc._scan_start(spec) < high <= n + 1
         try:
             summary = run_replicates(spec, replicates, DEFAULT_THRESHOLDS, seed)
         except ValueError as exc:
@@ -1041,17 +1078,29 @@ class TestExactLaw:
         summary = run_replicates(SERIES_9, self.REPLICATES, seed=DEFAULT_SEED)
         return z_scores(summary, exact_law(SERIES_9, DEFAULT_THRESHOLDS))
 
-    def test_bin_shifted_by_one_fails(self, monkeypatch):
-        # the papers of count 10 counted as 9, S(10) taken as S(11): far
-        # below series 9's k* = 119, so in the pooled multinomial below
-        # the lowest stop
+    def shifted_scores(self, monkeypatch, counts):
+        """Scores with the papers of each of `counts` counted one lower:
+        S(k) taken as S(k + 1) for k in `counts`."""
         survival = mc._survival
 
         def shifted(params, first, last):
-            return [survival(params, k + (k == 10), k + (k == 10) + 1)[0] for k in range(first, last)]
+            return [survival(params, k + (k in counts), k + (k in counts) + 1)[0]
+                    for k in range(first, last)]
 
         monkeypatch.setattr(mc, "_survival", shifted)
-        assert max(map(abs, self.tampered_scores().values())) > 5
+        return self.tampered_scores()
+
+    def test_bin_shifted_by_one_fails(self, monkeypatch):
+        # the papers of count 10 counted as 9: far below series 9's k* =
+        # 119, so in the pooled multinomial below the lowest stop
+        assert max(map(abs, self.shifted_scores(monkeypatch, [10]).values())) > 5
+
+    def test_window_shifted_by_one_fails(self, monkeypatch):
+        # every count within 4 sd of k* counted one lower, in the scans'
+        # steps and the cascades, which moves h
+        low, high = window(SERIES_9)
+        assert low < mc._scan_start(SERIES_9) < high
+        assert max(map(abs, self.shifted_scores(monkeypatch, range(low, high)).values())) > 5
 
     def test_step_ratio_one_count_off_fails(self, monkeypatch):
         # an up-step keeps a paper with S(k + 2) / S(k), one count too far
