@@ -34,8 +34,8 @@ Generation), stopped as soon as h is known:
 
 An up-row costs |h - k*| + 2 binomials and a down-row |h - k*| + 1, where
 scheme 6's window row cost 12 to 36; on a 2-vCPU x86-64 machine a row of
-series 22, 13 and 25 took 0.49, 0.64 and 0.54 us in runs of 20,000
-replicates, against 1.25, 1.80 and 1.45 us for the window row. Scan step
+series 22, 13 and 25 took 0.47, 0.64 and 0.51 us in runs of 20,000
+replicates, against 1.13, 1.58 and 1.28 us for the window row. Scan step
 t (t = 0 draws G(k*)) draws from substream t of the rows stream, that
 stream jumped t times (PCG64.jumped), carried from one block of
 _BLOCK_ROWS rows to the next. A step draws one binomial per row still
@@ -54,7 +54,8 @@ known to lie below j, those carried from above plus those of the rows
 that stopped at j, then one multinomial over p_0, ..., p_{J-1} for the M
 papers below the lowest such J; above, from the lowest count up, one
 Bin(M, p_j / S(j)) at each j, then one multinomial over p_J, ...,
-p_{K'-1} and S(K') for the highest J, K' = max(J, _MAX_BINS). The papers
+p_{K'-1} and S(K') for the highest J, K' the largest of J, _MAX_BINS and
+one past every count a paper was placed at. The papers
 at K' or more are drawn as floor(exp(mu + sigma z)) with z conditioned on
 z >= (ln K' - mu) / sigma (_conditioned_normals), in pieces of at most
 _TAIL_PIECE papers; the piece size is part of the scheme, since
@@ -107,10 +108,6 @@ _STOPPED = -(1 << 62)
 #: not do: PCG64 states 2**100 apart share their low bits, so their outputs
 #: correlate, and h came out biased.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-#: Scans with at most this many rows left finish one row at a time.
-_SCALAR_ROWS = 8
-#: Scan arrays at most this long keep their stopped rows.
-_COMPACT_ROWS = 512
 #: Most pooled tail papers drawn at once. Part of the sampling scheme:
 #: _conditioned_normals' rounds depend on the count asked for.
 _TAIL_PIECE = 2**16
@@ -278,7 +275,9 @@ def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: i
     # those known to lie at it or more
     held = sorted(j for j, m in pools.above.items() if m)
     highest = held[-1] if held else start
-    top = max(highest, _MAX_BINS)
+    # K' lies past every count a paper was placed at, whether or not a
+    # pool above it holds papers
+    top = max(highest, max((k + 1 for k, m in exact.items() if m), default=0), _MAX_BINS)
     carried = 0
     if held:
         s = survival(held[0], highest + 1)
@@ -343,9 +342,7 @@ def _scan(streams: _Substreams, size: int, n: int, start: int,
     or k - 1 (down), so up-rows reach k* + s at step s and down-rows
     k* - s. A row stops once it keeps at most its limit, which rises by
     one a step, so a scanning row keeps at least one paper. A stopped
-    row's t is 0, which draws nothing, and its limit _STOPPED. Large
-    arrays shrink to the scanning rows once those are fewer than half of
-    them, and the last _SCALAR_ROWS rows finish in _finish_scan.
+    row's t is 0, which draws nothing, and its limit _STOPPED.
     """
     g = streams.binomial(0, n, survival(start, start + 1)[0], size)
     up = g >= start
@@ -359,12 +356,10 @@ def _scan(streams: _Substreams, size: int, n: int, start: int,
     pools.below[start] += n * ups - held_up
     # up: G(k* + s) <= k* + s - 1; down: N - G(k* - s) <= N - k* + s
     limit = np.where(up, start - 1, n - start)
-    rows = np.arange(size)
     stops = np.zeros(size, dtype=np.int64)
-    stopped_at = stops
     scanning = size
     step = 0
-    while scanning > _SCALAR_ROWS:
+    while scanning:
         step += 1
         high, low = start + step, start - step
         downs = scanning - ups
@@ -384,53 +379,17 @@ def _scan(streams: _Substreams, size: int, n: int, start: int,
         if stopped:
             ups -= int(np.dot(stop, u))
             scanning -= stopped
-            stopped_at[stop] = step
+            stops[stop] = step
             t[stop] = 0
             limit[stop] = _STOPPED
             held_up = int(np.dot(t, u))
             held_down = int(t.sum()) - held_up
             pools.above[high] += kept_up - held_up
             pools.below[low] += kept_down - held_down
-            if 2 * scanning < len(rows) > _COMPACT_ROWS:
-                stops[rows] = stopped_at
-                going = t > 0
-                rows, t, limit, up, u = rows[going], t[going], limit[going], up[going], u[going]
-                stopped_at = stopped_at[going]
         else:
             held_up, held_down = kept_up, kept_down
-    stops[rows] = stopped_at
-    if scanning:
-        going = t > 0
-        _finish_scan(streams, step, n, start, survival, pools,
-                     rows[going].tolist(), t[going].tolist(), up[going].tolist(), stops)
     # an up-row that stops at step s has h = k* + s - 1, a down-row k* - s
-    return np.where(g >= start, start + stops - 1, start - stops)
-
-
-def _finish_scan(streams: _Substreams, step: int, n: int, start: int, survival: _SurvivalTable,
-                 pools: _Pools, rows: list[int], t: list[int], up: list[bool],
-                 stops: np.ndarray) -> None:
-    """_scan's steps after `step` for its last few `rows`, one by one: a
-    handful of scalar draws costs less than numpy's array call, and draws
-    the same values in the same order. Sets each row's stop step."""
-    while rows:
-        step += 1
-        high, low = start + step, start - step
-        r_up = _kept(survival, high - 1, True) if any(up) else 0.0
-        r_down = _kept(survival, low + 1, False) if not all(up) else 0.0
-        drawn = streams.binomial(step, t, [r_up if is_up else r_down for is_up in up])
-        going = []
-        for row, held, kept, is_up in zip(rows, t, drawn, up):
-            pools.exact[high - 1 if is_up else low] += held - kept
-            if kept > (high - 1 if is_up else n - low):
-                going.append((row, kept, is_up))
-            elif is_up:
-                pools.above[high] += kept
-                stops[row] = step
-            else:
-                pools.below[low] += kept
-                stops[row] = step
-        rows, t, up = (list(column) for column in zip(*going)) if going else ([], [], [])
+    return np.where(up, start + stops - 1, start - stops)
 
 
 def _kept(survival: _SurvivalTable, k: int, up: bool) -> float:
@@ -460,20 +419,14 @@ class _Substreams:
         self.carry = False
 
     def binomial(self, step: int, trials, p, size=None):
-        """Bin(trials, p) from substream `step`, after its earlier draws:
-        one numpy call, or one scalar call each for lists of trials and
-        probabilities, which draws the same values."""
+        """Bin(trials, p) from substream `step`, after its earlier draws."""
         bits = self._bits
         if step < len(self._states):
             bits.state = self._states[step]
         else:
             bits.state = self._origin
             bits.advance(step * _JUMP % 2**128)
-        if isinstance(trials, list):
-            rng = self._rng
-            drawn = [rng.binomial(m, q) for m, q in zip(trials, p)]
-        else:
-            drawn = self._rng.binomial(trials, p, size)
+        drawn = self._rng.binomial(trials, p, size)
         if self.carry:
             if step < len(self._states):
                 self._states[step] = bits.state

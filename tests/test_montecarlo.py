@@ -763,7 +763,7 @@ class TestHistograms:
         specs = [*study_specs(), HEAVY_TAIL, SeriesSpec.from_values(30, 2, 3000),
                  SeriesSpec.from_values(2, 1e-9, 10_000), SeriesSpec.from_values(2, 1, 1)]
         for spec in specs:
-            top = max(window(spec)[1], mc._MAX_BINS)
+            top = max(mc._scan_start(spec) + 8, mc._MAX_BINS)
             survival = [1.0] + [survival_probability(k, spec.params) for k in range(1, top + 1)]
             expected = np.array([s - t for s, t in zip(survival, survival[1:])])
             table = mc._SurvivalTable(spec.params)
@@ -958,8 +958,7 @@ class TestBlocks:
 
 class TestWindowDomain:
     """The scan holds for every valid spec, N = 1, sigma -> 0, h = N and
-    huge medians included, and k* and the 4-sd window of h around it lie
-    within [0, N + 1)."""
+    huge medians included, and k* lies within [0, N]."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -977,10 +976,14 @@ class TestWindowDomain:
     @example(mu=10.0, log_sigma=math.log(0.5), n=100, replicates=5, seed=1)
     # every paper has 0 citations
     @example(mu=-50.0, log_sigma=math.log(1e-9), n=10**4, replicates=2, seed=1)
+    # every paper has 300 citations: the up-rows keep none past k* = 300,
+    # and K' = 256 would lie at or below the count they are placed at
+    @example(mu=math.log(300.5), log_sigma=math.log(1e-9), n=10**4, replicates=1, seed=1)
+    # papers at 1000 and 1001 citations only
+    @example(mu=math.log(1001.0), log_sigma=math.log(1e-4), n=10**4, replicates=3, seed=1)
     def test_summary_is_bounded_or_overflows(self, mu, log_sigma, n, replicates, seed):
         spec = SeriesSpec.from_values(mu, math.exp(log_sigma), n)
-        low, high = window(spec)
-        assert 0 <= low <= mc._scan_start(spec) < high <= n + 1
+        assert 0 <= mc._scan_start(spec) <= n
         try:
             summary = run_replicates(spec, replicates, DEFAULT_THRESHOLDS, seed)
         except ValueError as exc:
@@ -988,10 +991,29 @@ class TestWindowDomain:
             return
         assert 0 <= summary.h_mean <= n
         assert summary.h_stddev >= 0
-        assert summary.sum_citations_mean >= 0
+        # a replicate's h papers hold h^2 citations or more, and its papers
+        # at x or more x times their number
+        total = summary.sum_citations_mean * (1 + 1e-9)
+        assert summary.h_mean**2 <= total
+        assert all(x * count <= total for x, count in summary.counts_above.items())
         counts = list(summary.counts_above.values())
         assert all(0 <= count <= n for count in counts)
         assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("low", [7, 255, 256, 300, 1000])
+    def test_concentrated_papers_are_all_counted(self, low):
+        # e^(mu + sigma z) = (low + 1)(1 + sigma z) + O(sigma^2) = low + 1 +
+        # z / 10 puts every paper at `low` or `low` + 1 citations, below,
+        # at and above K' = 256; 2 replicates keep the means exact
+        n, replicates = 10**4, 2
+        spec = SeriesSpec.from_values(math.log(low + 1), 0.1 / (low + 1), n)
+        thresholds = ThresholdSet((low, low + 1, low + 2))
+        summary = run_replicates(spec, replicates, thresholds, seed=1)
+        at_low, above, beyond = summary.counts_above.values()
+        assert (at_low, beyond) == (n, 0)
+        assert 0 < above < n
+        assert summary.sum_citations_mean == low * n + above
+        assert summary.h_mean == (low + 1 if above >= low + 1 else low)
 
 
 def exact_law(spec, thresholds):
