@@ -18,6 +18,9 @@ from .lognormal import LognormalParams, SeriesSpec, expected_exceeding
 from .roots import brentq
 from .special import ConvergenceError
 
+#: ln of the smallest positive double: exp(u) is 0 below it.
+_LOG_SMALLEST = math.log(5e-324)
+
 
 @dataclass(frozen=True)
 class HSolution:
@@ -50,6 +53,9 @@ def solve_h(spec: SeriesSpec, tolerance: float | None = None) -> HSolution:
     papers are expected to exceed h, and at h = eN fewer than N < h can.
     The root is given to within brentq's final bracket, a few ulps of u
     wide; when every paper is expected to reach N citations, h = N.
+    The bracket starts no lower than the smallest positive double h0,
+    and when F(h0) < h0 the fixed point is below it: h is reported as 0,
+    with the residual at h0.
 
     `tolerance`, when given, also bounds the residual |F(h) - h|, in
     papers, and a larger one raises ConvergenceError. By default there
@@ -66,11 +72,15 @@ def solve_h(spec: SeriesSpec, tolerance: float | None = None) -> HSolution:
     def gap_in_log(u: float) -> float:
         return gap(math.exp(u))
 
+    lo = min(spec.params.mu, ln_n) - 1.0
+    if lo < _LOG_SMALLEST:
+        lo = _LOG_SMALLEST
+        gap_at_lo = gap_in_log(lo)
+        if gap_at_lo < 0.0:
+            return HSolution(h_continuous=0.0, h_reported=0, residual=-gap_at_lo, iterations=1)
     # one ulp of u near h = 1; elsewhere brentq's own 2 eps |u| term
     # dominates, so the stopping width is relative in h
-    u, iterations = brentq(
-        gap_in_log, min(spec.params.mu, ln_n) - 1.0, ln_n + 1.0, xtol=math.ulp(1.0)
-    )
+    u, iterations = brentq(gap_in_log, lo, ln_n + 1.0, xtol=math.ulp(1.0))
     root = min(math.exp(u), float(spec.n_papers))
     residual = abs(gap(root))
     if tolerance is not None and residual > tolerance:

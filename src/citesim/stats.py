@@ -1,10 +1,10 @@
 """Regression and correlation over scatter datasets.
 
-Power laws are fitted by least squares on the untransformed values
-(Levenberg-Marquardt seeded from the log-log estimate), which is what
-reproduces the study's published coefficients. Linear fits are ordinary
-least squares with the Pearson coefficient and its two-sided Student-t
-p-value attached.
+Power laws are fitted by least squares on the untransformed values, which
+reproduces the study's published coefficients: the amplitude at exponent b
+is sum(y x^b) / sum(x^2b), and brentq finds the b where the residuals'
+slope is 0. Linear fits are ordinary least squares with the Pearson
+coefficient and its two-sided Student-t p-value attached.
 """
 
 from __future__ import annotations
@@ -14,9 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import log_incomplete_beta_bound, regularized_incomplete_beta
+from .roots import brentq
+from .special import ConvergenceError, log_incomplete_beta_bound, regularized_incomplete_beta
 
 _SMALLEST = 5e-324
+_LOG_SMALLEST, _LOG_LARGEST = math.log(_SMALLEST), math.log(float(np.finfo(np.float64).max))
+#: Half-widths of the exponent's bracket around the log-log slope; past the
+#: last, x**b over x'**b is out of range for any two distinct doubles x, x'.
+_HALF_WIDTHS = tuple(2.0**k for k in range(-3, 65))
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ def fit_power_law(points) -> PowerLawFit:
     """Fit y = a * x**b over strictly positive points.
 
     Minimizes squared residuals of y itself and reports R-squared in
-    natural space.
+    natural space, or raises ConvergenceError when no finite a, b minimize them.
     """
     x, y = _as_xy(points)
     if np.any(x <= 0.0) or np.any(y <= 0.0):
@@ -62,10 +67,30 @@ def fit_power_law(points) -> PowerLawFit:
     lx, ly = np.log(x), np.log(y)
     if np.ptp(lx) == 0.0:
         raise ValueError("x values are all equal; exponent is undefined")
-    slope, intercept = _ols(lx, ly)
-    a, b = _power_law_levmar(x, y, math.exp(intercept), slope)
-    r2 = _r_squared(y, a * np.power(x, b))
-    return PowerLawFit(a, b, r2, x.size)
+    slope, _ = _ols(lx, ly)
+    y_unit = y / y.max()
+    below_max, above_min = lx - lx.max(), lx - lx.min()
+
+    def profile(b: float) -> tuple[float, np.ndarray, float]:
+        # -dSSE/db / 2a at b's best amplitude a, x**b over its peak, and a.
+        # The residuals sum to 0 against x**b, so measuring ln x from the
+        # peak drops the peak's term, which is pure rounding.
+        d = below_max if b >= 0.0 else above_min
+        w = np.exp(b * d)
+        a = float(y_unit @ w) / float(w @ w)
+        return float(((y_unit - a * w) * w) @ d), w, a
+
+    for half in _HALF_WIDTHS:
+        if profile(slope - half)[0] > 0.0 > profile(slope + half)[0]:
+            break
+    else:
+        raise ConvergenceError(f"no finite exponent minimizes the residuals near {slope:.6g}")
+    b, _ = brentq(lambda b: profile(b)[0], slope - half, slope + half, xtol=math.ulp(1.0))
+    _, w, a = profile(b)
+    log_a = math.log(y.max()) + math.log(a) - float(np.max(b * lx))
+    if not _LOG_SMALLEST <= log_a <= _LOG_LARGEST:
+        raise ConvergenceError(f"amplitude e^{log_a:.6g} is out of the floating-point range")
+    return PowerLawFit(math.exp(log_a), b, _r_squared(y_unit, a * w), x.size)
 
 
 def fit_linear(points) -> LinearFit:
@@ -134,53 +159,3 @@ def _r_squared(y: np.ndarray, predicted: np.ndarray) -> float:
     ss_res = float(residuals @ residuals)
     ss_tot = float(dy @ dy)
     return min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
-
-
-def _power_law_levmar(x: np.ndarray, y: np.ndarray, a: float, b: float) -> tuple[float, float]:
-    # Two-parameter Levenberg-Marquardt; the log-log seed is already the
-    # exact answer on noiseless data, so this mostly polishes curvature.
-    lx = np.log(x)
-
-    def sse(aa: float, bb: float) -> float:
-        r = y - aa * np.power(x, bb)
-        return float(r @ r)
-
-    best = sse(a, b)
-    lam = 1e-3
-    for _ in range(200):
-        xb = np.power(x, b)
-        model = a * xb
-        r = y - model
-        j_a = xb
-        j_b = model * lx
-        g_a = float(j_a @ r)
-        g_b = float(j_b @ r)
-        h_aa = float(j_a @ j_a)
-        h_ab = float(j_a @ j_b)
-        h_bb = float(j_b @ j_b)
-        step_rel = math.inf
-        stepped = False
-        for _ in range(60):
-            m_aa = h_aa * (1.0 + lam)
-            m_bb = h_bb * (1.0 + lam)
-            det = m_aa * m_bb - h_ab * h_ab
-            if not (math.isfinite(det) and det > 0.0):
-                lam *= 10.0
-                continue
-            da = (g_a * m_bb - g_b * h_ab) / det
-            db = (g_b * m_aa - g_a * h_ab) / det
-            na, nb = a + da, b + db
-            if not (math.isfinite(na) and math.isfinite(nb)) or na <= 0.0:
-                lam *= 10.0
-                continue
-            trial = sse(na, nb)
-            if trial <= best:
-                step_rel = max(abs(da) / max(abs(na), 1e-30), abs(db) / max(abs(nb), 1e-30))
-                a, b, best = na, nb, trial
-                lam = max(lam * 0.3, 1e-12)
-                stepped = True
-                break
-            lam *= 10.0
-        if not stepped or step_rel < 1e-13:
-            break
-    return a, b

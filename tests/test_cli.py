@@ -126,6 +126,9 @@ class TestHCurve:
             ("--mu", "30", "--sigma", "5", "--n-max", "10000000000"),
             # F(h) is a near-step at e^2
             ("--mu", "2", "--sigma", "1e-9"),
+            # e^(mu - 1) underflows; at -2000 the fixed point does too
+            ("--mu=-745", "--sigma", "1", "--n-max", "100", "--points", "3"),
+            ("--mu=-2000", "--sigma", "1", "--n-max", "100", "--points", "3"),
         ],
     )
     def test_former_solver_failures_exit_zero(self, args):

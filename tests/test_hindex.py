@@ -177,6 +177,21 @@ class TestConvergenceContract:
         assert sol.h_continuous == pytest.approx(mp_fixed_point(mu, sigma, n), rel=1e-13)
         assert f"{sol.h_continuous:.6g}" == printed
 
+    def test_underflowing_bracket_end_matches_mpmath(self):
+        # the bracket's lower end, e^(mu - 1), is 0.0 in double precision
+        spec = SeriesSpec.from_values(-745, 1, 100)
+        sol = solve_h(spec)
+        assert_converged(spec, sol)
+        assert sol.h_continuous == pytest.approx(mp_fixed_point(-745, 1, 100), rel=1e-13)
+        assert f"{sol.h_continuous:.6g}" == "6.11768e-308"
+
+    def test_underflowing_fixed_point_is_zero(self):
+        # F(h) < h already at the smallest positive double
+        sol = solve_h(SeriesSpec.from_values(-2000, 1, 100))
+        assert sol.h_continuous == mp_fixed_point(-2000, 1, 100) == 0.0
+        assert sol.h_reported == 0
+        assert 0.0 < sol.residual <= 5e-324
+
     def test_every_paper_above_n_gives_h_equal_n(self):
         for n in (1, 2, 1000, 10**12):
             sol = solve_h(SeriesSpec.from_values(60, 1, n))

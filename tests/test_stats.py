@@ -1,6 +1,7 @@
 """Regression and correlation machinery against exact and scipy oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,24 @@ import scipy.stats
 from hypothesis import assume, example, given, strategies as st
 
 from citesim import (
+    ConvergenceError,
     default_study,
     fit_linear,
     fit_power_law,
     pearson,
     scatter_dataset,
 )
+from citesim.cli import THRESHOLD_CHOICES
+from citesim.indicators import X_AXES, Y_INDICATORS
+from citesim.report import FIT_X_AXES, fit_dataset
+
+#: Every study-wide dataset the CLI's fits accept: (y, x axis, threshold).
+STUDY_FITS = [
+    (y, x, t)
+    for y in Y_INDICATORS
+    for x in FIT_X_AXES
+    for t in (THRESHOLD_CHOICES if x in X_AXES else (None,))
+]
 
 
 class TestFitPowerLaw:
@@ -47,6 +60,52 @@ class TestFitPowerLaw:
         )
         assert fit.amplitude == pytest.approx(a_ref, rel=1e-6)
         assert fit.exponent == pytest.approx(b_ref, rel=1e-6)
+
+    @pytest.mark.parametrize("y_indicator,x_axis,threshold", STUDY_FITS)
+    def test_study_fits_match_scipy_optimum(self, y_indicator, x_axis, threshold):
+        points = fit_dataset(y_indicator, x_axis, threshold)
+        fit = fit_power_law(points)
+        x, y = np.array(points).T
+        # started at the fit, scipy's Levenberg-Marquardt moves off any
+        # point that is not a least-squares optimum; started at the
+        # log-log estimate, it stops 1.07e-7 short of the optimal exponent
+        # for h_over_n on counts at 500
+        ref = scipy.optimize.least_squares(
+            lambda p: y - p[0] * x ** p[1], (fit.amplitude, fit.exponent),
+            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+        )
+        residuals = y - fit.amplitude * x**fit.exponent
+        ss_tot = float(((y - y.mean()) ** 2).sum())
+        assert float(residuals @ residuals) - 2.0 * ref.cost <= 1e-12 * ss_tot
+        assert fit.exponent == pytest.approx(ref.x[1], rel=1e-7)
+
+    def test_steep_data_reaches_the_optimum_without_warnings(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        y = np.array([1e-9, 1e-9, 1e-9, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_power_law(zip(x, y))
+        residuals = y - fit.amplitude * x**fit.exponent
+        assert float(residuals @ residuals) <= 1e-16
+        # the root of dSSE/db at 50 digits, by mpmath
+        assert fit.exponent == pytest.approx(72.03530501685811, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # every term of dSSE/db underflows before it changes sign,
+            # near b = 2400 where (3/4)**b is 1e-300
+            [(1, 1e-300), (2, 1e-300), (3, 1e-300), (4, 1)],
+            # the amplitudes, (4e10)**-72 and (4e-10)**-72, are out of range
+            [(1e10, 1e-9), (2e10, 1e-9), (3e10, 1e-9), (4e10, 1)],
+            [(1e-10, 1e-9), (2e-10, 1e-9), (3e-10, 1e-9), (4e-10, 1)],
+        ],
+    )
+    def test_unresolvable_fit_raises_convergence_error(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                fit_power_law(points)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
