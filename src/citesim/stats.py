@@ -5,20 +5,27 @@ reproduces the study's published coefficients: the amplitude at exponent b
 is sum(y x^b) / sum(x^2b), and brentq finds the b where the residuals'
 slope is 0. Linear fits are ordinary least squares with the Pearson
 coefficient and its two-sided Student-t p-value attached.
+
+numpy is imported by the functions that use it, on their first call, not
+with the module: the CLI's closed-form commands import this module
+through report but never fit, and start about 0.1 s sooner without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .roots import brentq
 from .special import ConvergenceError, log_incomplete_beta_bound, regularized_incomplete_beta
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _SMALLEST = 5e-324
-_LOG_SMALLEST, _LOG_LARGEST = math.log(_SMALLEST), math.log(float(np.finfo(np.float64).max))
+_LOG_SMALLEST, _LOG_LARGEST = math.log(_SMALLEST), math.log(sys.float_info.max)
 #: Half-widths of the exponent's bracket around the log-log slope; past the
 #: last, x**b over x'**b is out of range for any two distinct doubles x, x'.
 _HALF_WIDTHS = tuple(2.0**k for k in range(-3, 65))
@@ -46,12 +53,18 @@ class LinearFit:
 
 
 def _as_xy(points) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     pts = list(points)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
     arr = np.asarray(pts, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("points must be (x, y) pairs")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"points must be finite, got {'xy'[j]} = {arr[i, j]} at point {i}")
     return arr[:, 0], arr[:, 1]
 
 
@@ -61,6 +74,8 @@ def fit_power_law(points) -> PowerLawFit:
     Minimizes squared residuals of y itself and reports R-squared in
     natural space, or raises ConvergenceError when no finite a, b minimize them.
     """
+    import numpy as np
+
     x, y = _as_xy(points)
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("power-law fitting needs strictly positive x and y")
@@ -96,7 +111,7 @@ def fit_power_law(points) -> PowerLawFit:
 def fit_linear(points) -> LinearFit:
     """Ordinary least squares line with Pearson r and two-sided p-value."""
     x, y = _as_xy(points)
-    if np.ptp(x) == 0.0:
+    if x.max() == x.min():
         raise ValueError("x values are all equal; slope is undefined")
     slope, intercept = _ols(x, y)
     r, p = pearson(zip(x, y))
@@ -140,7 +155,7 @@ def _scaled_deviations(v: np.ndarray) -> tuple[np.ndarray, float]:
     scale 0.
     """
     d = v - v.mean()
-    scale = float(np.max(np.abs(d)))
+    scale = float(abs(d).max())
     return (d / scale if scale > 0.0 else d), scale
 
 

@@ -354,6 +354,14 @@ class TestSimulate:
         sum_c = float(parse_csv(result.stdout)[0]["sum_c_mean"])
         assert sum_c == pytest.approx(10_000 * math.exp(36 + 0.5), rel=0.05)
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_an_error(self, seed):
+        # masked to 64 bits, -1 would draw what 2^64 - 1 draws
+        result = run_cli("simulate", "--mu", "1", "--sigma", "1", "--n", "10",
+                         "--replicates", "5", "--seed", seed, check=False)
+        assert_one_error_line(result)
+        assert f"seed must be in [0, 2^64), got {seed}" in result.stderr
+
     def test_counts_beyond_int64_are_an_error(self):
         result = run_cli("simulate", "--mu", "800", "--sigma", "1", "--n", "10",
                          "--replicates", "3", check=False)
@@ -389,13 +397,51 @@ class TestVerify:
 
 
 class TestImport:
-    def test_cli_leaves_numpy_random_unloaded(self):
-        # numpy.random is loaded on first use, so every command that does
-        # not simulate starts without it
-        code = "import sys, citesim.cli; assert 'numpy.random' not in sys.modules"
+    @staticmethod
+    def loaded_after(argv):
+        """Whether numpy is loaded in a fresh interpreter after
+        ``cli.main(argv)`` has run and exited 0."""
+        code = ("import contextlib, io, sys\n"
+                "from citesim import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert cli.main({argv!r}) == 0\n"
+                "print('numpy' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 timeout=60)
         assert result.returncode == 0, result.stderr
+        return result.stdout.split() == ["True"]
+
+    def test_cli_leaves_numpy_unloaded(self):
+        # numpy is loaded by the first draw or fit, so importing the CLI
+        # and building its parser does not load it
+        code = ("import sys, citesim.cli; citesim.cli.build_parser(); "
+                "assert 'numpy' not in sys.modules; assert 'numpy.random' not in sys.modules")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr
+
+    def test_package_import_leaves_numpy_unloaded(self):
+        code = "import sys, citesim; assert 'numpy' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["table1"],
+        ["hcurve", "--mu", "2.7", "--sigma", "1.2", "--n-min", "10", "--n-max", "10000",
+         "--points", "3"],
+        ["scatter", "--y", "h", "--x", "counts", "--threshold", "30"],
+    ])
+    def test_closed_form_commands_leave_numpy_unloaded(self, argv):
+        assert not self.loaded_after(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mu", "1.7", "--sigma", "1.0", "--n", "100", "--replicates", "5"],
+        ["fit", "--kind", "power", "--y", "h", "--x", "sum_c"],
+    ])
+    def test_draws_and_fits_load_numpy(self, argv):
+        # the control: without it, a broken check would pass the test above
+        assert self.loaded_after(argv)
 
     def test_cli_loads_no_executor(self):
         # replicates run on the calling thread: no executor, no worker

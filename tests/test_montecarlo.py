@@ -44,6 +44,16 @@ class TestDeriveSeed:
         with pytest.raises(ValueError):
             derive_seed(1, -1)
 
+    @pytest.mark.parametrize("master", [-1, 2**64, -(2**64) - 1])
+    def test_rejects_master_outside_64_bits(self, master):
+        with pytest.raises(ValueError, match="seed must be in"):
+            derive_seed(master, 0)
+        with pytest.raises(ValueError, match="seed must be in"):
+            run_replicates(SERIES_22, 2, seed=master)
+
+    def test_accepts_the_64_bit_range_ends(self):
+        assert derive_seed(2**64 - 1, 0) != derive_seed(0, 0)
+
 
 class TestRunReplicates:
     def test_single_replicate_equals_sample_metrics(self):

@@ -238,3 +238,25 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([(1, 5), (2, 5), (3, 5)])
 
+
+
+class TestNonFinitePoints:
+    """A nan or an infinity anywhere in the points is rejected with one
+    ValueError naming it, before any arithmetic can turn it into a
+    confident answer or a numpy warning."""
+
+    POINTS = [(1.0, 2.0), (2.0, 3.5), (3.0, 4.0), (4.0, 6.5)]
+
+    @pytest.mark.parametrize("fn", [pearson, fit_linear, fit_power_law])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejected_with_the_value_named(self, fn, axis, value):
+        points = [list(p) for p in self.POINTS]
+        points[2][axis] = value
+        with pytest.raises(ValueError, match=f"got {'xy'[axis]} = {value} at point 2"):
+            fn(points)
+
+    def test_nan_no_longer_gives_a_perfect_correlation(self):
+        # r = 1 with p = 5e-324 before non-finite points were rejected
+        with pytest.raises(ValueError, match="finite"):
+            pearson([(1, 1), (2, math.nan), (3, 1)])
