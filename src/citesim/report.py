@@ -25,7 +25,7 @@ from .indicators import (
 from .lognormal import DEFAULT_THRESHOLDS, LognormalParams, SeriesSpec
 from .montecarlo import DEFAULT_SEED, derive_seed, run_replicates
 from .output import format_number, format_probability
-from .stats import LinearFit, PowerLawFit, fit_linear, fit_power_law
+from .stats import PowerLawFit, fit_linear, fit_power_law
 
 FIT_X_AXES = (*X_AXES, "h", "sum_c")
 
@@ -132,18 +132,12 @@ def fit_dataset(y_indicator: str, x_axis: str, threshold: float | None) -> list[
     return list(zip(xs, ys))
 
 
-def run_fit(kind: str, y_indicator: str, x_axis: str, threshold: float | None):
-    """Fit the study-wide dataset; returns a PowerLawFit or LinearFit."""
-    points = fit_dataset(y_indicator, x_axis, threshold)
-    if kind == "power":
-        return fit_power_law(points)
-    if kind == "linear":
-        return fit_linear(points)
-    raise ValueError(f"unknown fit kind {kind!r}")
-
-
 def fit_rows(kind: str, y_indicator: str, x_axis: str, threshold: float | None) -> list[dict]:
-    fit = run_fit(kind, y_indicator, x_axis, threshold)
+    """The power-law or linear fit of the study-wide dataset, one row."""
+    fitters = {"power": fit_power_law, "linear": fit_linear}
+    if kind not in fitters:
+        raise ValueError(f"unknown fit kind {kind!r}")
+    fit = fitters[kind](fit_dataset(y_indicator, x_axis, threshold))
     row = {
         "kind": kind,
         "y": y_indicator,

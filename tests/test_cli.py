@@ -26,11 +26,11 @@ def run_cli(*args, check=True):
 
 
 def assert_one_error_line(result):
+    # the whole of stderr: no traceback, warning or seed comment beside it
     assert result.returncode == 1
     assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    assert "Warning" not in result.stderr
-    assert sum(line.startswith("error: ") for line in result.stderr.splitlines()) == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
 def parse_csv(text):
@@ -375,6 +375,38 @@ class TestSimulate:
         assert_one_error_line(result)
 
 
+class TestSeedEcho:
+    """Commands that draw echo their seed on stderr after their output,
+    and a rejected command prints its error line alone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--mu", "1", "--sigma", "1", "--n", "10", "--seed", "-1"),
+            ("simulate", "--mu", "1", "--sigma", "1", "--n", "10", "--replicates", "0"),
+            ("table1", "--mode", "simulate", "--replicates", "0"),
+            ("verify", "--filter", "no-such-check"),
+            ("simulate", "--mu", "1", "--sigma", "1", "--n", "10", "--replicates", "5", "--out", "OUT"),
+        ],
+        ids=["seed", "replicates", "table1-replicates", "filter", "out"],
+    )
+    def test_rejected_run_echoes_no_seed(self, argv, tmp_path):
+        argv = [str(tmp_path / "missing" / "x.csv") if a == "OUT" else a for a in argv]
+        assert_one_error_line(run_cli(*argv, check=False))
+
+    def test_seed_comment_follows_the_output(self):
+        from citesim.cli import main
+
+        both = io.StringIO()
+        with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+            assert main(["simulate", "--mu", "1", "--sigma", "1", "--n", "10",
+                         "--replicates", "5", "--seed", "3"]) == 0
+        lines = both.getvalue().splitlines()
+        assert lines[0].startswith("mu,sigma,n,")
+        assert lines[-1] == "# command=simulate seed=3 replicates=5 seeding=7"
+        assert len(lines) == 3
+
+
 class TestVerify:
     def test_filter_table1_passes(self):
         result = run_cli("verify", "--filter", "table1")
@@ -387,7 +419,17 @@ class TestVerify:
 
     def test_unknown_filter_errors(self):
         result = run_cli("verify", "--filter", "no-such-check", check=False)
-        assert result.returncode != 0
+        assert_one_error_line(result)
+        assert result.stderr == "error: no checks match filter 'no-such-check'\n"
+
+    def test_failed_check_exits_one_in_text_format(self):
+        # 100 replicates a series are too few for the agreement gates
+        result = run_cli("verify", "--filter", "simulation", "--replicates", "100", check=False)
+        assert result.returncode == 1
+        lines = result.stdout.splitlines()
+        assert lines[0].startswith("[FAIL] simulation-agreement: ")
+        assert lines[1:] == ["1 checks, 0 passed, 1 failed"]
+        assert result.stderr == "# command=verify seed=20200212 replicates=100 seeding=7\n"
 
     def test_json_format(self):
         result = run_cli("verify", "--filter", "correlations", "--format", "json")
