@@ -9,7 +9,6 @@ indicators through fits and correlations.
 from .hindex import HCurve, HSolution, h_asymptotic, h_curve, solve_h
 from .indicators import (
     SeriesMetrics,
-    StudyTable,
     default_study,
     indicator_value,
     metrics_analytic,
@@ -28,7 +27,7 @@ from .lognormal import (
     total_citations,
 )
 from .montecarlo import DEFAULT_SEED, ReplicateSummary, derive_seed, run_replicates
-from .special import ConvergenceError, erfc
+from .special import ConvergenceError
 from .stats import LinearFit, PowerLawFit, fit_linear, fit_power_law, pearson
 
 __version__ = "0.1.0"
@@ -45,11 +44,9 @@ __all__ = [
     "ReplicateSummary",
     "SeriesMetrics",
     "SeriesSpec",
-    "StudyTable",
     "ThresholdSet",
     "default_study",
     "derive_seed",
-    "erfc",
     "expected_exceeding",
     "fit_linear",
     "fit_power_law",

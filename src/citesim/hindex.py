@@ -37,7 +37,6 @@ class HCurve:
     """h versus paper count over a geometric grid, optionally with the
     closed-form approximation evaluated in parallel."""
 
-    params: LognormalParams
     n_papers: tuple[int, ...]
     h_exact: tuple[float, ...]
     h_asymptotic: tuple[float, ...] | None = None
@@ -78,9 +77,7 @@ def solve_h(spec: SeriesSpec, tolerance: float | None = None) -> HSolution:
         gap_at_lo = gap_in_log(lo)
         if gap_at_lo < 0.0:
             return HSolution(h_continuous=0.0, h_reported=0, residual=-gap_at_lo, iterations=1)
-    # one ulp of u near h = 1; elsewhere brentq's own 2 eps |u| term
-    # dominates, so the stopping width is relative in h
-    u, iterations = brentq(gap_in_log, lo, ln_n + 1.0, xtol=math.ulp(1.0))
+    u, iterations = brentq(gap_in_log, lo, ln_n + 1.0)
     root = min(math.exp(u), float(spec.n_papers))
     residual = abs(gap(root))
     if tolerance is not None and residual > tolerance:
@@ -135,7 +132,7 @@ def h_curve(
     asym = None
     if with_asymptotic:
         asym = tuple(h_asymptotic(SeriesSpec(params, n)) for n in grid)
-    return HCurve(params=params, n_papers=tuple(grid), h_exact=h_exact, h_asymptotic=asym)
+    return HCurve(n_papers=tuple(grid), h_exact=h_exact, h_asymptotic=asym)
 
 
 def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:

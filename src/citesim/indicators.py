@@ -49,20 +49,6 @@ class SeriesMetrics:
     mean_citations: float
     p_at: dict[float, float]
     f_at: dict[float, float]
-    source: str
-
-
-@dataclass(frozen=True)
-class StudyTable:
-    """Ordered collection of series metrics."""
-
-    rows: tuple[SeriesMetrics, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
 
 
 def metrics_analytic(spec: SeriesSpec) -> SeriesMetrics:
@@ -79,7 +65,6 @@ def metrics_analytic(spec: SeriesSpec) -> SeriesMetrics:
         mean_citations=sum_c / n,
         p_at=p_at,
         f_at={x: n * p for x, p in p_at.items()},
-        source="analytic",
     )
 
 
@@ -99,7 +84,6 @@ def metrics_simulated(
         mean_citations=summary.sum_citations_mean / n,
         p_at={x: f / n for x, f in summary.counts_above.items()},
         f_at=dict(summary.counts_above),
-        source="simulated",
     )
 
 
@@ -109,13 +93,13 @@ def study_specs() -> tuple[SeriesSpec, ...]:
 
 
 @lru_cache(maxsize=1)
-def default_study() -> StudyTable:
-    """Analytic metrics for the canonical 30-series study."""
-    return StudyTable(tuple(metrics_analytic(spec) for spec in study_specs()))
+def default_study() -> tuple[SeriesMetrics, ...]:
+    """Analytic metrics for the canonical 30-series study, in series order."""
+    return tuple(metrics_analytic(spec) for spec in study_specs())
 
 
 def scatter_dataset(
-    table: StudyTable,
+    table: tuple[SeriesMetrics, ...],
     y_indicator: str,
     x_axis: str,
     threshold: float,
@@ -133,7 +117,7 @@ def scatter_dataset(
         raise ValueError(f"unknown axis {x_axis!r}; expected one of {X_AXES}")
     return [
         (_axis_value(row, x_axis, threshold), indicator_value(row, y_indicator))
-        for row in table.rows
+        for row in table
     ]
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special import erfc
-
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -89,7 +87,7 @@ def survival_probability(c: float, params: LognormalParams) -> float:
     """
     _check_citations(c)
     z = (math.log(c) - params.mu) / (params.sigma * _SQRT2)
-    return 0.5 * erfc(z)
+    return 0.5 * math.erfc(z)
 
 
 def expected_exceeding(c: float, spec: SeriesSpec) -> float:

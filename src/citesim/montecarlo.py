@@ -193,7 +193,6 @@ class ReplicateSummary:
     h_stddev: float
     sum_citations_mean: float
     counts_above: dict[float, float]
-    seed: int
 
 
 def run_replicates(
@@ -230,7 +229,6 @@ def run_replicates(
         h_stddev=float(h_values.std(ddof=1)) if replicates > 1 else 0.0,
         sum_citations_mean=total / replicates,
         counts_above={x: count / replicates for x, count in zip(xs, counts)},
-        seed=seed,
     )
 
 

@@ -127,8 +127,8 @@ def fit_dataset(y_indicator: str, x_axis: str, threshold: float | None) -> list[
         return scatter_dataset(table, y_indicator, x_axis, threshold)
     if threshold is not None:
         raise ValueError(f"x axis {x_axis!r} takes no threshold")
-    ys = [indicator_value(row, y_indicator) for row in table.rows]
-    xs = [indicator_value(row, x_axis) for row in table.rows]
+    ys = [indicator_value(row, y_indicator) for row in table]
+    xs = [indicator_value(row, x_axis) for row in table]
     return list(zip(xs, ys))
 
 

@@ -17,16 +17,16 @@ _EPS = math.ulp(1.0)
 _MAX_ITER = 200
 
 
-def brentq(f, a: float, b: float, xtol: float = 1e-12) -> tuple[float, int]:
+def brentq(f, a: float, b: float) -> tuple[float, int]:
     """Root of f on [a, b]; returns (root, function evaluations).
 
     Raises ValueError when f(a) and f(b) do not bracket a sign change,
     and ConvergenceError when the bracket is not resolved within
-    _MAX_ITER iterations. The returned abscissa is within
-    2 eps |root| + xtol of a true root.
+    _MAX_ITER iterations. The stopping width is fixed: the search ends
+    once the bracket's half-width is at most 2 eps |b| + eps/2, with
+    eps = ulp(1.0). That is one ulp of b near |b| = 1; elsewhere the
+    2 eps |b| term dominates, so the width is relative in b.
     """
-    if not (xtol > 0.0):
-        raise ValueError(f"xtol must be positive, got {xtol}")
     fa = f(a)
     fb = f(b)
     evaluations = 2
@@ -43,7 +43,7 @@ def brentq(f, a: float, b: float, xtol: float = 1e-12) -> tuple[float, int]:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        tol = 2.0 * _EPS * abs(b) + 0.5 * _EPS
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b, evaluations

@@ -1,12 +1,9 @@
 """Scalar special functions computed to near machine accuracy.
 
-The survival tail of the lognormal citation model and the Student-t tail
-behind correlation p-values both need more accuracy than the usual
-polynomial approximations provide. erfc is the C library's, which keeps
-~1e-16 relative accuracy wherever the result is a normal double, deep
-in the upper tail included; the regularized incomplete beta, which the
-standard library lacks, is evaluated from its continued fraction
-directly.
+The Student-t tail behind correlation p-values needs more accuracy than
+the usual polynomial approximations provide. The regularized incomplete
+beta, which the standard library lacks, is evaluated from its continued
+fraction directly. The package's lognormal tails call math.erfc.
 """
 
 from __future__ import annotations
@@ -18,11 +15,6 @@ _TINY = 1e-300
 
 class ConvergenceError(RuntimeError):
     """A numerical iteration or solve ended without meeting its accuracy target."""
-
-
-#: Complementary error function, 1 - erf(x), without the cancellation of
-#: that difference: full relative accuracy deep in the upper tail.
-erfc = math.erfc
 
 
 def log_beta(a: float, b: float) -> float:
@@ -83,25 +75,20 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 400):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even step's coefficient, then the odd step's
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     raise ConvergenceError("incomplete beta continued fraction did not converge")

@@ -100,7 +100,7 @@ def fit_power_law(points) -> PowerLawFit:
             break
     else:
         raise ConvergenceError(f"no finite exponent minimizes the residuals near {slope:.6g}")
-    b, _ = brentq(lambda b: profile(b)[0], slope - half, slope + half, xtol=math.ulp(1.0))
+    b, _ = brentq(lambda b: profile(b)[0], slope - half, slope + half)
     _, w, a = profile(b)
     log_a = math.log(y.max()) + math.log(a) - float(np.max(b * lx))
     if not _LOG_SMALLEST <= log_a <= _LOG_LARGEST:

@@ -32,7 +32,7 @@ def check_table1_probabilities() -> CheckResult:
     study = default_study()
     worst_abs = worst_rel = 0.0
     bad = []
-    for ref, row in zip(REFERENCE_ROWS, study.rows):
+    for ref, row in zip(REFERENCE_ROWS, study):
         for x in DEFAULT_THRESHOLDS:
             expected = ref.probability(x)
             actual = row.p_at[x]
@@ -58,7 +58,7 @@ def check_table1_h() -> CheckResult:
     exact = 0
     worst = 0
     bad = []
-    for ref, row in zip(REFERENCE_ROWS, study.rows):
+    for ref, row in zip(REFERENCE_ROWS, study):
         reported = int(math.floor(row.h + 0.5))
         diff = abs(reported - ref.h)
         worst = max(worst, diff)
@@ -78,7 +78,7 @@ def check_table1_sum_citations() -> CheckResult:
     study = default_study()
     worst = 0.0
     worst_series = 0
-    for ref, row in zip(REFERENCE_ROWS, study.rows):
+    for ref, row in zip(REFERENCE_ROWS, study):
         err = abs(row.sum_citations - ref.sum_citations) / ref.sum_citations
         if err > worst:
             worst, worst_series = err, ref.series
@@ -205,7 +205,7 @@ def check_correlations() -> CheckResult:
 def check_total_citations_exponent() -> CheckResult:
     """Power-law exponent of h versus total citations equals 0.42 within 0.05."""
     study = default_study()
-    points = [(row.sum_citations, row.h) for row in study.rows]
+    points = [(row.sum_citations, row.h) for row in study]
     fit = fit_power_law(points)
     ok = abs(fit.exponent - 0.42) <= 0.05
     return CheckResult(
@@ -223,7 +223,7 @@ def check_simulation_agreement(replicates: int = 10_000, seed: int = DEFAULT_SEE
     study = default_study()
     worst_h = worst_p = 0.0
     bad = []
-    for index, (ref, row) in enumerate(zip(REFERENCE_ROWS, study.rows)):
+    for index, (ref, row) in enumerate(zip(REFERENCE_ROWS, study)):
         summary = run_replicates(row.spec, replicates, thresholds, derive_seed(seed, index))
         h_dev = abs(summary.h_mean - row.h)
         worst_h = max(worst_h, h_dev)
@@ -259,13 +259,14 @@ def check_decorrelation() -> CheckResult:
     )
 
 
-def check_determinism(seed: int = DEFAULT_SEED, replicates: int = 100) -> CheckResult:
-    """Simulated study table renders byte-identically across repeated runs."""
+def check_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
+    """Simulated study table, at 100 replicates, renders byte-identically
+    across repeated runs."""
     from .output import render_rows
     from .report import table1_rows
 
-    first = render_rows(table1_rows("simulate", replicates, seed), "csv")
-    second = render_rows(table1_rows("simulate", replicates, seed), "csv")
+    first = render_rows(table1_rows("simulate", 100, seed), "csv")
+    second = render_rows(table1_rows("simulate", 100, seed), "csv")
     return CheckResult(
         "determinism",
         first == second,
@@ -278,7 +279,14 @@ def run_checks(
     replicates: int = 10_000,
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
-    """Run all (or name-filtered) checks; cheap ones first."""
+    """Run all (or name-filtered) checks; cheap ones first.
+
+    A seed or replicate count that `simulate` would reject raises
+    ValueError before any check runs, whatever the filter.
+    """
+    derive_seed(seed, 0)
+    if replicates < 1:
+        raise ValueError(f"need at least 1 replicate, got {replicates}")
     checks = [
         ("table1-probabilities", check_table1_probabilities),
         ("table1-h", check_table1_h),

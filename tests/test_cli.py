@@ -422,6 +422,18 @@ class TestVerify:
         assert_one_error_line(result)
         assert result.stderr == "error: no checks match filter 'no-such-check'\n"
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--seed", "-1", "error: seed must be in [0, 2^64), got -1\n"),
+         ("--replicates", "0", "error: need at least 1 replicate, got 0\n")],
+        ids=["seed", "replicates"],
+    )
+    def test_bad_seed_or_replicates_is_an_error_under_any_filter(self, flag, value, message):
+        # table1-h draws nothing, yet the values simulate rejects are rejected
+        result = run_cli("verify", "--filter", "table1-h", flag, value, check=False)
+        assert_one_error_line(result)
+        assert result.stderr == message
+
     def test_failed_check_exits_one_in_text_format(self):
         # 100 replicates a series are too few for the agreement gates
         result = run_cli("verify", "--filter", "simulation", "--replicates", "100", check=False)

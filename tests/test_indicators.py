@@ -6,7 +6,6 @@ import pytest
 
 from citesim import (
     SeriesSpec,
-    StudyTable,
     default_study,
     metrics_analytic,
     metrics_simulated,
@@ -23,7 +22,6 @@ class TestMetricsAnalytic:
         assert int(math.floor(metrics.h + 0.5)) == 61
         assert metrics.p_at[5] == pytest.approx(0.8183, abs=5e-5)
         assert metrics.p_at[500] == pytest.approx(1.70e-3, rel=0.01)
-        assert metrics.source == "analytic"
 
     def test_series_29(self):
         metrics = metrics_analytic(SeriesSpec.from_values(1.3, 0.8, 1000))
@@ -52,7 +50,6 @@ class TestMetricsSimulated:
     def test_series_20_h_mean(self):
         metrics = metrics_simulated(SeriesSpec.from_values(1.7, 1.0, 500), replicates=10_000)
         assert metrics.h == pytest.approx(27, abs=1)
-        assert metrics.source == "simulated"
 
     def test_single_replicate_is_reproducible(self):
         spec = SeriesSpec.from_values(2.1, 1.1, 200)
@@ -73,20 +70,20 @@ class TestDefaultStudy:
         assert len(default_study()) == 30
 
     def test_row_9_spec(self):
-        row = default_study().rows[8]
+        row = default_study()[8]
         assert row.spec.params.mu == 2.3
         assert row.spec.params.sigma == 1.1
         assert row.spec.n_papers == 10000
 
     def test_row_22_spec_and_h(self):
-        row = default_study().rows[21]
+        row = default_study()[21]
         assert row.spec == SeriesSpec.from_values(1.7, 1.0, 100)
         assert int(math.floor(row.h + 0.5)) == 15
 
     def test_specs_helper_matches_rows(self):
         specs = study_specs()
         assert len(specs) == 30
-        assert [r.spec for r in default_study().rows] == list(specs)
+        assert [r.spec for r in default_study()] == list(specs)
 
 
 class TestScatterDataset:
@@ -100,13 +97,13 @@ class TestScatterDataset:
         study = default_study()
         points = scatter_dataset(study, "sum_c_over_n", "probabilities", 30.0)
         assert len(points) == 30
-        for (x, _), row in zip(points, study.rows):
+        for (x, _), row in zip(points, study):
             assert x == survival_probability(30.0, row.spec.params)
             assert 30.0 not in row.p_at
 
     def test_single_row_table(self):
         row = metrics_analytic(SeriesSpec.from_values(2.0, 1.0, 300))
-        points = scatter_dataset(StudyTable((row,)), "sum_c", "probabilities", 20.0)
+        points = scatter_dataset((row,), "sum_c", "probabilities", 20.0)
         assert points == [(row.p_at[20], row.sum_citations)]
 
     def test_unknown_indicator_or_axis(self):
@@ -119,7 +116,7 @@ class TestScatterDataset:
         # equal-parameter series: probabilities equal, h strictly grows
         # with N while h/N strictly falls
         study = default_study()
-        same = [study.rows[i] for i in (12, 11, 13, 14)]  # N = 200, 500, 5000, 10000
+        same = [study[i] for i in (12, 11, 13, 14)]  # N = 200, 500, 5000, 10000
         assert all(r.p_at == same[0].p_at for r in same)
         hs = [r.h for r in same]
         ratios = [r.h_over_n for r in same]

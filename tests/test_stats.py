@@ -46,7 +46,7 @@ class TestFitPowerLaw:
         assert fit.r_squared == pytest.approx(0.98, abs=0.02)
 
     def test_study_exponent_h_versus_total_citations(self):
-        points = [(row.sum_citations, row.h) for row in default_study().rows]
+        points = [(row.sum_citations, row.h) for row in default_study()]
         fit = fit_power_law(points)
         assert fit.exponent == pytest.approx(0.42, abs=0.05)
 
