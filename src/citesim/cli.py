@@ -59,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lognormal citation model: study tables, h-index curves, fits, and checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, by name
 
     table1 = sub.add_parser("table1", help="emit the 30-series study table")
     table1.add_argument("--mode", choices=("analytic", "simulate"), default="analytic")
@@ -120,9 +121,32 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) returns or raises.
+
+    An argv that starts with a command is parsed by that command's
+    parser alone: the top-level parser would only scan every argument
+    and hand the rest to it. Anything else (no command, an unknown one,
+    a top-level -h) goes through the top-level parser, which reports it.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
+    """Run one command line, `argv` or else sys.argv[1:], and return its
+    exit code; invalid input prints one `error:` line on stderr and
+    returns 1. A command line is parsed by its command's own parser,
+    which gives the Namespace, error or help text that the full parser
+    gives. The parsers are built on the first call and reused."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return _dispatch(_parser().parse_args(argv))
+        return _dispatch(_parse_args(argv))
     except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

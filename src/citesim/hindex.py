@@ -12,6 +12,7 @@ curve comparisons.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .lognormal import LognormalParams, SeriesSpec, expected_exceeding
@@ -20,6 +21,10 @@ from .special import ConvergenceError
 
 #: ln of the smallest positive double: exp(u) is 0 below it.
 _LOG_SMALLEST = math.log(5e-324)
+_SQRT2 = math.sqrt(2.0)
+#: Slack in ln h on the upper end of h_curve's warm bracket, far above
+#: the few ulps by which a computed root can sit below the true one.
+_WARM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,30 +69,41 @@ def solve_h(spec: SeriesSpec, tolerance: float | None = None) -> HSolution:
     if tolerance is not None and not (tolerance > 0.0):
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     ln_n = math.log(spec.n_papers)
-
-    def gap(h: float) -> float:
-        return expected_exceeding(h, spec) - h
-
-    def gap_in_log(u: float) -> float:
-        return gap(math.exp(u))
-
     lo = min(spec.params.mu, ln_n) - 1.0
     if lo < _LOG_SMALLEST:
         lo = _LOG_SMALLEST
-        gap_at_lo = gap_in_log(lo)
+        h0 = math.exp(lo)
+        gap_at_lo = expected_exceeding(h0, spec) - h0
         if gap_at_lo < 0.0:
             return HSolution(h_continuous=0.0, h_reported=0, residual=-gap_at_lo, iterations=1)
-    u, iterations = brentq(gap_in_log, lo, ln_n + 1.0)
-    root = min(math.exp(u), float(spec.n_papers))
-    residual = abs(gap(root))
-    if tolerance is not None and residual > tolerance:
+    solution = _solve_in(spec, lo, ln_n + 1.0)
+    if tolerance is not None and solution.residual > tolerance:
         raise ConvergenceError(
-            f"solver residual {residual:.3e} exceeds tolerance {tolerance:.3e} for {spec}"
+            f"solver residual {solution.residual:.3e} exceeds tolerance {tolerance:.3e} for {spec}"
         )
+    return solution
+
+
+def _solve_in(spec: SeriesSpec, lo: float, hi: float) -> HSolution:
+    """The h fixed point of `spec` with ln h in [lo, hi], by brentq.
+
+    The gap F(h) - h is expected_exceeding's arithmetic written out, so
+    it gives the same bits without its calls. Raises ValueError when the
+    gap does not change sign over the bracket.
+    """
+    n, mu = spec.n_papers, spec.params.mu
+    scale = spec.params.sigma * _SQRT2
+
+    def gap_in_log(u: float) -> float:
+        h = math.exp(u)
+        return n * (0.5 * math.erfc((math.log(h) - mu) / scale)) - h
+
+    u, iterations = brentq(gap_in_log, lo, hi)
+    root = min(math.exp(u), float(n))
     return HSolution(
         h_continuous=root,
         h_reported=int(math.floor(root + 0.5)),
-        residual=residual,
+        residual=abs(expected_exceeding(root, spec) - root),
         iterations=iterations,
     )
 
@@ -117,6 +133,19 @@ def h_curve(
     Grid values are rounded to integers and deduplicated, so fewer than
     `points` entries can come back for narrow ranges; the endpoints are
     always present.
+
+    The first point is solved by solve_h; each later one is bracketed
+    from the root before it. F scales with N, so for N' < N the fixed
+    points obey h' <= h <= (N / N') h', and ln h lies in [ln h', ln h' +
+    ln(N / N')]; the top is raised by 1e-9 against rounding. A point
+    falls back to solve_h's bracket where that one cannot hold it or
+    cannot be trusted to:
+    - the bracket does not straddle the root;
+    - its top reaches ln N, so that h may be N;
+    - h' is 0 or below the smallest normal double, where F(h) has lost
+      its relative precision and is not monotone in floating point.
+    Each h is then given to within brentq's final bracket, a few ulps of
+    ln h wide, as solve_h gives it; h = 0 and h = N come from solve_h.
     """
     if n_min < 1:
         raise ValueError(f"n_min must be at least 1, got {n_min}")
@@ -128,11 +157,27 @@ def h_curve(
         raise ValueError("the asymptotic curve needs n_min >= 2")
 
     grid = _geometric_grid(n_min, n_max, points)
-    h_exact = tuple(solve_h(SeriesSpec(params, n)).h_continuous for n in grid)
+    specs = [SeriesSpec(params, n) for n in grid]
+    h_exact = [solve_h(specs[0]).h_continuous]
+    for previous, spec in zip(specs, specs[1:]):
+        h_exact.append(_warm_solve(spec, previous.n_papers, h_exact[-1]))
     asym = None
     if with_asymptotic:
-        asym = tuple(h_asymptotic(SeriesSpec(params, n)) for n in grid)
-    return HCurve(n_papers=tuple(grid), h_exact=h_exact, h_asymptotic=asym)
+        asym = tuple(h_asymptotic(spec) for spec in specs)
+    return HCurve(n_papers=tuple(grid), h_exact=tuple(h_exact), h_asymptotic=asym)
+
+
+def _warm_solve(spec: SeriesSpec, previous_n: int, previous_h: float) -> float:
+    """h of `spec`, bracketed from the root `previous_h` at a smaller paper count."""
+    if previous_h >= sys.float_info.min:
+        lo = math.log(previous_h)
+        hi = lo + math.log(spec.n_papers / previous_n) + _WARM_SLACK
+        if hi < math.log(spec.n_papers):
+            try:
+                return _solve_in(spec, lo, hi).h_continuous
+            except ValueError:  # the bracket does not straddle the root
+                pass
+    return solve_h(spec).h_continuous
 
 
 def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:

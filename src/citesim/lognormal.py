@@ -10,9 +10,12 @@ sampling module, presentation rounding only in the CLI.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 _SQRT2 = math.sqrt(2.0)
+#: exp(u) is finite for u up to this, and overflows above it.
+_LOG_LARGEST = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,34 @@ def expected_exceeding(c: float, spec: SeriesSpec) -> float:
 
 
 def mean_citations(params: LognormalParams) -> float:
-    """Mean citation count, exp(mu + sigma^2 / 2)."""
-    return math.exp(params.mu + 0.5 * params.sigma * params.sigma)
+    """Mean citation count, exp(mu + sigma^2 / 2).
+
+    Raises ValueError when the mean is beyond the largest double.
+    """
+    mean = _mean(params)
+    if mean == math.inf:
+        raise ValueError(
+            f"the mean citation count exp(mu + sigma^2/2) overflows for "
+            f"mu={params.mu!r}, sigma={params.sigma!r}"
+        )
+    return mean
 
 
 def total_citations(spec: SeriesSpec) -> float:
-    """Expected total citations of the series: paper count times the mean."""
-    return spec.n_papers * mean_citations(spec.params)
+    """Expected total citations of the series: paper count times the mean.
+
+    Raises ValueError when the total is beyond the largest double.
+    """
+    total = spec.n_papers * _mean(spec.params)
+    if total == math.inf:
+        raise ValueError(
+            f"the expected citation total N exp(mu + sigma^2/2) overflows for "
+            f"mu={spec.params.mu!r}, sigma={spec.params.sigma!r}, N={spec.n_papers}"
+        )
+    return total
+
+
+def _mean(params: LognormalParams) -> float:
+    """exp(mu + sigma^2 / 2), or inf where that is beyond the largest double."""
+    exponent = params.mu + 0.5 * params.sigma * params.sigma
+    return math.exp(exponent) if exponent <= _LOG_LARGEST else math.inf

@@ -13,6 +13,7 @@ through report but never fit, and start about 0.1 s sooner without it.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -86,6 +87,7 @@ def fit_power_law(points) -> PowerLawFit:
     y_unit = y / y.max()
     below_max, above_min = lx - lx.max(), lx - lx.min()
 
+    @functools.cache  # brentq re-evaluates the bracket's ends, and b is read back
     def profile(b: float) -> tuple[float, np.ndarray, float]:
         # -dSSE/db / 2a at b's best amplitude a, x**b over its peak, and a.
         # The residuals sum to 0 against x**b, so measuring ln x from the
@@ -110,11 +112,12 @@ def fit_power_law(points) -> PowerLawFit:
 
 def fit_linear(points) -> LinearFit:
     """Ordinary least squares line with Pearson r and two-sided p-value."""
+    points = list(points)
     x, y = _as_xy(points)
     if x.max() == x.min():
         raise ValueError("x values are all equal; slope is undefined")
     slope, intercept = _ols(x, y)
-    r, p = pearson(zip(x, y))
+    r, p = pearson(points)
     return LinearFit(intercept, slope, r, p, x.size)
 
 

@@ -262,6 +262,52 @@ class TestNegativeNumbers:
         assert "expected one argument" not in str(parsed(spaced))
 
 
+class TestParseParity:
+    """main parses a command line with its command's own parser; every
+    argv must come out as the full parser's parse_args leaves it."""
+
+    @staticmethod
+    def outcome(parse, argv):
+        """The Namespace, or the exception's type and message, or the exit
+        code and the help text printed."""
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                return vars(parse(argv))
+        except ValueError as exc:
+            return type(exc), str(exc)
+        except SystemExit as exc:
+            return SystemExit, exc.code, out.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1"],
+            ["table1", "--mode", "simulate", "--replicates", "2", "--seed", "7"],
+            ["hcurve", "--mu", "2", "--sigma", "1", "--n-max", "100", "--points", "3",
+             "--with-asymptotic", "--format", "json"],
+            ["scatter", "--y", "h", "--x", "probabilities", "--threshold", "5", "--normalized"],
+            ["fit", "--kind", "linear", "--y", "h", "--x", "sum_c"],
+            ["fit", "--kind", "power", "--y", "h", "--x", "counts", "--threshold", "50"],
+            ["simulate", "--mu", "2", "--sigma", "1", "--n", "10", "--out", "x.csv"],
+            ["verify", "--filter", "table1", "--format", "tsv"],
+            ["--help"], ["-h"], ["scatter", "--help"], ["verify", "-h"],
+            [], ["bogus"], ["table1", "--bogus"], ["table1", "table1"],
+            ["scatter", "--y", "h"],
+            ["scatter", "--y", "h", "--threshold", "7"],
+            ["hcurve", "--mu", "-1e-05", "--sigma", "1"],
+            ["scatter", "--y", "h", "--threshold=30"],
+            ["--", "table1"], ["table1", "--"],
+            ["hcurve", "--mu", "2", "--", "--sigma", "1"],
+        ],
+    )
+    def test_subcommand_parser_matches_full_parser(self, argv):
+        from citesim import cli
+
+        expected = self.outcome(lambda a: cli.build_parser().parse_args(a), argv)
+        assert self.outcome(cli._parse_args, argv) == expected
+
+
 class TestScatter:
     def test_h_versus_counts_panel(self):
         rows = parse_csv(run_cli("scatter", "--y", "h", "--x", "counts", "--threshold", "100").stdout)

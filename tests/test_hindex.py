@@ -1,6 +1,7 @@
 """h fixed point, asymptotic form, and h-versus-N curves."""
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from citesim import (
     LognormalParams,
+    hindex,
     SeriesSpec,
     expected_exceeding,
     h_asymptotic,
@@ -296,6 +298,66 @@ class TestHCurve:
         reported = [int(math.floor(h + 0.5)) for h in curve.h_exact]
         assert abs(reported[0] - expected_100) <= 1
         assert abs(reported[1] - expected_200) <= 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        mu=st.floats(-50.0, 50.0),
+        log_sigma=st.floats(math.log(1e-9), math.log(10.0)),
+        n_min=st.integers(1, 10**11),
+        span=st.integers(1, 10**12),
+        points=st.integers(2, 50),
+    )
+    # narrow grids, whose neighbours differ by one paper
+    @example(mu=2.1, log_sigma=math.log(1.1), n_min=10, span=30, points=50)
+    @example(mu=2.7, log_sigma=math.log(1.2), n_min=10**12, span=20, points=21)
+    # a near-step F, whose residuals are far above 1e-9 relative
+    @example(mu=2.0, log_sigma=math.log(1e-9), n_min=10, span=10**8, points=50)
+    # h = N over part of the grid, then below it
+    @example(mu=30.0, log_sigma=0.0, n_min=1, span=10**12, points=50)
+    @example(mu=33.75, log_sigma=math.log(3.7e-4), n_min=10, span=10**8, points=50)
+    def test_points_match_per_point_solves(self, mu, log_sigma, n_min, span, points):
+        params = LognormalParams(mu, math.exp(log_sigma))
+        curve = h_curve(params, n_min, n_min + span, points)
+        for n, h in zip(curve.n_papers, curve.h_exact):
+            solved = solve_h(SeriesSpec(params, n)).h_continuous
+            if solved == n:
+                assert h == solved, (n, h, solved)
+            else:
+                assert h == pytest.approx(solved, rel=1e-13, abs=0.0), n
+
+    @pytest.mark.parametrize("mu", [-745.0, -746.0, -760.0, -2000.0])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_points_near_underflow_match_per_point_solves(self, mu, sigma):
+        # below the smallest normal double F(h) is not monotone, so h = 0
+        # and subnormal h come from solve_h itself; near e^-707 one ulp of
+        # ln h is 1.1e-13 of h, so normal h agree within brentq's brackets
+        params = LognormalParams(mu, sigma)
+        curve = h_curve(params, 1, 10**12, points=60)
+        for n, h in zip(curve.n_papers, curve.h_exact):
+            solved = solve_h(SeriesSpec(params, n)).h_continuous
+            if solved < sys.float_info.min:
+                assert h == solved, (n, h, solved)
+            else:
+                slack = bracket_half_width(h) + bracket_half_width(solved)
+                assert abs(math.log(h) - math.log(solved)) <= slack, (n, h, solved)
+
+    def test_reference_curves_take_at_most_10_evaluations_a_point(self, monkeypatch):
+        # each point after the first is bracketed from the one before;
+        # from solve_h's own bracket the mean is 13.9
+        evaluations = []
+
+        def counting(f, a, b):
+            root, count = brentq(f, a, b)
+            evaluations.append(count)
+            return root, count
+
+        brentq = hindex.brentq
+        monkeypatch.setattr(hindex, "brentq", counting)
+        points = 0
+        for mu, sigma in sorted({(row.mu, row.sigma) for row in REFERENCE_ROWS}):
+            points += len(h_curve(LognormalParams(mu, sigma), 10, 10**10, points=50).n_papers)
+        assert points == 15 * 50
+        assert sum(evaluations) / points <= 10.0
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):

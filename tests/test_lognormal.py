@@ -12,6 +12,7 @@ from citesim import (
     ThresholdSet,
     expected_exceeding,
     mean_citations,
+    metrics_analytic,
     survival_probability,
     total_citations,
 )
@@ -166,3 +167,22 @@ class TestMeanAndTotal:
         assert abs(series1 - 15280) / 15280 < 0.005
         series13 = total_citations(SeriesSpec.from_values(2.1, 1.1, 200))
         assert abs(series13 - 2987) / 2987 < 0.005
+
+    @pytest.mark.parametrize("mu,sigma", [(2, 40), (700, 10)])
+    def test_overflowing_mean_is_a_value_error(self, mu, sigma):
+        # exp(mu + sigma^2/2) is beyond the largest double
+        spec = SeriesSpec.from_values(mu, sigma, 100)
+        with pytest.raises(ValueError, match=f"mu={mu}, sigma={sigma}$"):
+            mean_citations(spec.params)
+        for quantity in (total_citations, metrics_analytic):
+            with pytest.raises(ValueError, match=f"mu={mu}, sigma={sigma}, N=100$"):
+                quantity(spec)
+
+    def test_overflowing_total_is_a_value_error(self):
+        # the mean, 1.7e304, is finite, and N times it is not
+        spec = SeriesSpec.from_values(700, 1, 10**5)
+        assert math.isfinite(mean_citations(spec.params))
+        for quantity in (total_citations, metrics_analytic):
+            with pytest.raises(ValueError, match="mu=700, sigma=1, N=100000$"):
+                quantity(spec)
+        assert math.isfinite(total_citations(SeriesSpec.from_values(700, 1, 10**4)))
