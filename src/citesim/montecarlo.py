@@ -8,7 +8,7 @@ does, so empirical exceedance fractions are unbiased estimates of the
 model's survival probabilities. The price is a mean shifted down by the
 mean fractional part of the draws, about half a citation. Counts are
 int64 at most, so a draw whose exp reaches 2**63 raises ValueError
-instead of wrapping.
+instead of wrapping, and so does a run of N x replicates >= 2**63 papers.
 
 Sampling scheme v7 (SEEDING_VERSION): a run with master seed s draws from
 two generators, the rows stream seeded from (s, 0) and the rest stream
@@ -32,11 +32,8 @@ Generation), stopped as soon as h is known:
   p_{k-1} / (1 - S(k))), so that both directions draw the papers a row
   keeps on its far side (_kept).
 
-An up-row costs |h - k*| + 2 binomials and a down-row |h - k*| + 1, where
-scheme 6's window row cost 12 to 36; on a 2-vCPU x86-64 machine a row of
-series 22, 13 and 25 took 0.47, 0.64 and 0.51 us in runs of 20,000
-replicates, against 1.13, 1.58 and 1.28 us for the window row. Scan step
-t (t = 0 draws G(k*)) draws from substream t of the rows stream, that
+An up-row costs |h - k*| + 2 binomials and a down-row |h - k*| + 1. Scan
+step t (t = 0 draws G(k*)) draws from substream t of the rows stream, that
 stream jumped t times (PCG64.jumped), carried from one block of
 _BLOCK_ROWS rows to the next. A step draws one binomial per row still
 scanning, in row order, so the bytes do not depend on the block size,
@@ -81,7 +78,8 @@ h, and a histogram of the counts the run's papers reach below K'.
 numpy is imported by the functions that draw, on their first call, not
 with the module: the CLI imports this module for DEFAULT_SEED and
 derive_seed, and its closed-form commands start about 0.1 s sooner
-without numpy. derive_seed is plain Python.
+without numpy. derive_seed is plain Python. No other module of the
+package imports numpy.
 """
 
 from __future__ import annotations
@@ -216,10 +214,14 @@ def run_replicates(
     total and the threshold counts are then summed over the run's papers,
     exactly, and divided by the replicate count. The first R replicates' h
     are the same for any larger replicate count. The run stays on the
-    calling thread.
+    calling thread. Its paper counts are int64, so a run of N x replicates
+    >= 2**63 papers raises ValueError.
     """
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
+    if spec.n_papers * replicates >= 2**63:
+        raise ValueError(f"N x replicates must stay below 2^63, got N = {spec.n_papers}, "
+                         f"replicates = {replicates}")
     xs = list(thresholds)
     h_values, total, counts = _scan_replicates(spec, replicates, xs, seed)
     return ReplicateSummary(

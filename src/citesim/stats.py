@@ -6,24 +6,21 @@ is sum(y x^b) / sum(x^2b), and brentq finds the b where the residuals'
 slope is 0. Linear fits are ordinary least squares with the Pearson
 coefficient and its two-sided Student-t p-value attached.
 
-numpy is imported by the functions that use it, on their first call, not
-with the module: the CLI's closed-form commands import this module
-through report but never fit, and start about 0.1 s sooner without it.
+The study's datasets are 30 points, too few for numpy to repay its
+import, so the arithmetic is on plain Python floats: every sum, mean and
+dot product is math.fsum's correctly rounded sum.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .roots import brentq
 from .special import ConvergenceError, log_incomplete_beta_bound, regularized_incomplete_beta
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _SMALLEST = 5e-324
 _LOG_SMALLEST, _LOG_LARGEST = math.log(_SMALLEST), math.log(sys.float_info.max)
@@ -53,20 +50,18 @@ class LinearFit:
     n_points: int
 
 
-def _as_xy(points) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
+def _as_xy(points) -> tuple[list[float], list[float]]:
     pts = list(points)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
-    arr = np.asarray(pts, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("points must be (x, y) pairs")
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"points must be finite, got {'xy'[j]} = {arr[i, j]} at point {i}")
-    return arr[:, 0], arr[:, 1]
+    try:
+        x, y = zip(*((float(a), float(b)) for a, b in pts))
+    except (TypeError, ValueError):
+        raise ValueError("points must be (x, y) pairs") from None
+    for k, v in enumerate(c for pair in zip(x, y) for c in pair):
+        if not math.isfinite(v):
+            raise ValueError(f"points must be finite, got {'xy'[k % 2]} = {v} at point {k // 2}")
+    return list(x), list(y)
 
 
 def fit_power_law(points) -> PowerLawFit:
@@ -75,27 +70,27 @@ def fit_power_law(points) -> PowerLawFit:
     Minimizes squared residuals of y itself and reports R-squared in
     natural space, or raises ConvergenceError when no finite a, b minimize them.
     """
-    import numpy as np
-
     x, y = _as_xy(points)
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
+    if min(x) <= 0.0 or min(y) <= 0.0:
         raise ValueError("power-law fitting needs strictly positive x and y")
-    lx, ly = np.log(x), np.log(y)
-    if np.ptp(lx) == 0.0:
+    lx, ly = [math.log(v) for v in x], [math.log(v) for v in y]
+    lo, hi = min(lx), max(lx)
+    if lo == hi:
         raise ValueError("x values are all equal; exponent is undefined")
     slope, _ = _ols(lx, ly)
-    y_unit = y / y.max()
-    below_max, above_min = lx - lx.max(), lx - lx.min()
+    y_max = max(y)
+    y_unit = [v / y_max for v in y]
+    below_max, above_min = [v - hi for v in lx], [v - lo for v in lx]
 
     @functools.cache  # brentq re-evaluates the bracket's ends, and b is read back
-    def profile(b: float) -> tuple[float, np.ndarray, float]:
+    def profile(b: float) -> tuple[float, list[float], float]:
         # -dSSE/db / 2a at b's best amplitude a, x**b over its peak, and a.
         # The residuals sum to 0 against x**b, so measuring ln x from the
         # peak drops the peak's term, which is pure rounding.
         d = below_max if b >= 0.0 else above_min
-        w = np.exp(b * d)
-        a = float(y_unit @ w) / float(w @ w)
-        return float(((y_unit - a * w) * w) @ d), w, a
+        w = [math.exp(b * v) for v in d]
+        a = _dot(y_unit, w) / _dot(w, w)
+        return _dot([(u - a * v) * v for u, v in zip(y_unit, w)], d), w, a
 
     for half in _HALF_WIDTHS:
         if profile(slope - half)[0] > 0.0 > profile(slope + half)[0]:
@@ -104,21 +99,20 @@ def fit_power_law(points) -> PowerLawFit:
         raise ConvergenceError(f"no finite exponent minimizes the residuals near {slope:.6g}")
     b, _ = brentq(lambda b: profile(b)[0], slope - half, slope + half)
     _, w, a = profile(b)
-    log_a = math.log(y.max()) + math.log(a) - float(np.max(b * lx))
+    log_a = math.log(y_max) + math.log(a) - max(b * lo, b * hi)
     if not _LOG_SMALLEST <= log_a <= _LOG_LARGEST:
         raise ConvergenceError(f"amplitude e^{log_a:.6g} is out of the floating-point range")
-    return PowerLawFit(math.exp(log_a), b, _r_squared(y_unit, a * w), x.size)
+    return PowerLawFit(math.exp(log_a), b, _r_squared(y_unit, [a * v for v in w]), len(x))
 
 
 def fit_linear(points) -> LinearFit:
     """Ordinary least squares line with Pearson r and two-sided p-value."""
-    points = list(points)
     x, y = _as_xy(points)
-    if x.max() == x.min():
+    if max(x) == min(x):
         raise ValueError("x values are all equal; slope is undefined")
     slope, intercept = _ols(x, y)
-    r, p = pearson(points)
-    return LinearFit(intercept, slope, r, p, x.size)
+    r, p = pearson(zip(x, y))
+    return LinearFit(intercept, slope, r, p, len(x))
 
 
 def pearson(points) -> tuple[float, float]:
@@ -131,13 +125,12 @@ def pearson(points) -> tuple[float, float]:
     result stays in (0, 1].
     """
     x, y = _as_xy(points)
-    dx, sx = _scaled_deviations(x)
-    dy, sy = _scaled_deviations(y)
+    dx, sx, _ = _scaled_deviations(x)
+    dy, sy, _ = _scaled_deviations(y)
     if sx == 0.0 or sy == 0.0:
         raise ValueError("correlation is undefined for zero-variance data")
-    r = float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
-    r = max(-1.0, min(1.0, r))
-    df = x.size - 2
+    r = max(-1.0, min(1.0, _dot(dx, dy) / math.sqrt(_dot(dx, dx) * _dot(dy, dy))))
+    df = len(x) - 2
     if 1.0 - r * r <= 0.0:
         return r, _SMALLEST
     t_squared = r * r * df / (1.0 - r * r)
@@ -148,32 +141,39 @@ def pearson(points) -> tuple[float, float]:
     return r, min(max(p, _SMALLEST), 1.0)
 
 
-def _scaled_deviations(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Deviations from the mean divided by their largest magnitude, and
-    that magnitude.
+def _dot(u: list[float], v: list[float]) -> float:
+    return math.fsum(map(operator.mul, u, v))
+
+
+def _scaled_deviations(v: list[float]) -> tuple[list[float], float, float]:
+    """Deviations from the mean divided by their largest magnitude, that
+    magnitude, and the mean.
 
     Sums of squares of the scaled deviations lie in [1, n], so they
     neither underflow nor overflow whatever the data's scale (Chan,
     Golub & LeVeque 1983). Zero-spread data comes back as zeros with
-    scale 0.
+    scale 0. The mean is the sum over n, or, where the sum is out of
+    range, the sum of each value over n.
     """
-    d = v - v.mean()
-    scale = float(abs(d).max())
-    return (d / scale if scale > 0.0 else d), scale
+    try:
+        mean = math.fsum(v) / len(v)
+    except OverflowError:
+        mean = math.fsum(x / len(v) for x in v)
+    d = [x - mean for x in v]
+    scale = max(map(abs, d))
+    return ([x / scale for x in d] if scale > 0.0 else d), scale, mean
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    dx, sx = _scaled_deviations(x)
-    dy, sy = _scaled_deviations(y)
-    slope = (sy / sx) * (float(dx @ dy) / float(dx @ dx))
-    return slope, float(y.mean() - slope * x.mean())
+def _ols(x: list[float], y: list[float]) -> tuple[float, float]:
+    dx, sx, mean_x = _scaled_deviations(x)
+    dy, sy, mean_y = _scaled_deviations(y)
+    slope = (sy / sx) * (_dot(dx, dy) / _dot(dx, dx))
+    return slope, mean_y - slope * mean_x
 
 
-def _r_squared(y: np.ndarray, predicted: np.ndarray) -> float:
-    dy, scale = _scaled_deviations(y)
+def _r_squared(y: list[float], predicted: list[float]) -> float:
+    dy, scale, _ = _scaled_deviations(y)
     if scale == 0.0:
         return 1.0
-    residuals = (y - predicted) / scale
-    ss_res = float(residuals @ residuals)
-    ss_tot = float(dy @ dy)
-    return min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
+    residuals = [(u - v) / scale for u, v in zip(y, predicted)]
+    return min(max(1.0 - _dot(residuals, residuals) / _dot(dy, dy), 0.0), 1.0)

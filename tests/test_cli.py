@@ -1,6 +1,7 @@
 """Command line behavior, exercised through subprocesses, and repeated
 in-process calls of ``citesim.cli.main``."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -8,9 +9,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import citesim
 
 
 def run_cli(*args, check=True):
@@ -420,6 +424,18 @@ class TestSimulate:
                          "--replicates", "1000", check=False)
         assert_one_error_line(result)
 
+    @pytest.mark.parametrize("n,replicates", [
+        ("1000000000000000", "20000"),
+        ("10000000000000000000", "1"),
+    ])
+    def test_runs_of_2_to_the_63_papers_are_an_error(self, n, replicates):
+        # the run's paper counts are int64
+        result = run_cli("simulate", "--mu", "1", "--sigma", "0.1", "--n", n,
+                         "--replicates", replicates, check=False)
+        assert_one_error_line(result)
+        assert f"N x replicates must stay below 2^63, got N = {n}, replicates = {replicates}" in (
+            result.stderr)
+
 
 class TestSeedEcho:
     """Commands that draw echo their seed on stderr after their output,
@@ -531,17 +547,33 @@ class TestImport:
         ["hcurve", "--mu", "2.7", "--sigma", "1.2", "--n-min", "10", "--n-max", "10000",
          "--points", "3"],
         ["scatter", "--y", "h", "--x", "counts", "--threshold", "30"],
+        ["fit", "--kind", "power", "--y", "h", "--x", "sum_c"],
+        ["verify", "--filter", "correlations"],
     ])
     def test_closed_form_commands_leave_numpy_unloaded(self, argv):
         assert not self.loaded_after(argv)
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--mu", "1.7", "--sigma", "1.0", "--n", "100", "--replicates", "5"],
-        ["fit", "--kind", "power", "--y", "h", "--x", "sum_c"],
     ])
-    def test_draws_and_fits_load_numpy(self, argv):
+    def test_draws_load_numpy(self, argv):
         # the control: without it, a broken check would pass the test above
         assert self.loaded_after(argv)
+
+    def test_only_montecarlo_imports_numpy(self):
+        package = Path(citesim.__file__).parent
+        importers = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                    importers.add(path.name)
+        assert importers == {"montecarlo.py"}
 
     def test_cli_loads_no_executor(self):
         # replicates run on the calling thread: no executor, no worker

@@ -105,6 +105,20 @@ class TestRunReplicates:
         with pytest.raises(ValueError, match="2\\^63"):
             run_replicates(spec, 3)
 
+    def test_rejects_runs_of_2_to_the_63_papers(self):
+        # the run's paper counts are int64; 9224 x 10^15 is just past 2^63
+        spec = SeriesSpec.from_values(1, 0.1, 10**15)
+        with pytest.raises(ValueError, match="2\\^63, got N = 1000000000000000, replicates = 9224"):
+            run_replicates(spec, 9224)
+
+    def test_citation_total_past_2_to_the_63(self):
+        # 9 x 10^18 papers: the run's total is summed as a Python int
+        spec = SeriesSpec.from_values(1, 0.1, 10**15)
+        expected = spec.n_papers * math.fsum(
+            survival_probability(k, spec.params) for k in range(1, 64))
+        summary = run_replicates(spec, 9000)
+        assert summary.sum_citations_mean == pytest.approx(expected, rel=1e-6)
+
     def test_series_13_h_mean_matches_reference(self):
         summary = run_replicates(SERIES_13, 10_000, seed=DEFAULT_SEED)
         assert summary.h_mean == pytest.approx(27, abs=1)
@@ -392,8 +406,7 @@ class TestBlockReductions:
     @example(xs=[52.5, 53.0, 53.5])
     @example(xs=[67.5, 68.0, 68.5])
     @example(xs=[5.5, 2.0**30, 2.0**31 - 1])
-    def test_count_at_least_on_int32_matches_naive(self, xs):
-        # a study series: every count is far inside int32
+    def test_count_at_least_on_a_study_series_matches_naive(self, xs):
         assert_counts_match_naive(SERIES_1, xs)
 
     # N * top below 2^53: float64 partial sums are exact

@@ -240,6 +240,29 @@ class TestPearson:
 
 
 
+class TestSumsPastTheLargestDouble:
+    """Values whose sum overflows a double, though their mean does not,
+    are centred on the mean of each value over n. Before that, these
+    fits gave intercept = slope = nan with r = 1 and p = 5e-324."""
+
+    BIG = [(1e308, 1.0), (1.5e308, 2.0), (1.7e308, 3.0)]
+    SMALL = [(x / 1e300, y) for x, y in BIG]
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["big-x", "big-y"])
+    def test_fit_matches_the_points_divided_by_1e300(self, transposed):
+        big, small = self.BIG, self.SMALL
+        if transposed:
+            big, small = [p[::-1] for p in big], [p[::-1] for p in small]
+        fit, ref = fit_linear(big), fit_linear(small)
+        # dividing x by 1e300 multiplies the slope by 1e300; dividing y
+        # divides the slope and the intercept by it
+        slope_factor, intercept_factor = (1e-300, 1e-300) if transposed else (1e300, 1.0)
+        assert fit.slope * slope_factor == pytest.approx(ref.slope, rel=1e-12)
+        assert fit.intercept * intercept_factor == pytest.approx(ref.intercept, rel=1e-12)
+        assert fit.pearson_r == pytest.approx(ref.pearson_r, rel=1e-12)
+        assert pearson(big)[0] == pytest.approx(pearson(small)[0], rel=1e-12)
+
+
 class TestNonFinitePoints:
     """A nan or an infinity anywhere in the points is rejected with one
     ValueError naming it, before any arithmetic can turn it into a
