@@ -115,10 +115,17 @@ def h_asymptotic(spec: SeriesSpec) -> float:
     ln h = sigma sqrt(2 ln N) + (mu - sigma^2) + o(1). Dropping the
     constant makes it independent of mu but not asymptotic to h itself:
     its ratio to the exact fixed point tends to e^(sigma^2 - mu).
+    Raises ValueError when it is beyond the largest double.
     """
     if spec.n_papers < 2:
         raise ValueError("the asymptotic form needs at least 2 papers")
-    return math.exp(spec.params.sigma * math.sqrt(2.0 * math.log(spec.n_papers)))
+    try:
+        return math.exp(spec.params.sigma * math.sqrt(2.0 * math.log(spec.n_papers)))
+    except OverflowError:
+        raise ValueError(
+            f"the asymptotic form exp(sigma sqrt(2 ln N)) overflows for "
+            f"sigma={spec.params.sigma!r}, N={spec.n_papers}"
+        ) from None
 
 
 def h_curve(
@@ -181,12 +188,15 @@ def _warm_solve(spec: SeriesSpec, previous_n: int, previous_h: float) -> float:
 
 
 def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:
+    """n_min, the rounded interior points of the geometric grid that lie
+    strictly between the last one kept and n_max, and n_max: the rounded
+    exp of ln n_min or ln n_max can miss either endpoint past 2**53."""
     log_lo = math.log(n_min)
     step = (math.log(n_max) - log_lo) / (points - 1)
-    grid: list[int] = []
-    for k in range(points):
+    grid = [n_min]
+    for k in range(1, points - 1):
         n = int(math.floor(math.exp(log_lo + k * step) + 0.5))
-        n = min(max(n, n_min), n_max)
-        if not grid or n > grid[-1]:
+        if grid[-1] < n < n_max:
             grid.append(n)
+    grid.append(n_max)
     return grid

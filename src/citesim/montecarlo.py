@@ -105,9 +105,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 #: Rows scanned together; the bytes do not depend on it.
 _BLOCK_ROWS = 2**16
-#: A stopped row's limit in a scan: no count of papers is at most it,
-#: however many steps it rises.
-_STOPPED = -(1 << 62)
 #: PCG64's jump, (phi - 1) 2**128 draws (numpy's PCG64.jumped). Scan step t
 #: draws from the rows stream jumped t times. A power-of-two spacing would
 #: not do: PCG64 states 2**100 apart share their low bits, so their outputs
@@ -358,8 +355,9 @@ def _scan(streams: _Substreams, size: int, n: int, start: int,
     the next count with probability _kept and places the rest at k (up)
     or k - 1 (down), so up-rows reach k* + s at step s and down-rows
     k* - s. A row stops once it keeps at most its limit, which rises by
-    one a step, so a scanning row keeps at least one paper. A stopped
-    row's t is 0, which draws nothing, and its limit _STOPPED.
+    one a step, so a scanning row keeps at least one paper. Each step
+    carries only the rows still scanning, and `rows` holds their indices
+    among the `size`, so a row's last step is its stop step.
     """
     import numpy as np
 
@@ -373,18 +371,16 @@ def _scan(streams: _Substreams, size: int, n: int, start: int,
     held_down = int(t.sum()) - held_up
     pools.above[start] += n * (size - ups) - held_down
     pools.below[start] += n * ups - held_up
-    # up: G(k* + s) <= k* + s - 1; down: N - G(k* - s) <= N - k* + s
-    limit = np.where(up, start - 1, n - start)
+    rows = np.arange(size)
     stops = np.zeros(size, dtype=np.int64)
-    scanning = size
     step = 0
-    while scanning:
+    while t.size:
         step += 1
         high, low = start + step, start - step
-        downs = scanning - ups
+        downs = t.size - ups
         r_up = _kept(survival, high - 1, True) if ups else 0.0
         r_down = _kept(survival, low + 1, False) if downs else 0.0
-        p = np.where(up, r_up, r_down) if ups and downs else r_up if ups else r_down
+        p = np.where(u, r_up, r_down) if ups and downs else r_up if ups else r_down
         t = streams.binomial(step, t, p)
         kept_up = int(np.dot(t, u))
         kept_down = int(t.sum()) - kept_up
@@ -392,21 +388,16 @@ def _scan(streams: _Substreams, size: int, n: int, start: int,
             pools.exact[high - 1] += held_up - kept_up
         if downs:
             pools.exact[low] += held_down - kept_down
-        limit += 1
-        stop = t <= limit
-        stopped = int(np.count_nonzero(stop))
-        if stopped:
-            ups -= int(np.dot(stop, u))
-            scanning -= stopped
-            stops[stop] = step
-            t[stop] = 0
-            limit[stop] = _STOPPED
-            held_up = int(np.dot(t, u))
-            held_down = int(t.sum()) - held_up
-            pools.above[high] += kept_up - held_up
-            pools.below[low] += kept_down - held_down
-        else:
-            held_up, held_down = kept_up, kept_down
+        # up: G(k* + s) <= k* + s - 1; down: N - G(k* - s) <= N - k* + s
+        limit = np.where(u, high - 1, n - low) if ups and downs else high - 1 if ups else n - low
+        going = t > limit
+        stops[rows] = step
+        t, u, rows = t[going], u[going], rows[going]
+        ups = int(u.sum())
+        held_up = int(np.dot(t, u))
+        held_down = int(t.sum()) - held_up
+        pools.above[high] += kept_up - held_up
+        pools.below[low] += kept_down - held_down
     # an up-row that stops at step s has h = k* + s - 1, a down-row k* - s
     return np.where(up, start + stops - 1, start - stops)
 

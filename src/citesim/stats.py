@@ -125,8 +125,8 @@ def pearson(points) -> tuple[float, float]:
     result stays in (0, 1].
     """
     x, y = _as_xy(points)
-    dx, sx, _ = _scaled_deviations(x)
-    dy, sy, _ = _scaled_deviations(y)
+    dx, sx, _, _ = _scaled_deviations(x)
+    dy, sy, _, _ = _scaled_deviations(y)
     if sx == 0.0 or sy == 0.0:
         raise ValueError("correlation is undefined for zero-variance data")
     r = max(-1.0, min(1.0, _dot(dx, dy) / math.sqrt(_dot(dx, dx) * _dot(dy, dy))))
@@ -145,35 +145,48 @@ def _dot(u: list[float], v: list[float]) -> float:
     return math.fsum(map(operator.mul, u, v))
 
 
-def _scaled_deviations(v: list[float]) -> tuple[list[float], float, float]:
+def _scaled_deviations(v: list[float]) -> tuple[list[float], float, float, int]:
     """Deviations from the mean divided by their largest magnitude, that
-    magnitude, and the mean.
+    magnitude and the mean, both of v times 2**-e, and e.
 
+    e is the binary exponent of v's largest magnitude, so the scaled
+    values lie in (-1, 1) and neither their sum, their mean nor a
+    deviation can overflow; in the normal range the scaling is exact.
     Sums of squares of the scaled deviations lie in [1, n], so they
     neither underflow nor overflow whatever the data's scale (Chan,
     Golub & LeVeque 1983). Zero-spread data comes back as zeros with
-    scale 0. The mean is the sum over n, or, where the sum is out of
-    range, the sum of each value over n.
+    scale 0.
     """
-    try:
-        mean = math.fsum(v) / len(v)
-    except OverflowError:
-        mean = math.fsum(x / len(v) for x in v)
-    d = [x - mean for x in v]
+    e = math.frexp(max(map(abs, v)))[1]
+    w = [math.ldexp(x, -e) for x in v]
+    mean = math.fsum(w) / len(w)
+    d = [x - mean for x in w]
     scale = max(map(abs, d))
-    return ([x / scale for x in d] if scale > 0.0 else d), scale, mean
+    return ([x / scale for x in d] if scale > 0.0 else d), scale, mean, e
+
+
+def _times_two_to(m: float, e: int) -> float:
+    """m * 2**e, an infinity of m's sign past the largest double."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
 
 
 def _ols(x: list[float], y: list[float]) -> tuple[float, float]:
-    dx, sx, mean_x = _scaled_deviations(x)
-    dy, sy, mean_y = _scaled_deviations(y)
+    """Slope and intercept, formed on each axis scaled by 2**-e and
+    scaled back last, so only a coefficient itself can pass the largest
+    double, and then it is an infinity."""
+    dx, sx, mean_x, ex = _scaled_deviations(x)
+    dy, sy, mean_y, ey = _scaled_deviations(y)
     slope = (sy / sx) * (_dot(dx, dy) / _dot(dx, dx))
-    return slope, mean_y - slope * mean_x
+    return _times_two_to(slope, ey - ex), _times_two_to(mean_y - slope * mean_x, ey)
 
 
 def _r_squared(y: list[float], predicted: list[float]) -> float:
-    dy, scale, _ = _scaled_deviations(y)
+    dy, scale, _, e = _scaled_deviations(y)
     if scale == 0.0:
         return 1.0
+    scale = math.ldexp(scale, e)
     residuals = [(u - v) / scale for u, v in zip(y, predicted)]
     return min(max(1.0 - _dot(residuals, residuals) / _dot(dy, dy), 0.0), 1.0)

@@ -181,6 +181,13 @@ class TestHCurve:
         # the only invalid grid drawn here is an asymptotic curve from N = 1
         assert (code == 1) == (with_asymptotic and n_min == 1)
 
+    def test_asymptotic_overflow_is_an_error_line(self):
+        # it was an OverflowError traceback from h_asymptotic
+        result = run_cli("hcurve", "--mu", "2", "--sigma", "200", "--n-max", "10000000000",
+                         "--with-asymptotic", "--points", "3", check=False)
+        assert_one_error_line(result)
+        assert "exp(sigma sqrt(2 ln N)) overflows for sigma=200.0" in result.stderr
+
     def test_unwritable_out_is_an_error_line(self, tmp_path):
         target = tmp_path / "missing" / "x.csv"
         result = run_cli("hcurve", "--mu", "2", "--sigma", "1", "--out", str(target), check=False)

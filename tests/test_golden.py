@@ -7,7 +7,9 @@ count a step while it has at least k papers at k or more, else down
 until it has; |h - k*| + 2 binomials up, |h - k*| + 1 down. Scan step t
 of every replicate draws from the rows stream jumped t times, in
 replicate order, so the first R replicates' h are the same for any
-larger R. A rest stream then places the papers the scans left
+larger R. simulate_mu2_s1_n30_r70000.csv spans two blocks of rows,
+65,536 + 4,464, so it pins the substreams carried from one block to the
+next. A rest stream then places the papers the scans left
 unresolved, pooled over the whole run by a cascade of binomials on each
 side of k*, one multinomial per side and a conditioned tail, which is
 exact in law because the papers known to lie on one side of a count are
@@ -53,6 +55,8 @@ COMMANDS = {
         "simulate", "--mu", "1.7", "--sigma", "1.0", "--n", "100", "--replicates", "500"),
     "simulate_mu2_s1.2_n40000_r5.csv": (
         "simulate", "--mu", "2", "--sigma", "1.2", "--n", "40000", "--replicates", "5"),
+    "simulate_mu2_s1_n30_r70000.csv": (
+        "simulate", "--mu", "2", "--sigma", "1", "--n", "30", "--replicates", "70000"),
 }
 
 THRESHOLDS = ("5", "10", "20", "30", "50", "100", "500")

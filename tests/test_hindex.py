@@ -268,13 +268,23 @@ class TestAsymptotic:
         with pytest.raises(ValueError):
             h_asymptotic(SeriesSpec(MID, 1))
 
+    def test_overflow_is_a_value_error(self):
+        # exp(200 sqrt(2 ln 316228)) = e^1005; at N = 10 it is e^429
+        assert h_asymptotic(SeriesSpec(LognormalParams(2.0, 200.0), 10)) < math.inf
+        with pytest.raises(ValueError, match=r"overflows for sigma=200\.0, N=316228"):
+            h_asymptotic(SeriesSpec(LognormalParams(2.0, 200.0), 316228))
+
 
 class TestHCurve:
     def test_grid_is_strictly_increasing_with_endpoints(self):
-        curve = h_curve(MID, 10, 10000, points=50)
-        assert curve.n_papers[0] == 10
-        assert curve.n_papers[-1] == 10000
-        assert all(a < b for a, b in zip(curve.n_papers, curve.n_papers[1:]))
+        # past 2^53 the rounded exp of ln N misses N: the grid to 2^53
+        # ended at 9007199254740986, and the one from 10^20 started at
+        # 100000000000000081920
+        for n_min, n_max in ((10, 10000), (10, 2**53), (10**20, 10**21), (10, 10**30)):
+            curve = h_curve(MID, n_min, n_max, points=50)
+            assert curve.n_papers[0] == n_min
+            assert curve.n_papers[-1] == n_max
+            assert all(a < b for a, b in zip(curve.n_papers, curve.n_papers[1:]))
 
     def test_h_nondecreasing_along_curve(self):
         curve = h_curve(MIT_LIKE, 10, 10000, points=40)

@@ -692,6 +692,21 @@ def recorded_draws(monkeypatch):
     return draws
 
 
+def recorded_trials(monkeypatch):
+    """Record the scan step and the number of rows passed to every call
+    that draws a scan step: step 0 draws `size` rows, a later step one
+    row per entry of `trials`, whether or not it has trials."""
+    calls = []
+    binomial = mc._Substreams.binomial
+
+    def recording(self, step, trials, p, size=None):
+        calls.append((step, len(trials) if step else size))
+        return binomial(self, step, trials, p, size)
+
+    monkeypatch.setattr(mc._Substreams, "binomial", recording)
+    return calls
+
+
 class TestHistograms:
     """Every spec scans each replicate's G(k) from k* until its h is
     known, then pools the papers the scans left unresolved over the run
@@ -761,6 +776,27 @@ class TestHistograms:
             assert sum(count for _, count in draws) == cost.sum(), spec
             per_row.append(cost.mean())
         assert max(per_row) < 6, per_row
+
+    @pytest.mark.parametrize("block_rows", [None, 1024])
+    def test_each_step_draws_only_for_rows_still_scanning(self, monkeypatch, block_rows):
+        # an up-row (h >= k*) stops at step h - k* + 1 and a down-row at
+        # step k* - h; within a block, step s passes exactly the rows
+        # whose scan reaches s, not the rows that have stopped
+        block_rows = block_rows or mc._BLOCK_ROWS
+        monkeypatch.setattr(mc, "_BLOCK_ROWS", block_rows)
+        runs = recorded_h(monkeypatch)
+        calls = recorded_trials(monkeypatch)
+        run_replicates(SERIES_22, 5000, seed=DEFAULT_SEED)
+        h, start = runs[0], mc._scan_start(SERIES_22)
+        stops = np.where(h >= start, h - start + 1, start - h)
+        expected = []
+        for first in range(0, 5000, block_rows):
+            block = stops[first : first + block_rows]
+            expected.append((0, len(block)))
+            expected += [(s, np.count_nonzero(block >= s)) for s in range(1, block.max() + 1)]
+        assert calls == expected
+        # most rows stop within a few steps, so the later steps are short
+        assert sum(rows for step, rows in calls if step) < 3 * 5000
 
     def test_study_rows_rarely_leave_the_window(self, monkeypatch):
         # 3 to 4 rows in 10^5 have an h more than 4 standard deviations

@@ -263,6 +263,32 @@ class TestSumsPastTheLargestDouble:
         assert pearson(big)[0] == pytest.approx(pearson(small)[0], rel=1e-12)
 
 
+class TestDeviationsPastTheLargestDouble:
+    """Values whose deviations from the mean overflow a double, though no
+    sum does, are centred after scaling by a power of two. Before that,
+    pearson gave r = 1 and p = 5e-324, and fit_linear intercept = slope =
+    nan with r = 1."""
+
+    BIG = [(-1.7e308, 1.0), (1.7e308, 2.0), (1.7e308, 3.0)]
+    SCALE = 2.0**-1000
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["big-x", "big-y"])
+    def test_fit_matches_the_points_scaled_by_2_to_the_minus_1000(self, transposed):
+        big = [p[::-1] for p in self.BIG] if transposed else self.BIG
+        small = [(x, y * self.SCALE) if transposed else (x * self.SCALE, y) for x, y in big]
+        fit, ref = fit_linear(big), fit_linear(small)
+        # scaling x by 2^-1000 scales the slope by 2^1000; scaling y
+        # scales the slope and the intercept by 2^-1000. The big-y
+        # intercept, -2.83e308, is past the largest double either way.
+        slope_back, intercept_back = (2.0**1000, 2.0**1000) if transposed else (self.SCALE, 1.0)
+        assert fit.slope == pytest.approx(ref.slope * slope_back, rel=1e-12)
+        assert fit.intercept == pytest.approx(ref.intercept * intercept_back, rel=1e-12)
+        assert fit.pearson_r == pytest.approx(ref.pearson_r, rel=1e-12)
+        assert fit.p_value == pytest.approx(ref.p_value, rel=1e-12)
+        assert pearson(big) == pytest.approx(pearson(small), rel=1e-12)
+        assert ref.pearson_r == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
+
+
 class TestNonFinitePoints:
     """A nan or an infinity anywhere in the points is rejected with one
     ValueError naming it, before any arithmetic can turn it into a
