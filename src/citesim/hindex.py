@@ -21,6 +21,8 @@ from .special import ConvergenceError
 
 #: ln of the smallest positive double: exp(u) is 0 below it.
 _LOG_SMALLEST = math.log(5e-324)
+#: ln of the largest double: exp(u) is finite up to it.
+_LOG_LARGEST = math.log(sys.float_info.max)
 _SQRT2 = math.sqrt(2.0)
 #: Slack in ln h on the upper end of h_curve's warm bracket, far above
 #: the few ulps by which a computed root can sit below the true one.
@@ -55,6 +57,9 @@ def solve_h(spec: SeriesSpec, tolerance: float | None = None) -> HSolution:
     [min(mu, ln N) - 1, ln N + 1] always straddles the root: at
     h = min(e^mu, N) / e, at or below the median, at least N/2 > h
     papers are expected to exceed h, and at h = eN fewer than N < h can.
+    Past N = DBL_MAX / e the top is lowered to h1 = e^u1, u1 = ln DBL_MAX,
+    the last u whose exp is finite; where F(h1) > h1 still, the root lies
+    in [h1, N], within one ulp of u1, and h is reported as N.
     The root is given to within brentq's final bracket, a few ulps of u
     wide; when every paper is expected to reach N citations, h = N.
     The bracket starts no lower than the smallest positive double h0,
@@ -76,7 +81,15 @@ def solve_h(spec: SeriesSpec, tolerance: float | None = None) -> HSolution:
         gap_at_lo = expected_exceeding(h0, spec) - h0
         if gap_at_lo < 0.0:
             return HSolution(h_continuous=0.0, h_reported=0, residual=-gap_at_lo, iterations=1)
-    solution = _solve_in(spec, lo, ln_n + 1.0)
+    hi = ln_n + 1.0
+    if hi > _LOG_LARGEST:
+        hi = _LOG_LARGEST
+        h1 = math.exp(hi)
+        if expected_exceeding(h1, spec) > h1:
+            n = float(spec.n_papers)
+            return HSolution(h_continuous=n, h_reported=round_half_up(n),
+                             residual=abs(expected_exceeding(n, spec) - n), iterations=1)
+    solution = _solve_in(spec, lo, hi)
     if tolerance is not None and solution.residual > tolerance:
         raise ConvergenceError(
             f"solver residual {solution.residual:.3e} exceeds tolerance {tolerance:.3e} for {spec}"
@@ -102,10 +115,16 @@ def _solve_in(spec: SeriesSpec, lo: float, hi: float) -> HSolution:
     root = min(math.exp(u), float(n))
     return HSolution(
         h_continuous=root,
-        h_reported=int(math.floor(root + 0.5)),
+        h_reported=round_half_up(root),
         residual=abs(expected_exceeding(root, spec) - root),
         iterations=iterations,
     )
+
+
+def round_half_up(x: float) -> int:
+    """The integer nearest x, halves rounded up: how h, citation totals
+    and grid points are reported, and how the checks read them."""
+    return int(math.floor(x + 0.5))
 
 
 def h_asymptotic(spec: SeriesSpec) -> float:
@@ -162,6 +181,8 @@ def h_curve(
         raise ValueError(f"need at least 2 grid points, got {points}")
     if with_asymptotic and n_min < 2:
         raise ValueError("the asymptotic curve needs n_min >= 2")
+    if n_max > sys.float_info.max:
+        raise ValueError(f"n_max must not exceed the largest double, got {n_max}")
 
     grid = _geometric_grid(n_min, n_max, points)
     specs = [SeriesSpec(params, n) for n in grid]
@@ -195,7 +216,7 @@ def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:
     step = (math.log(n_max) - log_lo) / (points - 1)
     grid = [n_min]
     for k in range(1, points - 1):
-        n = int(math.floor(math.exp(log_lo + k * step) + 0.5))
+        n = round_half_up(math.exp(log_lo + k * step))
         if grid[-1] < n < n_max:
             grid.append(n)
     grid.append(n_max)

@@ -44,6 +44,8 @@ class SeriesSpec:
             raise ValueError(f"n_papers must be an integer, got {self.n_papers!r}")
         if self.n_papers < 1:
             raise ValueError(f"n_papers must be at least 1, got {self.n_papers}")
+        if self.n_papers > sys.float_info.max:
+            raise ValueError(f"n_papers must not exceed the largest double, got N = {self.n_papers}")
 
     @classmethod
     def from_values(cls, mu: float, sigma: float, n_papers: int) -> "SeriesSpec":

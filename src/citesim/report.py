@@ -8,9 +8,7 @@ can exercise the exact byte streams the CLI emits.
 
 from __future__ import annotations
 
-import math
-
-from .hindex import h_curve
+from .hindex import h_curve, round_half_up
 from .indicators import (
     X_AXES,
     SeriesMetrics,
@@ -28,10 +26,6 @@ from .output import format_number, format_probability
 from .stats import PowerLawFit, fit_linear, fit_power_law
 
 FIT_X_AXES = (*X_AXES, "h", "sum_c")
-
-
-def _round_int(value: float) -> int:
-    return int(math.floor(value + 0.5))
 
 
 def table1_rows(
@@ -58,8 +52,8 @@ def _table1_row(series: int, metrics: SeriesMetrics) -> dict:
         "mu": f"{metrics.spec.params.mu:g}",
         "sigma": f"{metrics.spec.params.sigma:g}",
         "n": metrics.spec.n_papers,
-        "sum_c": _round_int(metrics.sum_citations),
-        "h": _round_int(metrics.h),
+        "sum_c": round_half_up(metrics.sum_citations),
+        "h": round_half_up(metrics.h),
     }
     for x in DEFAULT_THRESHOLDS:
         row[f"p_{x:g}"] = format_probability(metrics.p_at[x])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hindex import h_asymptotic, solve_h
+from .hindex import h_asymptotic, round_half_up, solve_h
 from .indicators import default_study, scatter_dataset
 from .lognormal import DEFAULT_THRESHOLDS, SeriesSpec, ThresholdSet, survival_probability
 from .montecarlo import DEFAULT_SEED, derive_seed, run_replicates
@@ -59,7 +59,7 @@ def check_table1_h() -> CheckResult:
     worst = 0
     bad = []
     for ref, row in zip(REFERENCE_ROWS, study):
-        reported = int(math.floor(row.h + 0.5))
+        reported = round_half_up(row.h)
         diff = abs(reported - ref.h)
         worst = max(worst, diff)
         if diff == 0:

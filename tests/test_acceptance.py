@@ -6,10 +6,8 @@ simulation-agreement criterion runs 10,000 replicates for each of the 30
 series and dominates the suite's runtime.
 """
 
-import subprocess
-import sys
-
 from citesim import verification
+from cliruns import run_process
 
 
 def _report(result):
@@ -83,9 +81,8 @@ def test_criterion_11_decorrelation():
 def test_criterion_12_determinism():
     _report(verification.check_determinism())
     # and across processes: identical bytes for identical flags
-    args = [sys.executable, "-m", "citesim", "table1", "--mode", "simulate",
-            "--replicates", "5", "--seed", "20200212"]
-    first = subprocess.run(args, capture_output=True, text=True, timeout=300)
-    second = subprocess.run(args, capture_output=True, text=True, timeout=300)
+    args = ("-m", "citesim", "table1", "--mode", "simulate", "--replicates", "5",
+            "--seed", "20200212")
+    first, second = run_process(*args), run_process(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout

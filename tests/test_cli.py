@@ -1,5 +1,8 @@
-"""Command line behavior, exercised through subprocesses, and repeated
-in-process calls of ``citesim.cli.main``."""
+"""Command line behavior, exercised by in-process calls of
+``citesim.cli.main`` through ``cliruns.run_cli``. ``TestImport`` and three
+``TestParserReuse`` steps start fresh interpreters through
+``cliruns.run_process``, since their subject is what a new process loads,
+builds or prints."""
 
 import ast
 import contextlib
@@ -7,7 +10,6 @@ import csv
 import io
 import json
 import math
-import subprocess
 import sys
 from pathlib import Path
 
@@ -15,18 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import citesim
-
-
-def run_cli(*args, check=True):
-    result = subprocess.run(
-        [sys.executable, "-m", "citesim", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    if check:
-        assert result.returncode == 0, result.stderr
-    return result
+from cliruns import run_cli, run_process
 
 
 def assert_one_error_line(result):
@@ -133,22 +124,23 @@ class TestHCurve:
             # e^(mu - 1) underflows; at -2000 the fixed point does too
             ("--mu=-745", "--sigma", "1", "--n-max", "100", "--points", "3"),
             ("--mu=-2000", "--sigma", "1", "--n-max", "100", "--points", "3"),
+            # e N, the bracket's top, is past the largest double
+            ("--mu", "2", "--sigma", "1", "--n-min", str(10**308),
+             "--n-max", str(int(sys.float_info.max)), "--points", "3"),
         ],
     )
     def test_former_solver_failures_exit_zero(self, args):
         rows = parse_csv(run_cli("hcurve", *args).stdout)
         assert all(float(row["h_exact"]) <= int(row["n"]) for row in rows)
 
-    def test_solver_failure_is_an_error_line(self, monkeypatch, capsys):
+    def test_solver_failure_is_an_error_line(self, monkeypatch):
         # brentq exhausting its iterations is planted, in-process
-        from citesim import cli, roots
+        from citesim import roots
 
         monkeypatch.setattr(roots, "_MAX_ITER", 1)
-        assert cli.main(["hcurve", "--mu", "2", "--sigma", "1"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: no root within 1 iterations")
-        assert len(err.splitlines()) == 1
+        result = run_cli("hcurve", "--mu", "2", "--sigma", "1", check=False)
+        assert_one_error_line(result)
+        assert result.stderr.startswith("error: no root within 1 iterations")
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -160,26 +152,20 @@ class TestHCurve:
         with_asymptotic=st.booleans(),
     )
     def test_every_valid_grid_answers_in_process(self, mu, log_sigma, n_min, span, points, with_asymptotic):
-        from citesim import cli
-
         # --mu=VALUE: argparse takes a lone "-6e-68" for an option
         argv = ["hcurve", f"--mu={mu!r}", "--sigma", repr(math.exp(log_sigma)),
                 "--n-min", str(n_min), "--n-max", str(n_min + span), "--points", str(points)]
         if with_asymptotic:
             argv.append("--with-asymptotic")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
         # an exception would propagate here, so no traceback is printed
-        if code == 1:
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("error: ")
-            assert len(err.getvalue().splitlines()) == 1
+        result = run_cli(*argv, check=False)
+        if result.returncode == 1:
+            assert_one_error_line(result)
         else:
-            assert code == 0
-            assert err.getvalue() == ""
+            assert result.returncode == 0
+            assert result.stderr == ""
         # the only invalid grid drawn here is an asymptotic curve from N = 1
-        assert (code == 1) == (with_asymptotic and n_min == 1)
+        assert (result.returncode == 1) == (with_asymptotic and n_min == 1)
 
     def test_asymptotic_overflow_is_an_error_line(self):
         # it was an OverflowError traceback from h_asymptotic
@@ -187,6 +173,16 @@ class TestHCurve:
                          "--with-asymptotic", "--points", "3", check=False)
         assert_one_error_line(result)
         assert "exp(sigma sqrt(2 ln N)) overflows for sigma=200.0" in result.stderr
+
+    @pytest.mark.parametrize("points", ["3", "50"])
+    def test_paper_count_past_the_largest_double_is_an_error_line(self, points):
+        # it was an OverflowError traceback from the solver at 3 points,
+        # from the grid at 50
+        n_max = str(10**400)
+        result = run_cli("hcurve", "--mu", "2", "--sigma", "1", "--n-max", n_max,
+                         "--points", points, check=False)
+        assert_one_error_line(result)
+        assert result.stderr == f"error: n_max must not exceed the largest double, got {n_max}\n"
 
     def test_unwritable_out_is_an_error_line(self, tmp_path):
         target = tmp_path / "missing" / "x.csv"
@@ -203,7 +199,7 @@ class TestHCurve:
 
         monkeypatch.setattr(cli, "_dispatch", fail)
         with pytest.raises(error):
-            cli.main(["table1"])
+            run_cli("table1")
 
 
 class TestRejectedArguments:
@@ -235,13 +231,9 @@ class TestNegativeNumbers:
     """A negative value in exponent notation follows its flag as any other
     negative number does, in every subcommand."""
 
-    def test_exponent_value_prints_what_the_joined_flag_prints(self, capsys):
-        from citesim.cli import main
-
-        outputs = []
-        for mu in (["--mu", "-1e-05"], ["--mu=-1e-05"]):
-            assert main(["hcurve", *mu, "--sigma", "1", "--n-max", "100"]) == 0
-            outputs.append(capsys.readouterr().out)
+    def test_exponent_value_prints_what_the_joined_flag_prints(self):
+        outputs = [run_cli("hcurve", *mu, "--sigma", "1", "--n-max", "100").stdout
+                   for mu in (["--mu", "-1e-05"], ["--mu=-1e-05"])]
         assert outputs[0] == outputs[1] != ""
 
     @pytest.mark.parametrize("value", ["-1e-05", "-2.5E+3", "-3e2", "-.5e-3", "-7"])
@@ -529,25 +521,16 @@ class TestImport:
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    assert cli.main({argv!r}) == 0\n"
                 "print('numpy' in sys.modules)")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                timeout=60)
-        assert result.returncode == 0, result.stderr
-        return result.stdout.split() == ["True"]
+        return run_process("-c", code).stdout.split() == ["True"]
 
     def test_cli_leaves_numpy_unloaded(self):
         # numpy is loaded by the first draw or fit, so importing the CLI
         # and building its parser does not load it
-        code = ("import sys, citesim.cli; citesim.cli.build_parser(); "
-                "assert 'numpy' not in sys.modules; assert 'numpy.random' not in sys.modules")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                timeout=60)
-        assert result.returncode == 0, result.stderr
+        run_process("-c", "import sys, citesim.cli; citesim.cli.build_parser(); "
+                    "assert 'numpy' not in sys.modules; assert 'numpy.random' not in sys.modules")
 
     def test_package_import_leaves_numpy_unloaded(self):
-        code = "import sys, citesim; assert 'numpy' not in sys.modules"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                timeout=60)
-        assert result.returncode == 0, result.stderr
+        run_process("-c", "import sys, citesim; assert 'numpy' not in sys.modules")
 
     @pytest.mark.parametrize("argv", [
         ["table1"],
@@ -585,11 +568,8 @@ class TestImport:
     def test_cli_loads_no_executor(self):
         # replicates run on the calling thread: no executor, no worker
         # processes
-        code = ("import sys, citesim.cli; "
-                "assert not {'concurrent.futures', 'multiprocessing'} & set(sys.modules)")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                timeout=60)
-        assert result.returncode == 0, result.stderr
+        run_process("-c", "import sys, citesim.cli; "
+                    "assert not {'concurrent.futures', 'multiprocessing'} & set(sys.modules)")
 
 
 class TestParserReuse:
@@ -620,7 +600,7 @@ class TestParserReuse:
         assert len({id(args) for args in seen}) == len(seen)
         assert [vars(args) for args in seen] == [vars(build_parser().parse_args(a)) for a in argvs]
 
-    def test_parser_built_once(self, monkeypatch, capsys):
+    def test_parser_built_once(self, monkeypatch):
         from citesim import cli
 
         built = []
@@ -634,35 +614,29 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "build_parser", counting)
         try:
             for _ in range(3):
-                assert cli.main(self.FIT) == 0
-            assert cli.main(["table1", "--format", "json"]) == 0
+                run_cli(*self.FIT)
+            run_cli("table1", "--format", "json")
         finally:
             cli._parser.cache_clear()
         assert built == [1]
 
-    def test_format_and_out_do_not_carry_over(self, tmp_path, capsys, dispatched):
-        from citesim.cli import main
-
-        expected = run_cli(*self.FIT).stdout
+    def test_format_and_out_do_not_carry_over(self, tmp_path, dispatched):
+        # the reference is a fresh process's, so that it passes no
+        # Namespace through the recording _dispatch
+        expected = run_process("-m", "citesim", *self.FIT).stdout
         target = tmp_path / "fit.json"
         argvs = [[*self.FIT, "--format", "json", "--out", str(target)], self.FIT]
-        for argv in argvs:
-            assert main(argv) == 0
+        outputs = [run_cli(*argv).stdout for argv in argvs]
         assert json.loads(target.read_text())[0]["exponent"] == pytest.approx(0.42, abs=0.05)
-        assert capsys.readouterr().out == expected
+        assert "".join(outputs) == expected
         self.assert_fresh(dispatched, argvs)
 
-    def test_rejected_call_leaves_no_state(self, capsys, dispatched):
-        from citesim.cli import main
-
-        expected = run_cli(*self.FIT).stdout
+    def test_rejected_call_leaves_no_state(self, dispatched):
+        expected = run_process("-m", "citesim", *self.FIT).stdout
         scatter = ["scatter", "--y", "h", "--x", "counts", "--threshold", "5", "--normalized"]
-        assert main(scatter) == 0
-        capsys.readouterr()
-        assert main(["scatter", "--y", "h", "--threshold", "7"]) == 1
-        capsys.readouterr()
-        assert main(self.FIT) == 0
-        assert capsys.readouterr().out == expected
+        run_cli(*scatter)
+        assert run_cli("scatter", "--y", "h", "--threshold", "7", check=False).returncode == 1
+        assert run_cli(*self.FIT).stdout == expected
         self.assert_fresh(dispatched, [scatter, self.FIT])
 
     def test_import_builds_no_parser(self):
@@ -677,7 +651,5 @@ class TestParserReuse:
                 "print(len(built))\n"
                 "citesim.cli.build_parser()\n"
                 "print(len(built))\n")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["0", "7"]  # the top-level parser and 6 subparsers
+        # the top-level parser and 6 subparsers
+        assert run_process("-c", code).stdout.split() == ["0", "7"]

@@ -31,20 +31,21 @@ its standard errors).
 tests/golden/analytic.md5 holds one line per closed-form command: the md5
 of its stdout, two spaces and its argv. All of them run in one process,
 so they also check that repeated ``main`` calls print what a fresh
-process prints. After a change that is meant to alter output, rewrite
-the manifest, the simulate files and verify_r100.csv with
-``PYTHONPATH=src python tests/test_golden.py``.
+process prints. Every command here runs in-process through
+``cliruns.run_cli``; test_process_prints_the_goldens runs the simulate
+and verify commands again as ``python -m citesim``, the entry point the
+in-process runner does not pass through. After a change that is meant
+to alter output, rewrite the manifest, the simulate files and
+verify_r100.csv with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
-import contextlib
 import hashlib
-import io
 from pathlib import Path
 
 import pytest
 
-from citesim.cli import main
 from citesim.reference import REFERENCE_ROWS
+from cliruns import run_cli, run_process
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "analytic.md5"
@@ -92,16 +93,19 @@ def analytic_commands() -> list[list[str]]:
 VERIFY = ("verify", "--format", "csv", "--replicates", "100")
 VERIFY_CODE = 1
 
+#: Each golden file's command line and exit code.
+RUNS = {
+    **{name: (argv, 0) for name, argv in COMMANDS.items()},
+    "verify_r100.csv": (VERIFY, VERIFY_CODE),
+}
 
-def stdout_of(argv, code=0) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(list(argv)) == code, argv
-    return out.getvalue()
+
+def golden(name: str) -> str:
+    return (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def stdout_md5(argv: list[str]) -> str:
-    return hashlib.md5(stdout_of(argv).encode("utf-8")).hexdigest()
+    return hashlib.md5(run_cli(*argv).stdout.encode("utf-8")).hexdigest()
 
 
 def read_manifest() -> list[tuple[str, str]]:
@@ -110,14 +114,22 @@ def read_manifest() -> list[tuple[str, str]]:
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_stdout_matches_golden(name, capsys):
-    assert main(list(COMMANDS[name])) == 0
-    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+def test_stdout_matches_golden(name):
+    assert run_cli(*COMMANDS[name]).stdout == golden(name)
 
 
-def test_verify_stdout_and_exit_code_match_golden(capsys):
-    assert main(list(VERIFY)) == VERIFY_CODE
-    assert capsys.readouterr().out == (GOLDEN / "verify_r100.csv").read_text(encoding="utf-8")
+def test_verify_stdout_and_exit_code_match_golden():
+    result = run_cli(*VERIFY, check=False)
+    assert result.returncode == VERIFY_CODE
+    assert result.stdout == golden("verify_r100.csv")
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_process_prints_the_goldens(name):
+    argv, code = RUNS[name]
+    result = run_process("-m", "citesim", *argv, check=False)
+    assert result.returncode == code, result.stderr
+    assert result.stdout == golden(name)
 
 
 def test_analytic_stdout_matches_manifest():
@@ -137,6 +149,7 @@ if __name__ == "__main__":
         "".join(f"{stdout_md5(argv)}  {' '.join(argv)}\n" for argv in analytic_commands()),
         encoding="utf-8",
     )
-    for name, argv in COMMANDS.items():
-        (GOLDEN / name).write_text(stdout_of(argv), encoding="utf-8")
-    (GOLDEN / "verify_r100.csv").write_text(stdout_of(VERIFY, code=VERIFY_CODE), encoding="utf-8")
+    for name, (argv, code) in RUNS.items():
+        result = run_cli(*argv, check=False)
+        assert result.returncode == code, (argv, result.stderr)
+        (GOLDEN / name).write_text(result.stdout, encoding="utf-8")

@@ -201,6 +201,20 @@ class TestConvergenceContract:
             assert math.log(n) - math.log(sol.h_continuous) <= bracket_half_width(n)
             assert sol.h_reported == n
 
+    @pytest.mark.parametrize("n", [10**308, int(sys.float_info.max)], ids=["1e308", "DBL_MAX"])
+    def test_paper_counts_up_to_the_largest_double(self, n):
+        # the bracket's top, eN, is past the largest double from N = DBL_MAX / e,
+        # where solve_h raised OverflowError
+        spec = SeriesSpec.from_values(2, 1, n)
+        sol = solve_h(spec)
+        assert_converged(spec, sol)
+        assert sol.h_continuous == pytest.approx(mp_fixed_point(2, 1, n), rel=1e-13)
+        # every paper above N: h = N, as a double
+        sol = solve_h(SeriesSpec.from_values(1000, 1, n))
+        assert sol.h_continuous == float(n)
+        assert sol.h_reported == int(float(n))
+        assert sol.residual == 0.0
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         mu=st.floats(-50.0, 50.0),
@@ -378,3 +392,5 @@ class TestHCurve:
             h_curve(MID, 0, 100, points=2)
         with pytest.raises(ValueError):
             h_curve(MID, 10, 100, points=1)
+        with pytest.raises(ValueError, match=f"n_max must not exceed the largest double, got {10**400}$"):
+            h_curve(MID, 10, 10**400, points=3)

@@ -1,6 +1,7 @@
 """Closed-form model against quadrature and finite-difference oracles."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +45,15 @@ class TestValidation:
             SeriesSpec(LognormalParams(2.0, 1.0), 0)
         with pytest.raises(ValueError):
             SeriesSpec(LognormalParams(2.0, 1.0), 2.5)
+
+    def test_n_papers_past_the_largest_double_is_a_value_error(self):
+        # solve_h, expected_exceeding, total_citations and metrics_analytic
+        # raised a bare OverflowError on such a count
+        with pytest.raises(ValueError, match=r"must not exceed the largest double, got N = 10{400}$"):
+            SeriesSpec.from_values(2, 1, 10**400)
+        with pytest.raises(ValueError, match="largest double"):
+            SeriesSpec.from_values(2, 1, int(sys.float_info.max) + 1)
+        assert SeriesSpec.from_values(2, 1, int(sys.float_info.max)).n_papers == sys.float_info.max
 
     def test_thresholds_must_ascend_and_be_positive(self):
         with pytest.raises(ValueError):
