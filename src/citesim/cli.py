@@ -140,15 +140,15 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     """Run one command line, `argv` or else sys.argv[1:], and return its
-    exit code; invalid input prints one `error:` line on stderr and
-    returns 1. A command line is parsed by its command's own parser,
+    exit code; invalid input, and a run too large for memory, print one
+    `error:` line on stderr and return 1. A command line is parsed by its command's own parser,
     which gives the Namespace, error or help text that the full parser
     gives. The parsers are built on the first call and reused."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return _dispatch(_parse_args(argv))
-    except (ValueError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ConvergenceError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

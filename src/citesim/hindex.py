@@ -11,6 +11,7 @@ curve comparisons.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -211,13 +212,28 @@ def _warm_solve(spec: SeriesSpec, previous_n: int, previous_h: float) -> float:
 def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:
     """n_min, the rounded interior points of the geometric grid that lie
     strictly between the last one kept and n_max, and n_max: the rounded
-    exp of ln n_min or ln n_max can miss either endpoint past 2**53."""
+    exp of ln n_min or ln n_max can miss either endpoint past 2**53.
+
+    The rounded points never decrease with their index, so a run of
+    points that repeat the last one kept is skipped by bisection, and the
+    cost follows the counts returned, not `points`.
+    """
     log_lo = math.log(n_min)
     step = (math.log(n_max) - log_lo) / (points - 1)
+
+    def rounded(k: int) -> int:
+        return round_half_up(math.exp(log_lo + k * step))
+
     grid = [n_min]
-    for k in range(1, points - 1):
-        n = round_half_up(math.exp(log_lo + k * step))
-        if grid[-1] < n < n_max:
+    k = 1
+    while k < points - 1:
+        n = rounded(k)
+        if n >= n_max:
+            break
+        if n > grid[-1]:
             grid.append(n)
+            k += 1
+        else:
+            k += bisect.bisect_right(range(k, points - 1), grid[-1], key=rounded)
     grid.append(n_max)
     return grid

@@ -1,9 +1,10 @@
 """Scalar special functions computed to near machine accuracy.
 
 The Student-t tail behind correlation p-values needs more accuracy than
-the usual polynomial approximations provide. The regularized incomplete
-beta, which the standard library lacks, is evaluated from its continued
-fraction directly. The package's lognormal tails call math.erfc.
+the usual polynomial approximations provide, down to p-values far below
+1e-300. The regularized incomplete beta, which the standard library
+lacks, is evaluated from its continued fraction directly, on a log scale
+until the last exp. The package's lognormal tails call math.erfc.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b), relative error ~1e-13.
 
     Evaluates the continued fraction on whichever side of the symmetry
-    I_x(a, b) = 1 - I_{1-x}(b, a) converges fastest. Underflows to 0.0
-    only when the true value is below the smallest positive double; use
-    :func:`log_incomplete_beta_bound` for a log-scale bound in that case.
+    I_x(a, b) = 1 - I_{1-x}(b, a) converges fastest. The prefactor
+    x^a (1-x)^b / B(a, b) is kept as a log and joined to the fraction's
+    log before the one exp, so the result underflows to 0.0 only where
+    the true value is below the smallest positive double.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
@@ -39,27 +41,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     if x == 1.0:
         return 1.0
     ln_front = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
-    front = math.exp(ln_front) if ln_front > -745.0 else 0.0
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_fraction(a, b, x) / a
-    return 1.0 - front * _beta_fraction(b, a, 1.0 - x) / b
-
-
-def log_incomplete_beta_bound(a: float, b: float, x: float) -> float:
-    """Log-scale estimate of I_x(a, b) for small x.
-
-    First convergent of the continued fraction on a log scale,
-    ln[x^a (1-x)^b / (a B(a, b) (1 - (a+b)x/(a+1)))]; tight for x well
-    below a/(a+b), which is exactly where the direct evaluation
-    underflows to zero.
-    """
-    if not (0.0 < x < 1.0):
-        raise ValueError(f"x must lie in (0, 1), got {x}")
-    ln_front = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
-    correction = 1.0 - (a + b) * x / (a + 1.0)
-    if correction <= 0.0:
-        correction = _TINY
-    return ln_front - math.log(a) - math.log(correction)
+        return math.exp(ln_front + math.log(_beta_fraction(a, b, x) / a))
+    return 1.0 - math.exp(ln_front + math.log(_beta_fraction(b, a, 1.0 - x) / b))
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:

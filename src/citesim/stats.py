@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from .roots import brentq
-from .special import ConvergenceError, log_incomplete_beta_bound, regularized_incomplete_beta
+from .special import ConvergenceError, regularized_incomplete_beta
 
 _SMALLEST = 5e-324
 _LOG_SMALLEST, _LOG_LARGEST = math.log(_SMALLEST), math.log(sys.float_info.max)
@@ -118,11 +118,13 @@ def fit_linear(points) -> LinearFit:
 def pearson(points) -> tuple[float, float]:
     """Sample Pearson correlation and its two-sided p-value.
 
-    The p-value comes from the exact Student-t null distribution with
-    n - 2 degrees of freedom, evaluated through the regularized
-    incomplete beta; when that underflows, a log-scale tail estimate is
-    reported instead, floored at the smallest positive double so the
-    result stays in (0, 1].
+    The p-value is the exact Student-t tail with n - 2 degrees of
+    freedom, I_x((n - 2)/2, 1/2) at x = df/(df + t^2) = 1 - r^2. x is
+    formed as (1 - r)(1 + r), exact in 1 - r for r >= 1/2; where r^2 is
+    small, p is 1 - I_{r^2}(1/2, (n - 2)/2), as a double near 1 cannot
+    carry 1 - x. Either way p is as accurate as I itself. A p below
+    the smallest positive double, as at r = +-1, is reported as that
+    double, so the result stays in (0, 1].
     """
     x, y = _as_xy(points)
     dx, sx, _, _ = _scaled_deviations(x)
@@ -130,14 +132,12 @@ def pearson(points) -> tuple[float, float]:
     if sx == 0.0 or sy == 0.0:
         raise ValueError("correlation is undefined for zero-variance data")
     r = max(-1.0, min(1.0, _dot(dx, dy) / math.sqrt(_dot(dx, dx) * _dot(dy, dy))))
-    df = len(x) - 2
-    if 1.0 - r * r <= 0.0:
-        return r, _SMALLEST
-    t_squared = r * r * df / (1.0 - r * r)
-    beta_x = df / (df + t_squared)
-    p = regularized_incomplete_beta(0.5 * df, 0.5, beta_x)
-    if p == 0.0:
-        p = math.exp(max(log_incomplete_beta_bound(0.5 * df, 0.5, beta_x), math.log(_SMALLEST)))
+    a = 0.5 * (len(x) - 2)
+    if r * r < 1.5 / (a + 2.5):
+        # special's switch-over: below it I_{r^2}(1/2, a) is evaluated directly
+        p = 1.0 - regularized_incomplete_beta(0.5, a, r * r)
+    else:
+        p = regularized_incomplete_beta(a, 0.5, (1.0 - r) * (1.0 + r))
     return r, min(max(p, _SMALLEST), 1.0)
 
 

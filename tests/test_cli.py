@@ -88,6 +88,12 @@ class TestHCurve:
         assert by_n["100"] == pytest.approx(29, abs=1)
         assert by_n["200"] == pytest.approx(41, abs=1)
 
+    def test_dense_grid_prints_each_count_once(self):
+        # a trillion points round to 91 counts; the grid once evaluated every one
+        rows = parse_csv(run_cli("hcurve", "--mu", "2", "--sigma", "1", "--n-max", "100",
+                                 "--points", "1000000000000").stdout)
+        assert [int(row["n"]) for row in rows] == list(range(10, 101))
+
     def test_low_parameter_spots(self):
         rows = parse_csv(
             run_cli("hcurve", "--mu", "1.3", "--sigma", "0.8",
@@ -434,6 +440,25 @@ class TestSimulate:
         assert_one_error_line(result)
         assert f"N x replicates must stay below 2^63, got N = {n}, replicates = {replicates}" in (
             result.stderr)
+
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ])
+    def test_memory_error_is_an_error_line(self, monkeypatch, error, message):
+        # --replicates 1000000000000 ended in numpy's _ArrayMemoryError
+        # traceback; the error is planted rather than allocated
+        from citesim import cli
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "simulate_rows", fail)
+        result = run_cli("simulate", "--mu", "2", "--sigma", "1", "--n", "1",
+                         "--replicates", "1000000000000", check=False)
+        assert_one_error_line(result)
+        assert result.stderr == message
 
 
 class TestSeedEcho:

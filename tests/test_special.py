@@ -8,8 +8,9 @@ from math import erfc
 import mpmath
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
-from citesim.special import log_incomplete_beta_bound, regularized_incomplete_beta
+from citesim.special import regularized_incomplete_beta
 
 
 @pytest.mark.parametrize("x", [3.5, 4.344, 6.0, 10.0, 15.0])
@@ -68,9 +69,13 @@ def test_incomplete_beta_rejects_bad_arguments():
         regularized_incomplete_beta(1.0, 2.0, 1.5)
 
 
-def test_log_bound_tracks_small_x_values():
-    # where the direct value is still representable, the log estimate
-    # should sit within a few percent of its logarithm
-    for x in (1e-3, 1e-4):
-        direct = regularized_incomplete_beta(14.0, 0.5, x)
-        assert log_incomplete_beta_bound(14.0, 0.5, x) == pytest.approx(math.log(direct), rel=1e-3)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(df=st.integers(1, 200), log_x=st.floats(math.log(1e-300), -1e-17))
+def test_incomplete_beta_at_half_matches_mpmath(df, log_x):
+    # the shapes pearson's p-value takes, over the whole range of x;
+    # gated where the value is a normal double
+    x = math.exp(log_x)
+    with mpmath.workdps(40):
+        expected = mpmath.betainc(0.5 * df, 0.5, 0, x, regularized=True)
+    if expected >= 1e-300:
+        assert regularized_incomplete_beta(0.5 * df, 0.5, x) == pytest.approx(float(expected), rel=1e-12)

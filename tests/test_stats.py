@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -238,6 +239,47 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([(1, 5), (2, 5), (3, 5)])
 
+
+
+def mp_p_value(r, n):
+    """I_{1-r^2}((n-2)/2, 1/2) to 60 digits, at the double r."""
+    with mpmath.workdps(60):
+        r = mpmath.mpf(r)
+        return mpmath.betainc(mpmath.mpf(n - 2) / 2, 0.5, 0, (1 - r) * (1 + r), regularized=True)
+
+
+def assert_p_value_matches(p, expected):
+    # 1e-12 relative; below the smallest double, the floor pearson reports
+    assert p == pytest.approx(max(float(expected), 5e-324), rel=1e-12, abs=1e-323)
+
+
+class TestPValueAccuracy:
+    """pearson's p is I_x(df/2, 1/2) with x = 1 - r^2 formed as
+    (1 - r)(1 + r), exact in 1 - r, and with I_{r^2}(1/2, df/2) on the
+    side where r^2 is small. Through t^2 = r^2 df / (1 - r^2), p was off
+    by up to 7.7e-9 relative near |r| = 1 and 1e-8 near r = 0 on
+    these cases."""
+
+    @pytest.mark.parametrize("n", [3, 4, 30, 100])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_matches_mpmath_near_one(self, n, sign, k):
+        r, p = pearson(TestPearson._points_with_exact_r(sign * (1.0 - 10.0**-k), n))
+        assert_p_value_matches(p, mp_p_value(r, n))
+
+    @pytest.mark.parametrize("n", [3, 4, 30, 100])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_matches_mpmath_near_zero(self, n, sign, k):
+        r, p = pearson(TestPearson._points_with_exact_r(sign * 10.0**-k, n))
+        assert_p_value_matches(p, mp_p_value(r, n))
+
+    @pytest.mark.parametrize("k", [6, 9, 12, 15])
+    def test_fit_linear_near_collinear_points(self, k):
+        points = TestPearson._points_with_exact_r(1.0 - 10.0**-k, 30)
+        fit = fit_linear(points)
+        assert (fit.pearson_r, fit.p_value) == pearson(points)
+        assert_p_value_matches(fit.p_value, mp_p_value(fit.pearson_r, 30))
 
 
 class TestSumsPastTheLargestDouble:
