@@ -45,15 +45,15 @@ up-row stopped, or below it for a down-row, and those on the other side
 of k*. Given the scan, the papers known to lie at j or more are
 independent draws from the law conditioned on c >= j, whichever row they
 belong to, and likewise below j. So the rest stream pools them over the
-whole run, exactly in law, with a cascade on each side: below k*, from k*
-down, one Bin(M, p_{j-1} / (1 - S(j))) at each count j for the M papers
-known to lie below j, those carried from above plus those of the rows
-that stopped at j, then one multinomial over p_0, ..., p_{J-1} for the M
-papers below the lowest such J; above, from the lowest count up, one
-Bin(M, p_j / S(j)) at each j, then one multinomial over p_J, ...,
-p_{K'-1} and S(K') for the highest J, K' the largest of J, _MAX_BINS and
-one past every count a paper was placed at. The papers
-at K' or more are drawn as floor(exp(mu + sigma z)) with z conditioned on
+whole run, exactly in law, with one cascade (_cascade) on each side:
+below k*, from k* down, one Bin(M, p_{j-1} / (1 - S(j))) at each count j
+for the M papers known to lie below j, those carried from above plus
+those of the rows that stopped at j, then one multinomial over p_0, ...,
+p_{J-1} for the M papers below the lowest such J; above, from the lowest
+count up, one Bin(M, p_j / S(j)) at each j, then one multinomial over
+p_J, ..., p_{K'-1} and S(K') for the highest J, K' the largest of J,
+_MAX_BINS and one past every count a paper was placed at. The papers at
+K' or more are drawn as floor(exp(mu + sigma z)) with z conditioned on
 z >= (ln K' - mu) / sigma (_conditioned_normals), in pieces of at most
 _TAIL_PIECE papers; the piece size is part of the scheme, since
 _conditioned_normals' rounds depend on the count asked for. Every S(k)
@@ -62,18 +62,20 @@ evaluated once per count and only at the counts the scans visit and over
 the bins of pools that hold papers; k* alone is found with
 survival_probability, and the law does not depend on it.
 
-Per-replicate totals and counts are never formed; ReplicateSummary holds
-only their means. Schemes 1 (one generator per replicate), 2 (every spec
-per paper), 3 (each replicate's whole histogram), 4 (a 7-sd window, a K'
-from a cost model, and small N and huge medians drawn per paper), 5 (one
-generator per chunk of 64 replicates, each chunk pooling its own papers
-outside a 4-sd window) and 6 (one multinomial row per replicate over that
-window, from two streams a run) gave other simulated values; such output
-does not reproduce under scheme 7.
+Schemes 1 (one generator per replicate), 2 (every spec per paper), 3
+(each replicate's whole histogram), 4 (a 7-sd window, a K' from a cost
+model, and small N and huge medians drawn per paper), 5 (one generator
+per chunk of 64 replicates, each chunk pooling its own papers outside a
+4-sd window) and 6 (one multinomial row per replicate over that window,
+from two streams a run) gave other simulated values; such output does
+not reproduce under scheme 7.
 
 :func:`run_replicates` runs on the calling thread, which holds one block
-of rows or one piece of tail papers at a time, besides the replicates'
-h, and a histogram of the counts the run's papers reach below K'.
+of rows or one piece of tail papers at a time and a histogram of the
+counts the run's papers reach below K'. Every simulated number is an
+exact Python-int sum over the run, of h, h^2, the citation totals or the
+threshold counts, divided by the replicate count once: no per-replicate
+array is formed, so memory does not grow with the replicate count.
 
 numpy is imported by the functions that draw, on their first call, not
 with the module: the CLI imports this module for DEFAULT_SEED and
@@ -200,19 +202,17 @@ def run_replicates(
 
     Sampling scheme v7: a generator seeded with derive_seed(seed, 0) finds
     each replicate's h by a scan of binomials from k*, the h of the expected
-    exceedance counts (see _scan_start): |h - k*| + 2 binomials for a
-    replicate with h >= k*, |h - k*| + 1 for any other. Step t of every
-    replicate's scan draws from that generator jumped t times, in replicate
-    order. A second, seeded with derive_seed(seed, 1), then draws the papers
-    the scans left unresolved, pooled over the run by a cascade of binomials
-    on each side of k*, one multinomial per side and the tail, which is
-    exact because the papers known to lie on one side of a count are
-    independent draws from the law conditioned on that side. The citation
-    total and the threshold counts are then summed over the run's papers,
-    exactly, and divided by the replicate count. The first R replicates' h
-    are the same for any larger replicate count. The run stays on the
-    calling thread. Its paper counts are int64, so a run of N x replicates
-    >= 2**63 papers raises ValueError.
+    exceedance counts (see _scan_start), step t of every replicate's scan
+    drawing from that generator jumped t times, in replicate order. A
+    second, seeded with derive_seed(seed, 1), then draws the papers the
+    scans left unresolved, pooled over the run by a cascade of binomials on
+    each side of k*, one multinomial per side and the tail, exact in law
+    because the papers known to lie on one side of a count are independent
+    draws from the law conditioned on that side. h, h^2, the citation total
+    and the threshold counts are summed over the run exactly and divided
+    by the replicate count. The first R replicates' h are the same for any
+    larger replicate count. A run of N x replicates >= 2**63 papers, past
+    its int64 paper counts, raises ValueError.
     """
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
@@ -220,12 +220,14 @@ def run_replicates(
         raise ValueError(f"N x replicates must stay below 2^63, got N = {spec.n_papers}, "
                          f"replicates = {replicates}")
     xs = list(thresholds)
-    h_values, total, counts = _scan_replicates(spec, replicates, xs, seed)
+    sum_h, sum_h2, total, counts = _scan_replicates(spec, replicates, xs, seed)
+    # int / int divisions, correctly rounded; the spread is 0 at 1 replicate
+    spread = (replicates * sum_h2 - sum_h * sum_h) / (replicates * (replicates - 1) or 1)
     return ReplicateSummary(
         spec=spec,
         replicates=replicates,
-        h_mean=float(h_values.mean()),
-        h_stddev=float(h_values.std(ddof=1)) if replicates > 1 else 0.0,
+        h_mean=sum_h / replicates,
+        h_stddev=math.sqrt(spread),
         sum_citations_mean=total / replicates,
         counts_above={x: count / replicates for x, count in zip(xs, counts)},
     )
@@ -242,8 +244,8 @@ class _Pools:
 
 
 def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: int):
-    """Per-replicate h, and the citation total and the count at each of
-    `xs` summed over all replicates, as Python ints (sampling scheme v7).
+    """Exact Python-int sums over all replicates of h, h^2, the citation
+    total and the count at each of `xs` (sampling scheme v7).
 
     hist[k - base] counts the run's papers with k citations for base <= k
     < K' and hist[-1] its tail papers, those at K' or more, whose own
@@ -258,51 +260,28 @@ def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: i
     streams = _Substreams(derive_seed(seed, 0))
     rest_rng = np.random.default_rng(derive_seed(seed, 1))
     pools = _Pools()
-    h_values = np.empty(replicates, dtype=np.int64)
+    sum_h = sum_h2 = 0
     for first in range(0, replicates, _BLOCK_ROWS):
         size = min(_BLOCK_ROWS, replicates - first)
         streams.carry = first + size < replicates
-        h_values[first : first + size] = _scan(streams, size, n, start, survival, pools)
+        h = _scan(streams, size, n, start, survival, pools)
+        # Python ints: a block's sum of h^2 can pass 2^63
+        low = int(h.min())
+        for value, count in enumerate(np.bincount(h - low).tolist(), low):
+            sum_h += count * value
+            sum_h2 += count * value * value
 
     exact = pools.exact
-    # below k*: from the highest count down, each count's papers among
-    # those known to lie below the count above it
-    held = sorted(j for j, m in pools.below.items() if m)
-    lowest = held[0] if held else start
-    carried = 0
-    if held:
-        s = survival(lowest, held[-1] + 1)
-        for j in range(held[-1], lowest, -1):
-            carried += pools.below.get(j, 0)
-            if carried:
-                s_low, s_high = s[j - 1 - lowest], s[j - lowest]
-                placed = int(rest_rng.binomial(carried, (s_low - s_high) / (1.0 - s_high)))
-                exact[j - 1] += placed
-                carried -= placed
-    carried += pools.below.get(lowest, 0)
+    lowest, carried = _cascade(pools.below, False, start, survival, rest_rng, exact)
     low_cells = None
     if carried:
         p = _bin_probabilities(survival, 0, lowest)
         low_cells = rest_rng.multinomial(carried, _conditional(p))
 
-    # at k* and above: from the lowest count up, each count's papers among
-    # those known to lie at it or more
-    held = sorted(j for j, m in pools.above.items() if m)
-    highest = held[-1] if held else start
+    highest, carried = _cascade(pools.above, True, start, survival, rest_rng, exact)
     # K' lies past every count a paper was placed at, whether or not a
     # pool above it holds papers
     top = max(highest, max((k + 1 for k, m in exact.items() if m), default=0), _MAX_BINS)
-    carried = 0
-    if held:
-        s = survival(held[0], highest + 1)
-        for j in range(held[0], highest):
-            carried += pools.above.get(j, 0)
-            if carried:
-                s_low, s_high = s[j - held[0]], s[j + 1 - held[0]]
-                placed = int(rest_rng.binomial(carried, (s_low - s_high) / s_low))
-                exact[j] += placed
-                carried -= placed
-    carried += pools.above.get(highest, 0)
     high_cells = None
     tail_count = carried
     if carried and highest < top:
@@ -334,15 +313,37 @@ def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: i
             if x > top:
                 tail_counts[j] += int(np.count_nonzero(papers >= x))
 
-    if top * int(hist.sum()) < 2**63:
-        total = int(np.dot(hist[:-1], np.arange(base, top))) + tail_sum
-    else:
-        total = sum(k * c for k, c in enumerate(hist[:-1].tolist(), base)) + tail_sum
     # at_least[k - base] = the run's papers with k citations or more, k <= K'
     at_least = np.cumsum(hist[::-1])[::-1].tolist()
+    # each paper below K' holds base, plus one per count it reaches past
+    # base; the tail papers' own sum replaces their K' each
+    total = base * at_least[0] + sum(at_least[1:]) - top * tail_count + tail_sum
     counts = [at_least[max(math.ceil(x) - base, 0)] if x <= top else tail_counts[j]
               for j, x in enumerate(xs)]
-    return h_values, total, counts
+    return sum_h, sum_h2, total, counts
+
+
+def _cascade(pool: dict[int, int], up: bool, start: int, survival: _SurvivalTable,
+             rng: np.random.Generator, exact: defaultdict[int, int]) -> tuple[int, int]:
+    """Place `pool`'s papers in `exact`, count by count: up from its lowest
+    count, Bin(M, p_j / S(j)) of the M known to lie at j or more; or down
+    from its highest, Bin(M, p_{j-1} / (1 - S(j))) of the M below j.
+    Returns its last count J, or k* = `start` if it holds none, and the
+    papers left past J: at J or more up, below J down."""
+    held = sorted(j for j, m in pool.items() if m) or [start]
+    first, last = held[0], held[-1]
+    s = survival(first, last + 1)
+    carried = 0
+    for j in range(first, last) if up else range(last, first, -1):
+        carried += pool.get(j, 0)
+        if carried:
+            i = j if up else j - 1
+            s_i, s_next = s[i - first], s[i + 1 - first]
+            placed = int(rng.binomial(carried, (s_i - s_next) / (s_i if up else 1.0 - s_next)))
+            exact[i] += placed
+            carried -= placed
+    edge = last if up else first
+    return edge, carried + pool.get(edge, 0)
 
 
 def _scan(streams: _Substreams, size: int, n: int, start: int,
@@ -405,10 +406,9 @@ def _scan(streams: _Substreams, size: int, n: int, start: int,
 def _kept(survival: _SurvivalTable, k: int, up: bool) -> float:
     """The probability that a paper on the far side of count k, at k or
     more for an up-row and below k for a down-row, lies past the next
-    count too: S(k + 1) / S(k) up, (1 - S(k - 1)) / (1 - S(k)) down.
-    A down-step so draws the papers that stay below, G(k - 1) = N -
-    Bin(N - G(k), (1 - S(k - 1)) / (1 - S(k))), the same law as adding
-    Bin(N - G(k), p_{k-1} / (1 - S(k))) to G(k)."""
+    count too: S(k + 1) / S(k) up, (1 - S(k - 1)) / (1 - S(k)) down, so
+    a down-step draws the papers that stay below (see the module
+    docstring)."""
     if up:
         s_k, s_next = survival(k, k + 2)
         return min(s_next / s_k, 1.0)

@@ -447,8 +447,10 @@ class TestSimulate:
         (MemoryError(), "error: MemoryError\n"),
     ])
     def test_memory_error_is_an_error_line(self, monkeypatch, error, message):
-        # --replicates 1000000000000 ended in numpy's _ArrayMemoryError
-        # traceback; the error is planted rather than allocated
+        # --replicates 1000000000000 once ended in numpy's
+        # _ArrayMemoryError traceback, when a run kept every replicate's
+        # h; it now allocates nothing per replicate, so the error is
+        # planted rather than allocated
         from citesim import cli
 
         def fail(*args):

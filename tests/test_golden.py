@@ -14,8 +14,8 @@ unresolved, pooled over the whole run by a cascade of binomials on each
 side of k*, one multinomial per side and a conditioned tail, which is
 exact in law because the papers known to lie on one side of a count are
 independent draws conditioned on that side. The h columns come from
-per-replicate h, the other columns from sums over all replicates' papers
-divided by the replicate count. Scheme 6's simulated bytes, drawn as one
+exact sums of every replicate's h and h^2, the other columns from sums
+over all replicates' papers, each divided by the replicate count. Scheme 6's simulated bytes, drawn as one
 multinomial row per replicate over a 4-sd window, no longer reproduce.
 Simulated cells depend on numpy's PCG64 stream and jump, its binomial
 and multinomial and its exp, so another numpy release may legitimately

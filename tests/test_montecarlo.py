@@ -4,6 +4,8 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
@@ -580,8 +582,7 @@ def assert_equals_scan_reference(spec, replicates, thresholds, seed, workers=1, 
     total = sum(papers.tolist())
     run = lambda: run_replicates(spec, replicates, thresholds, seed)
     for summary in concurrent_runs(workers, run) if workers > 1 else [run()]:
-        assert summary.h_mean == float(h.mean())
-        assert summary.h_stddev == (float(h.std(ddof=1)) if replicates > 1 else 0.0)
+        assert (summary.h_mean, summary.h_stddev) == exact_moments(h)
         assert summary.sum_citations_mean == total / replicates
         assert summary.counts_above == {
             x: np.count_nonzero(papers >= x) / replicates for x in thresholds}
@@ -651,17 +652,33 @@ def forced_start(monkeypatch, spec, offset):
 
 
 def recorded_h(monkeypatch):
-    """Record each run's per-replicate h."""
-    runs = []
-    scan_replicates = mc._scan_replicates
+    """Record each run's per-replicate h: the h of every block of rows
+    that _scan returns, joined per run."""
+    runs, blocks = [], []
+    scan, scan_replicates = mc._scan, mc._scan_replicates
 
-    def recording(*args):
+    def scanning(*args):
+        h = scan(*args)
+        blocks.append(h.copy())
+        return h
+
+    def running(*args):
+        blocks.clear()
         result = scan_replicates(*args)
-        runs.append(result[0].copy())
+        runs.append(np.concatenate(blocks))
         return result
 
-    monkeypatch.setattr(mc, "_scan_replicates", recording)
+    monkeypatch.setattr(mc, "_scan", scanning)
+    monkeypatch.setattr(mc, "_scan_replicates", running)
     return runs
+
+
+def exact_moments(h):
+    """The mean and the sample standard deviation (0 for one value) of
+    the integers `h`, from exact Python-int sums: each division is int /
+    int, so correctly rounded."""
+    r, sum_h, sum_h2 = len(h), sum(h.tolist()), sum(v * v for v in h.tolist())
+    return sum_h / r, math.sqrt((r * sum_h2 - sum_h**2) / (r * (r - 1)) if r > 1 else 0)
 
 
 def recorded_survival(monkeypatch):
@@ -959,6 +976,25 @@ class CountingGenerator:
         return self.rng.random(size)
 
 
+HUGE_MEDIAN = SeriesSpec.from_values(30, 2, 3000)
+
+
+@pytest.fixture(scope="module")
+def huge_median_run():
+    """One run of the huge median, 20,000 replicates at DEFAULT_SEED: its
+    summary, the tail pieces it asked for (recorded_tail_pieces) and how
+    many values its rest stream's standard_normal and random returned
+    (CountingGenerator)."""
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        conditioned_normals = mc._conditioned_normals
+        patch.setattr(mc, "_conditioned_normals", lambda rng, a, count: conditioned_normals(
+            CountingGenerator(rng, counts), a, count))
+        pieces = recorded_tail_pieces(patch)
+        summary = run_replicates(HUGE_MEDIAN, 20_000, seed=DEFAULT_SEED)
+    return types.SimpleNamespace(summary=summary, pieces=pieces, counts=counts)
+
+
 class TestBlocks:
     """The rows stream scans the rows in blocks of _BLOCK_ROWS, each scan
     step drawing from its own substream, row after row, so no output
@@ -983,28 +1019,19 @@ class TestBlocks:
         assert summaries[0] == summaries[1] == summaries[2] == summaries[3]
         assert all((runs[0] == h).all() for h in runs[1:])
 
-    def test_pooled_tail_drawn_in_bounded_pieces(self, monkeypatch):
+    def test_pooled_tail_drawn_in_bounded_pieces(self, huge_median_run):
         # a huge median: each of the 20,000 replicates' 3000 papers is a
         # pooled tail paper
-        spec = SeriesSpec.from_values(30, 2, 3000)
-        pieces = recorded_tail_pieces(monkeypatch)
-        run_replicates(spec, 20_000, seed=DEFAULT_SEED)
-        asked = [count for count, _ in pieces]
+        asked = [count for count, _ in huge_median_run.pieces]
         assert sum(asked) == 3000 * 20_000
         assert max(asked) <= mc._TAIL_PIECE
         assert asked[:-1] == [mc._TAIL_PIECE] * (len(asked) - 1)
 
-    def test_certain_acceptance_draws_no_spare_normals(self, monkeypatch):
+    def test_certain_acceptance_draws_no_spare_normals(self, huge_median_run):
         # a = (ln 3001 - 30) / 2 = -11: plain rejection accepts every
         # normal in double precision, so a round asks for exactly the
         # papers still needed (sampling scheme 6 drew 66,007,694)
-        spec = SeriesSpec.from_values(30, 2, 3000)
-        counts = Counter()
-        conditioned_normals = mc._conditioned_normals
-        monkeypatch.setattr(mc, "_conditioned_normals", lambda rng, a, count: conditioned_normals(
-            CountingGenerator(rng, counts), a, count))
-        run_replicates(spec, 20_000, seed=DEFAULT_SEED)
-        assert counts == {"standard_normal": 60_000_000}
+        assert huge_median_run.counts == {"standard_normal": 60_000_000}
 
     def test_rejection_rounds_keep_their_margin(self):
         # below certainty a round still asks for 10% more plus 8
@@ -1013,6 +1040,50 @@ class TestBlocks:
             rng = CountingGenerator(np.random.default_rng(1), counts)
             assert len(mc._conditioned_normals(rng, a, 1000)) == 1000
             assert counts[method] >= 1108, (a, counts)
+
+
+@functools.lru_cache
+def traced_peak(replicates):
+    """The tracemalloc peak, in bytes, of a run of `replicates` at N = 10,
+    after a run of one."""
+    spec = SeriesSpec.from_values(2, 1, 10)
+    run_replicates(spec, 1)
+    tracemalloc.start()
+    try:
+        run_replicates(spec, replicates)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReductions:
+    """Every simulated number is an exact Python-int sum over the run,
+    divided by the replicate count once at the end: the h, h^2 and
+    citation total of every replicate and its counts at each threshold.
+    A run holds no per-replicate array, so its memory does not grow with
+    its replicate count."""
+
+    def test_h_sums_past_int64_are_exact(self, monkeypatch):
+        # h moved up by 3e9: a row's h^2 is 9e18 or more, so two rows' sum
+        # passes 2^63, and an int64 sum of squares would wrap
+        plain = run_replicates(SERIES_22, 3000, seed=5)
+        scan = mc._scan
+        monkeypatch.setattr(mc, "_scan", lambda *args: scan(*args) + 3 * 10**9)
+        runs = recorded_h(monkeypatch)
+        summary = run_replicates(SERIES_22, 3000, seed=5)
+        assert runs[0].min() >= 3 * 10**9
+        assert (summary.h_mean, summary.h_stddev) == exact_moments(runs[0])
+        # the spread is that of the h moved, exactly
+        assert summary.h_stddev == plain.h_stddev
+        assert summary.h_mean == pytest.approx(plain.h_mean + 3 * 10**9, abs=1e-6)
+
+    def test_memory_below_one_int64_a_replicate(self):
+        # one int64 a replicate would take 8 MB; a run that kept every h
+        # peaked at 15.3 MiB
+        assert traced_peak(10**6) < 8 * 10**6
+
+    def test_memory_independent_of_replicate_count(self):
+        assert abs(traced_peak(4 * 10**6) - traced_peak(10**6)) < 10**6
 
 
 class TestWindowDomain:
@@ -1075,6 +1146,7 @@ class TestWindowDomain:
         assert summary.h_mean == (low + 1 if above >= low + 1 else low)
 
 
+@functools.lru_cache
 def exact_law(spec, thresholds):
     """Per-replicate mean and standard deviation of h, the citation total
     and each threshold count under the discrete law of N papers with
@@ -1087,7 +1159,8 @@ def exact_law(spec, thresholds):
     lognormal's partial moments E[(X^p - K^p)^+] =
     e^(p mu + p^2 sigma^2 / 2) Phi((mu + p sigma^2 - ln K) / sigma) - K^p S(K).
     For the study's series they add below 1e-6; for a huge median they
-    are nearly the whole sum."""
+    are nearly the whole sum. Cached by spec and thresholds: callers only
+    read the result."""
     from scipy import stats
 
     mu, sigma, n = spec.params.mu, spec.params.sigma, spec.n_papers
@@ -1137,11 +1210,16 @@ class TestExactLaw:
     @pytest.mark.parametrize(
         "spec",
         [SERIES_1, SERIES_9, SERIES_22, SERIES_2, SERIES_13, SeriesSpec.from_values(1.5, 0.9, 200),
-         SeriesSpec.from_values(30, 2, 3000)],
+         HUGE_MEDIAN],
         ids=["series-1", "series-9", "series-22", "series-2", "series-13", "series-25",
              "huge-median"])
-    def test_within_five_standard_errors(self, spec):
-        summary = run_replicates(spec, self.REPLICATES, seed=DEFAULT_SEED)
+    def test_within_five_standard_errors(self, request, spec):
+        if spec is HUGE_MEDIAN:
+            # the same run as huge_median_run's
+            summary = request.getfixturevalue("huge_median_run").summary
+            assert summary.replicates == self.REPLICATES
+        else:
+            summary = run_replicates(spec, self.REPLICATES, seed=DEFAULT_SEED)
         scores = z_scores(summary, exact_law(spec, DEFAULT_THRESHOLDS))
         assert max(map(abs, scores.values())) <= 5, scores
 

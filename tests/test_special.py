@@ -10,7 +10,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from citesim.special import regularized_incomplete_beta
+from citesim.special import log_beta, regularized_incomplete_beta
 
 
 @pytest.mark.parametrize("x", [3.5, 4.344, 6.0, 10.0, 15.0])
@@ -79,3 +79,28 @@ def test_incomplete_beta_at_half_matches_mpmath(df, log_x):
         expected = mpmath.betainc(0.5 * df, 0.5, 0, x, regularized=True)
     if expected >= 1e-300:
         assert regularized_incomplete_beta(0.5 * df, 0.5, x) == pytest.approx(float(expected), rel=1e-12)
+
+
+def log_beta_40_digits(a, b):
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.beta(a, b)))
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [(0.5, 50), (0.5, 500), (0.5, 5000), (0.5, 5e4), (0.5, 5e5), (0.5, 1e15), (2.5, 14),
+     (10, 1e6), (100, 1e7), (50, 50), (5000, 5000), (1e12, 1e12)],
+)
+def test_log_beta_of_large_shapes_matches_mpmath(a, b):
+    # a difference of lgamma values of size b ln b was off by 7.2e-10 at
+    # (1/2, 5e5) and by 0.7 at (1/2, 1e15)
+    expected = log_beta_40_digits(a, b)
+    for x, y in ((a, b), (b, a)):
+        assert abs(log_beta(x, y) - expected) <= 4e-16 * max(1.0, abs(expected)), (x, y)
+
+
+@pytest.mark.parametrize("a,b", [(10, 10), (12, 0.5), (0.5, 10), (10, 0.5)])
+def test_log_beta_no_worse_than_lgamma_at_the_switch_over(a, b):
+    expected = log_beta_40_digits(a, b)
+    lgammas = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    assert abs(log_beta(a, b) - expected) <= abs(lgammas - expected)
