@@ -5,7 +5,8 @@ Subcommands reproduce the study's datasets as CSV/TSV/JSON: the
 scatters (scatter), regressions (fit), single-spec simulation summaries
 (simulate), and the verification suite (verify). All output is
 deterministic for fixed flags. A command that draws echoes its seed and
-the seeding scheme on stderr once its output is written.
+the seeding scheme on stderr once its output is written, and the numpy
+version where numpy drew.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .report import (
     table1_rows,
 )
 from .special import ConvergenceError
-from .verification import run_checks
 
 #: Citation levels --threshold accepts: the study's levels plus 30.
 THRESHOLD_CHOICES = tuple(float(x) for x in sorted((*DEFAULT_THRESHOLDS, 30)))
@@ -153,6 +153,9 @@ def main(argv=None) -> int:
 
 
 def _verify_rows(args: argparse.Namespace) -> list[dict]:
+    # imported here, so that the other commands start without it
+    from .verification import run_checks
+
     results = run_checks(args.filter, args.replicates, args.seed)
     if not results:
         raise ValueError(f"no checks match filter {args.filter!r}")
@@ -186,11 +189,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         text = "".join(f"[{row['status'].upper()}] {row['name']}: {row['detail']}\n" for row in rows)
         text += f"{len(rows)} checks, {len(rows) - failed} passed, {failed} failed\n"
     _emit(text, args.out)
-    # the commands that draw echo their seed, once their output is written
+    # the commands that draw echo their seed, once their output is written,
+    # and the numpy that drew, if one did
     if "seed" in args and getattr(args, "mode", "simulate") == "simulate":
+        numpy = sys.modules.get("numpy")
         print(
             f"# command={args.command} seed={args.seed} replicates={args.replicates} "
-            f"seeding={SEEDING_VERSION}",
+            f"seeding={SEEDING_VERSION}" + (f" numpy={numpy.__version__}" if numpy else ""),
             file=sys.stderr,
         )
     return 1 if failed else 0

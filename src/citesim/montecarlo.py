@@ -10,7 +10,7 @@ mean fractional part of the draws, about half a citation. Counts are
 int64 at most, so a draw whose exp reaches 2**63 raises ValueError
 instead of wrapping, and so does a run of N x replicates >= 2**63 papers.
 
-Sampling scheme v7 (SEEDING_VERSION): a run with master seed s draws from
+Sampling scheme v8 (SEEDING_VERSION): a run with master seed s draws from
 two generators, the rows stream seeded from (s, 0) and the rest stream
 from (s, 1) through a SplitMix64-style avalanche. Every simulated number
 is either a replicate's h or a replicate average of an additive count
@@ -48,19 +48,29 @@ belong to, and likewise below j. So the rest stream pools them over the
 whole run, exactly in law, with one cascade (_cascade) on each side:
 below k*, from k* down, one Bin(M, p_{j-1} / (1 - S(j))) at each count j
 for the M papers known to lie below j, those carried from above plus
-those of the rows that stopped at j, then one multinomial over p_0, ...,
-p_{J-1} for the M papers below the lowest such J; above, from the lowest
-count up, one Bin(M, p_j / S(j)) at each j, then one multinomial over
-p_J, ..., p_{K'-1} and S(K') for the highest J, K' the largest of J,
-_MAX_BINS and one past every count a paper was placed at. The papers at
-K' or more are drawn as floor(exp(mu + sigma z)) with z conditioned on
-z >= (ln K' - mu) / sigma (_conditioned_normals), in pieces of at most
-_TAIL_PIECE papers; the piece size is part of the scheme, since
-_conditioned_normals' rounds depend on the count asked for. Every S(k)
-the scans, the cascades and the multinomials use comes from _survival,
-evaluated once per count and only at the counts the scans visit and over
-the bins of pools that hold papers; k* alone is found with
-survival_probability, and the law does not depend on it.
+those of the rows that stopped at j; above, from the lowest count up,
+one Bin(M, p_j / S(j)) at each j. One routine (_pooled_side) then draws
+the papers past each side's last count J, applied to the law above and
+to its reflection below, each side in three parts:
+
+- above: bins [J, K'), K' the largest of J, _MAX_BINS and one past every
+  count a paper was placed at, and one cell for S(K'); below: bins [L,
+  J), L = J - _MAX_BINS, and one cell for 1 - S(L), or where J <=
+  _MAX_BINS the bins [0, J) alone, as scheme 7 drew them;
+- one multinomial over those cells;
+- the papers at K' or more drawn as floor(exp(mu + sigma z)) with z
+  conditioned on z >= (ln K' - mu) / sigma (_conditioned_normals), and
+  those below L with -z >= (mu - ln L) / sigma, each in pieces of at most
+  _TAIL_PIECE papers; a tail paper that exp rounds across its edge counts
+  K' above and L - 1 below.
+
+So a run's work and memory below k* do not grow with h. The piece size
+is part of the scheme, since _conditioned_normals' rounds depend on the
+count asked for. Every S(k) the scans, the cascades and the multinomials
+use comes from _survival, evaluated once per count and only at the
+counts the scans visit and over the bins of pools that hold papers; k*
+alone is found with survival_probability, and the law does not depend
+on it.
 
 Schemes 1 (one generator per replicate), 2 (every spec per paper), 3
 (each replicate's whole histogram), 4 (a 7-sd window, a K' from a cost
@@ -68,14 +78,19 @@ model, and small N and huge medians drawn per paper), 5 (one generator
 per chunk of 64 replicates, each chunk pooling its own papers outside a
 4-sd window) and 6 (one multinomial row per replicate over that window,
 from two streams a run) gave other simulated values; such output does
-not reproduce under scheme 7.
+not reproduce under scheme 8. Scheme 7 drew one multinomial over every
+count below the lower side's J, in time and memory that grew with h.
+Scheme 8 draws what it drew wherever that J is at most _MAX_BINS or no
+paper lies below it: every golden file, the study's 30 series (largest
+k* 144) and the benchmark's commands.
 
 :func:`run_replicates` runs on the calling thread, which holds one block
 of rows or one piece of tail papers at a time and a histogram of the
-counts the run's papers reach below K'. Every simulated number is an
-exact Python-int sum over the run, of h, h^2, the citation totals or the
-threshold counts, divided by the replicate count once: no per-replicate
-array is formed, so memory does not grow with the replicate count.
+counts from L to K'. Every simulated number is an exact Python-int sum
+over the run, of h, h^2, the citation totals or the threshold counts,
+divided by the replicate count once: no per-replicate array is formed,
+so memory grows neither with the replicate count nor with h, only with
+the spread of the replicates' h, which the scans cross.
 
 numpy is imported by the functions that draw, on their first call, not
 with the module: the CLI imports this module for DEFAULT_SEED and
@@ -125,7 +140,7 @@ _MAX_BINS = 256
 #: Master seed used when none is given; echoed in CLI output metadata.
 DEFAULT_SEED = 20200212
 #: How replicate streams derive from the master seed; echoed with it.
-SEEDING_VERSION = 7
+SEEDING_VERSION = 8
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -200,13 +215,13 @@ def run_replicates(
 ) -> ReplicateSummary:
     """Generate `replicates` independent series and average their metrics.
 
-    Sampling scheme v7: a generator seeded with derive_seed(seed, 0) finds
+    Sampling scheme v8: a generator seeded with derive_seed(seed, 0) finds
     each replicate's h by a scan of binomials from k*, the h of the expected
     exceedance counts (see _scan_start), step t of every replicate's scan
     drawing from that generator jumped t times, in replicate order. A
     second, seeded with derive_seed(seed, 1), then draws the papers the
     scans left unresolved, pooled over the run by a cascade of binomials on
-    each side of k*, one multinomial per side and the tail, exact in law
+    each side of k*, then one multinomial and one tail per side, exact in law
     because the papers known to lie on one side of a count are independent
     draws from the law conditioned on that side. h, h^2, the citation total
     and the threshold counts are summed over the run exactly and divided
@@ -245,12 +260,12 @@ class _Pools:
 
 def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: int):
     """Exact Python-int sums over all replicates of h, h^2, the citation
-    total and the count at each of `xs` (sampling scheme v7).
+    total and the count at each of `xs` (sampling scheme v8).
 
-    hist[k - base] counts the run's papers with k citations for base <= k
-    < K' and hist[-1] its tail papers, those at K' or more, whose own
-    citation sum and counts at each x beyond K' are kept apart; base is 0
-    unless no pooled paper was drawn below the scanned counts.
+    The papers placed at a count, by the scans, the cascades and the
+    multinomials, are binned from base, L or the lowest count a paper was
+    placed at, to K'; the two tails, below L and at K' or more, add their
+    own exact citation sums and counts at each x.
     """
     import numpy as np
 
@@ -273,53 +288,28 @@ def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: i
 
     exact = pools.exact
     lowest, carried = _cascade(pools.below, False, start, survival, rest_rng, exact)
-    low_cells = None
-    if carried:
-        p = _bin_probabilities(survival, 0, lowest)
-        low_cells = rest_rng.multinomial(carried, _conditional(p))
-
+    floor = max(lowest - _MAX_BINS, 0)
+    low = _pooled_side(spec, carried, floor, lowest, False, survival, rest_rng, xs)
     highest, carried = _cascade(pools.above, True, start, survival, rest_rng, exact)
     # K' lies past every count a paper was placed at, whether or not a
     # pool above it holds papers
     top = max(highest, max((k + 1 for k, m in exact.items() if m), default=0), _MAX_BINS)
-    high_cells = None
-    tail_count = carried
-    if carried and highest < top:
-        p = np.append(_bin_probabilities(survival, highest, top), survival(top, top + 1))
-        high_cells = rest_rng.multinomial(carried, _conditional(p))
-        tail_count = int(high_cells[-1])
+    high = _pooled_side(spec, carried, highest, top, True, survival, rest_rng, xs)
 
-    base = 0 if low_cells is not None else min(*exact, highest)
+    # hist[k - base] = the run's papers placed at k citations, none at K'
+    base = min([floor, *exact])
     hist = np.zeros(top + 1 - base, dtype=np.int64)
-    if low_cells is not None:
-        hist[:lowest] += low_cells
-    if high_cells is not None:
-        hist[highest - base : top - base] += high_cells[:-1]
-    for k, m in exact.items():
-        hist[k - base] += m
-    hist[-1] = tail_count
-
-    # a tail paper reaches K' citations exactly when its normal reaches a
-    a = (math.log(top) - params.mu) / params.sigma
-    tail_sum = 0
-    tail_counts = [0] * len(xs)
-    for done in range(0, tail_count, _TAIL_PIECE):
-        papers = _conditioned_normals(rest_rng, a, min(_TAIL_PIECE, tail_count - done))
-        largest = _floor_exp(papers, spec)
-        # exp can round a draw just past ln K' down below K'
-        np.maximum(papers, top, out=papers)
-        tail_sum += _exact_sum(papers, max(largest, top))
-        for j, x in enumerate(xs):
-            if x > top:
-                tail_counts[j] += int(np.count_nonzero(papers >= x))
-
-    # at_least[k - base] = the run's papers with k citations or more, k <= K'
+    hist[np.fromiter(exact, np.int64) - base] = np.fromiter(exact.values(), np.int64)
+    for first, (bins, _, _) in ((floor, low), (highest, high)):
+        if bins is not None:
+            hist[first - base : first - base + len(bins)] += bins
+    # at_least[k - base] = those with k or more; each holds base, plus one
+    # per count it reaches past base
     at_least = np.cumsum(hist[::-1])[::-1].tolist()
-    # each paper below K' holds base, plus one per count it reaches past
-    # base; the tail papers' own sum replaces their K' each
-    total = base * at_least[0] + sum(at_least[1:]) - top * tail_count + tail_sum
-    counts = [at_least[max(math.ceil(x) - base, 0)] if x <= top else tail_counts[j]
-              for j, x in enumerate(xs)]
+    # the tails add their own sums and counts
+    total = base * at_least[0] + sum(at_least[1:]) + low[1] + high[1]
+    counts = [at_least[min(max(math.ceil(x) - base, 0), top - base)] + below + above
+              for x, below, above in zip(xs, low[2], high[2])]
     return sum_h, sum_h2, total, counts
 
 
@@ -344,6 +334,47 @@ def _cascade(pool: dict[int, int], up: bool, start: int, survival: _SurvivalTabl
             carried -= placed
     edge = last if up else first
     return edge, carried + pool.get(edge, 0)
+
+
+def _pooled_side(spec: SeriesSpec, carried: int, lo: int, hi: int, up: bool,
+                 survival: _SurvivalTable, rng: np.random.Generator, xs: list[float]):
+    """Draw the `carried` papers known to lie at `lo` or more (`up`), or
+    below `hi`: one multinomial over the bins [lo, hi) and, unless its
+    edge is 0, one cell for the papers past the edge: those at hi = K'
+    or more up, the last cell, and those below lo = L down, the first.
+    The law above K' and its reflection below L are drawn alike, as
+    floor(exp(mu + sigma z)) with z >= (ln K' - mu) / sigma, or -z >= (mu
+    - ln L) / sigma, in pieces of at most _TAIL_PIECE papers. Returns the
+    bins' counts (None if no multinomial was drawn), and the tail papers'
+    exact citation sum and their count at each of `xs`."""
+    import numpy as np
+
+    edge = hi if up else lo
+    tail, bins = carried, None
+    if carried and lo < hi:
+        # the cells are the differences of S over their edges, S(0) = 1
+        # below L and 0 past K'
+        s = np.array([1.0] * (not up and lo > 0) + survival(lo, hi + 1) + [0.0] * up)
+        cells = rng.multinomial(carried, _conditional(s[:-1] - s[1:]))
+        tail = int(cells[-1] if up else cells[0]) if edge else 0
+        bins = cells[:-1] if up else cells[1:] if edge else cells
+    # exp can round a draw just past the edge back across it
+    clamp, bound = (np.maximum, hi) if up else (np.minimum, lo - 1)
+    tail_sum = 0
+    # a paper at K' or more reaches every x up to K', one below L no x from L on
+    tail_counts = [tail if up and x <= hi else 0 for x in xs]
+    for done in range(0, tail, _TAIL_PIECE):
+        a = (math.log(edge) - spec.params.mu) / spec.params.sigma
+        papers = _conditioned_normals(rng, a if up else -a, min(_TAIL_PIECE, tail - done))
+        if not up:
+            np.negative(papers, out=papers)
+        largest = _floor_exp(papers, spec)
+        clamp(papers, bound, out=papers)
+        tail_sum += _exact_sum(papers, max(largest, bound))
+        for j, x in enumerate(xs):
+            if x > hi if up else x < lo:
+                tail_counts[j] += int(np.count_nonzero(papers >= x))
+    return bins, tail_sum, tail_counts
 
 
 def _scan(streams: _Substreams, size: int, n: int, start: int,
@@ -482,15 +513,6 @@ def _scan_start(spec: SeriesSpec) -> int:
         else:
             hi = mid - 1
     return lo
-
-
-def _bin_probabilities(survival: _SurvivalTable, first: int, last: int) -> np.ndarray:
-    """p_k = S(k) - S(k + 1) for k in [first, last), the bins a pooled
-    multinomial draws from."""
-    import numpy as np
-
-    s = np.array(survival(first, last + 1))
-    return s[:-1] - s[1:]
 
 
 def _conditional(probabilities: np.ndarray) -> np.ndarray:

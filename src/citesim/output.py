@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 
 KINDS = ("csv", "tsv", "json")
 #: Decimals of a probability cell at or above SCI_THRESHOLD.
@@ -42,6 +41,9 @@ def render_rows(rows: list[dict], kind: str) -> str:
     if kind not in KINDS:
         raise ValueError(f"unknown output kind {kind!r}; expected one of {KINDS}")
     if kind == "json":
+        # imported here, so that CSV and TSV output start without it
+        import json
+
         return json.dumps([{k: _json_value(v) for k, v in row.items()} for row in rows], indent=2) + "\n"
     delimiter = "," if kind == "csv" else "\t"
     buffer = io.StringIO()

@@ -399,7 +399,8 @@ class TestSimulate:
     def test_echoes_seeding_scheme_on_stderr(self):
         result = run_cli("simulate", "--mu", "1.7", "--sigma", "1.0", "--n", "100",
                          "--replicates", "50", "--seed", "3")
-        assert result.stderr.splitlines() == ["# command=simulate seed=3 replicates=50 seeding=7"]
+        assert result.stderr.splitlines() == [
+            f"# command=simulate seed=3 replicates=50 seeding=8 numpy={numpy_version()}"]
         assert "seeding" not in result.stdout
 
     def test_totals_beyond_int64_stay_positive(self):
@@ -463,6 +464,13 @@ class TestSimulate:
         assert result.stderr == message
 
 
+def numpy_version():
+    """The version of the numpy that draws, which the seed echo names."""
+    import numpy
+
+    return numpy.__version__
+
+
 class TestSeedEcho:
     """Commands that draw echo their seed on stderr after their output,
     and a rejected command prints its error line alone."""
@@ -491,8 +499,17 @@ class TestSeedEcho:
                          "--replicates", "5", "--seed", "3"]) == 0
         lines = both.getvalue().splitlines()
         assert lines[0].startswith("mu,sigma,n,")
-        assert lines[-1] == "# command=simulate seed=3 replicates=5 seeding=7"
+        assert lines[-1] == f"# command=simulate seed=3 replicates=5 seeding=8 numpy={numpy_version()}"
         assert len(lines) == 3
+
+    def test_echo_names_numpy_only_where_it_drew(self):
+        # in a fresh process: this one has loaded numpy for other tests
+        drawn = run_process("-m", "citesim", "simulate", "--mu", "1", "--sigma", "1", "--n", "10",
+                            "--replicates", "5")
+        assert drawn.stderr == (
+            f"# command=simulate seed=20200212 replicates=5 seeding=8 numpy={numpy_version()}\n")
+        closed_form = run_process("-m", "citesim", "verify", "--filter", "correlations")
+        assert closed_form.stderr == "# command=verify seed=20200212 replicates=10000 seeding=8\n"
 
 
 class TestVerify:
@@ -529,7 +546,8 @@ class TestVerify:
         lines = result.stdout.splitlines()
         assert lines[0].startswith("[FAIL] simulation-agreement: ")
         assert lines[1:] == ["1 checks, 0 passed, 1 failed"]
-        assert result.stderr == "# command=verify seed=20200212 replicates=100 seeding=7\n"
+        assert result.stderr == (
+            f"# command=verify seed=20200212 replicates=100 seeding=8 numpy={numpy_version()}\n")
 
     def test_json_format(self):
         result = run_cli("verify", "--filter", "correlations", "--format", "json")
@@ -555,6 +573,13 @@ class TestImport:
         # and building its parser does not load it
         run_process("-c", "import sys, citesim.cli; citesim.cli.build_parser(); "
                     "assert 'numpy' not in sys.modules; assert 'numpy.random' not in sys.modules")
+
+    def test_cli_leaves_verification_and_json_unloaded(self):
+        # verify imports its checks and JSON output its encoder when they
+        # run, so the other commands start without them
+        run_process("-c", "import sys, citesim.cli; citesim.cli.build_parser(); "
+                    "assert 'citesim.verification' not in sys.modules; "
+                    "assert 'json' not in sys.modules")
 
     def test_package_import_leaves_numpy_unloaded(self):
         run_process("-c", "import sys, citesim; assert 'numpy' not in sys.modules")

@@ -1,32 +1,37 @@
 """CLI stdout diffed byte for byte against committed golden files.
 
 The simulate files under tests/golden/ were written by sampling scheme 7
-with numpy 2.4.6. Every replicate finds its h by a scan of binomial
-counts from k*, the h of the expected exceedance counts: up from k* one
-count a step while it has at least k papers at k or more, else down
-until it has; |h - k*| + 2 binomials up, |h - k*| + 1 down. Scan step t
-of every replicate draws from the rows stream jumped t times, in
-replicate order, so the first R replicates' h are the same for any
-larger R. simulate_mu2_s1_n30_r70000.csv spans two blocks of rows,
-65,536 + 4,464, so it pins the substreams carried from one block to the
-next. A rest stream then places the papers the scans left
-unresolved, pooled over the whole run by a cascade of binomials on each
-side of k*, one multinomial per side and a conditioned tail, which is
-exact in law because the papers known to lie on one side of a count are
-independent draws conditioned on that side. The h columns come from
-exact sums of every replicate's h and h^2, the other columns from sums
-over all replicates' papers, each divided by the replicate count. Scheme 6's simulated bytes, drawn as one
-multinomial row per replicate over a 4-sd window, no longer reproduce.
-Simulated cells depend on numpy's PCG64 stream and jump, its binomial
-and multinomial and its exp, so another numpy release may legitimately
-print other digits. verify_r100.csv is the stdout of ``verify --format
-csv --replicates 100``, whose exit code VERIFY_CODE pins too. At 100
-replicates simulation-agreement's fixed 0.005 gate on a tail fraction
-does not scale with the replicate count, so whether it passes depends on
-the draws: under schemes 5 and 6 it passed and verify exited 0 (worst P
-dev 0.00454, then 0.00424); under schemes 4 and 7 it fails and verify
-exits 1 (scheme 7: worst P dev 0.00969, series 22's P(10), about 2.2 of
-its standard errors).
+with numpy 2.4.6, the version tests/golden/NUMPY_VERSION names, and
+scheme 8 draws the same bytes for every one of them: scheme 8 changes
+only runs that pool papers below a lowest count J above 256, and the
+largest k* here is 172 (simulate_mu2_s1.2_n40000_r5.csv). Every
+replicate finds its h by a scan of binomial counts from k*, the h of the
+expected exceedance counts: up from k* one count a step while it has at
+least k papers at k or more, else down until it has; |h - k*| + 2
+binomials up, |h - k*| + 1 down. Scan step t of every replicate draws
+from the rows stream jumped t times, in replicate order, so the first R
+replicates' h are the same for any larger R.
+simulate_mu2_s1_n30_r70000.csv spans two blocks of rows, 65,536 + 4,464,
+so it pins the substreams carried from one block to the next. A rest
+stream then places the papers the scans left unresolved, pooled over the
+whole run by a cascade of binomials on each side of k*, then one
+multinomial and one conditioned tail per side, which is exact in law
+because the papers known to lie on one side of a count are independent
+draws conditioned on that side. The h columns come from exact sums of
+every replicate's h and h^2, the other columns from sums over all
+replicates' papers, each divided by the replicate count. Scheme 6's
+simulated bytes, drawn as one multinomial row per replicate over a 4-sd
+window, no longer reproduce. Simulated cells depend on numpy's PCG64
+stream and jump, its binomial and multinomial and its exp, so another
+numpy release may legitimately print other digits; a simulated golden
+that differs then names both numpy versions. verify_r100.csv is the
+stdout of ``verify --format csv --replicates 100``, whose exit code
+VERIFY_CODE pins too. At 100 replicates simulation-agreement's fixed
+0.005 gate on a tail fraction does not scale with the replicate count,
+so whether it passes depends on the draws: under schemes 5 and 6 it
+passed and verify exited 0 (worst P dev 0.00454, then 0.00424); under
+schemes 4, 7 and 8 it fails and verify exits 1 (worst P dev 0.00969,
+series 22's P(10), about 2.2 of its standard errors).
 
 tests/golden/analytic.md5 holds one line per closed-form command: the md5
 of its stdout, two spaces and its argv. All of them run in one process,
@@ -35,8 +40,9 @@ process prints. Every command here runs in-process through
 ``cliruns.run_cli``; test_process_prints_the_goldens runs the simulate
 and verify commands again as ``python -m citesim``, the entry point the
 in-process runner does not pass through. After a change that is meant
-to alter output, rewrite the manifest, the simulate files and
-verify_r100.csv with ``PYTHONPATH=src python tests/test_golden.py``.
+to alter output, rewrite the manifest, the simulate files,
+verify_r100.csv and NUMPY_VERSION with ``PYTHONPATH=src python
+tests/test_golden.py``.
 """
 
 import hashlib
@@ -104,6 +110,18 @@ def golden(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def numpy_note() -> str:
+    """Both numpy versions, when the one running is not the one that wrote
+    the simulated goldens (NUMPY_VERSION): another release may print other
+    digits."""
+    import numpy
+
+    written = golden("NUMPY_VERSION").strip()
+    if numpy.__version__ == written:
+        return ""
+    return f"goldens written with numpy {written}, run with numpy {numpy.__version__}"
+
+
 def stdout_md5(argv: list[str]) -> str:
     return hashlib.md5(run_cli(*argv).stdout.encode("utf-8")).hexdigest()
 
@@ -115,13 +133,13 @@ def read_manifest() -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_golden(name):
-    assert run_cli(*COMMANDS[name]).stdout == golden(name)
+    assert run_cli(*COMMANDS[name]).stdout == golden(name), numpy_note()
 
 
 def test_verify_stdout_and_exit_code_match_golden():
     result = run_cli(*VERIFY, check=False)
     assert result.returncode == VERIFY_CODE
-    assert result.stdout == golden("verify_r100.csv")
+    assert result.stdout == golden("verify_r100.csv"), numpy_note()
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -129,7 +147,7 @@ def test_process_prints_the_goldens(name):
     argv, code = RUNS[name]
     result = run_process("-m", "citesim", *argv, check=False)
     assert result.returncode == code, result.stderr
-    assert result.stdout == golden(name)
+    assert result.stdout == golden(name), numpy_note()
 
 
 def test_analytic_stdout_matches_manifest():
@@ -153,3 +171,6 @@ if __name__ == "__main__":
         result = run_cli(*argv, check=False)
         assert result.returncode == code, (argv, result.stderr)
         (GOLDEN / name).write_text(result.stdout, encoding="utf-8")
+    import numpy
+
+    (GOLDEN / "NUMPY_VERSION").write_text(numpy.__version__ + "\n", encoding="utf-8")

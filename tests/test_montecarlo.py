@@ -411,6 +411,20 @@ class TestBlockReductions:
     def test_count_at_least_on_a_study_series_matches_naive(self, xs):
         assert_counts_match_naive(SERIES_1, xs)
 
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=1e-3, max_value=1e4, allow_nan=False), min_size=1, max_size=5,
+            unique=True,
+        ),
+    )
+    # cuts about L = 318, below which the low tail's papers lie, and K' =
+    # 609, in the 64 replicates
+    @example(xs=[317.0, 317.5, 318.0, 318.5])
+    @example(xs=[608.5, 609.0, 609.5])
+    def test_count_at_least_past_the_low_tail_matches_naive(self, xs):
+        assert_counts_match_naive(LOW_TAIL, xs)
+
     # N * top below 2^53: float64 partial sums are exact
     @pytest.mark.parametrize("top", [3, 2**27, 2**28, 2**31 - 1])
     def test_row_sums_of_int32_blocks_are_exact(self, top):
@@ -439,16 +453,20 @@ class TestBlockReductions:
 
 
 # k* lies near h = 2576, so each replicate has about 2500 tail papers at
-# K' = its highest stop or more; a run's pooled tail sum passes 2^62
+# K' = its highest stop or more, and about 7400 below L = its lowest stop
+# - 256; a run's pooled tail sum passes 2^62
 HEAVY_TAIL = SeriesSpec.from_values(2, 9, 10_000)
 # seeds whose 64 replicates draw no paper past 2^63, as a run does about
 # one time in three: the first's papers total 2^63 or more, the second's
-# less
-HEAVY_TAIL_SEEDS = (20, 12)
+# less (the first such seeds from 0 under sampling scheme v8)
+HEAVY_TAIL_SEEDS = (1, 2)
+# k* = 592 > 256: about 400 papers a replicate lie below the lowest stop
+# J, and about 65 of them below L = J - 256, drawn as the low tail
+LOW_TAIL = SeriesSpec.from_values(6.5, 0.5, 1000)
 
 
 def conditioned_normals(rng, a, count):
-    """`count` standard normals conditioned on z >= a, as sampling scheme 7
+    """`count` standard normals conditioned on z >= a, as sampling scheme 8
     draws them: rounds of ceil((1.1 r + 8) / rate) candidates, r the
     number still needed, or r when plain rejection accepts every candidate
     in double precision, by Marsaglia's method (x = sqrt(a^2 - 2 ln(1 -
@@ -471,7 +489,7 @@ def conditioned_normals(rng, a, count):
 
 
 def reference_scan_run(spec, replicates, seed, start=None):
-    """Sampling scheme v7, drawn row by row with scalar draws, independently
+    """Sampling scheme v8, drawn row by row with scalar draws, independently
     of montecarlo: each replicate's h, and every paper of the run.
 
     Each row scans from k* = central_h(spec), or `start`. Step t of every
@@ -483,10 +501,12 @@ def reference_scan_run(spec, replicates, seed, start=None):
     = k. Stream derive_seed(seed, 1) then draws the papers the rows left
     unresolved. Below k*, from the highest count down: Bin(M, p_{j-1} /
     (1 - S(j))) at each count j for the M papers known to lie below j,
-    then one multinomial over p_0 .. p_{J-1} below the lowest stop J. At
-    k* and above, from the lowest count up: Bin(M, p_j / S(j)), then one
-    multinomial over p_J .. p_{K'-1}, S(K') from the highest stop J,
-    K' = max(J, 256). Last the tail, in pieces of 2^16 papers.
+    then one multinomial over 1 - S(L), p_L .. p_{J-1} below the lowest
+    stop J, L = J - 256, or over p_0 .. p_{J-1} where J <= 256, and the
+    papers below L, in pieces of 2^16. At k* and above, from the lowest
+    count up: Bin(M, p_j / S(j)), then one multinomial over p_J ..
+    p_{K'-1}, S(K') from the highest stop J, K' = max(J, 256). Last the
+    tail above K', in pieces of 2^16 papers.
     """
     mu, sigma, n = spec.params.mu, spec.params.sigma, spec.n_papers
     k0 = central_h(spec) if start is None else start
@@ -530,6 +550,7 @@ def reference_scan_run(spec, replicates, seed, start=None):
 
     rng = np.random.default_rng(derive_seed(seed, 1))
     cells = Counter(exact)
+    tails = []
     held = [j for j in below if below[j]]
     if held:
         m = 0
@@ -541,8 +562,20 @@ def reference_scan_run(spec, replicates, seed, start=None):
                 m -= x
         m += below[min(held)]
         if m:
-            p = np.array([S(k) - S(k + 1) for k in range(min(held))])
-            cells.update(dict(enumerate(rng.multinomial(m, p / p.sum()).tolist())))
+            # a cell for the papers below L, if L > 0, then bins [L, J) below
+            # the lowest stop J, L = max(J - 256, 0)
+            low = max(min(held) - 256, 0)
+            p = [1 - S(low)] * (low > 0) + [S(k) - S(k + 1) for k in range(low, min(held))]
+            counts = rng.multinomial(m, np.array(p) / np.sum(p)).tolist()
+            low_count = counts.pop(0) if low else 0
+            cells.update(dict(zip(range(low, min(held)), counts)))
+            # the papers below L: normals conditioned on -z >= (mu - ln L) /
+            # sigma, whose draws lie below L unless exp rounds them up to it
+            for done in range(0, low_count, 2**16):
+                z = conditioned_normals(
+                    rng, (mu - math.log(low)) / sigma, min(2**16, low_count - done))
+                x = np.exp(mu + sigma * -z)
+                tails.append(np.minimum(np.floor(x).astype(np.int64), low - 1))
     held = [j for j in above if above[j]]
     top = max([*held, 256])
     tail_count = 0
@@ -562,7 +595,6 @@ def reference_scan_run(spec, replicates, seed, start=None):
             cells.update(dict(zip(range(max(held), top), counts)))
             tail_count = counts[-1]
     a = (math.log(top) - mu) / sigma
-    tails = []
     for done in range(0, tail_count, 2**16):
         x = np.exp(mu + sigma * conditioned_normals(rng, a, min(2**16, tail_count - done)))
         assert x.max() < 2**63
@@ -727,15 +759,16 @@ def recorded_trials(monkeypatch):
 class TestHistograms:
     """Every spec scans each replicate's G(k) from k* until its h is
     known, then pools the papers the scans left unresolved over the run
-    (sampling scheme v7)."""
+    (sampling scheme v8)."""
 
     def test_bin_counts(self, monkeypatch):
         # S is evaluated once per count: at the counts the scan visits,
-        # and over the bins of the pools that hold papers, from 0 to the
-        # lowest stop and from the highest stop (k* at least) to K' =
-        # max(256, highest stop). So at most K' + 1 counts, and for a
-        # huge median, whose every paper is a tail paper, only the 2 or 3
-        # its scan visits (sampling scheme 6 evaluated N + 1)
+        # and over the bins of the pools that hold papers, from L = max(0,
+        # lowest stop - 256) to the lowest stop and from the highest stop
+        # (k* at least) to K' = max(256, highest stop). So at most K' + 1
+        # counts, and for a huge median, whose every paper is a tail paper,
+        # only the 2 or 3 its scan visits (sampling scheme 6 evaluated N +
+        # 1)
         ranges = recorded_survival(monkeypatch)
         draws = recorded_draws(monkeypatch)
         runs = recorded_h(monkeypatch)
@@ -835,17 +868,6 @@ class TestHistograms:
             assert mc._survival(spec.params, 0, 300) == expected, spec
             assert mc._survival(spec.params, 57, 300) == expected[57:], spec
 
-    def test_bin_probabilities_equal_survival_differences(self):
-        specs = [*study_specs(), HEAVY_TAIL, SeriesSpec.from_values(30, 2, 3000),
-                 SeriesSpec.from_values(2, 1e-9, 10_000), SeriesSpec.from_values(2, 1, 1)]
-        for spec in specs:
-            top = max(mc._scan_start(spec) + 8, mc._MAX_BINS)
-            survival = [1.0] + [survival_probability(k, spec.params) for k in range(1, top + 1)]
-            expected = np.array([s - t for s, t in zip(survival, survival[1:])])
-            table = mc._SurvivalTable(spec.params)
-            assert mc._bin_probabilities(table, 0, top).tobytes() == expected.tobytes(), spec
-            assert mc._bin_probabilities(table, 57, top).tobytes() == expected[57:].tobytes(), spec
-
     @pytest.mark.parametrize(
         "spec, replicates",
         [
@@ -854,8 +876,9 @@ class TestHistograms:
             (SeriesSpec.from_values(2.1, 1.1, 2**15 + 1), 3),
             (SERIES_22, 300),
             (SERIES_13, 300),
+            (LOW_TAIL, 200),
         ],
-        ids=["series-1", "series-9", "n-2^15+1", "series-22", "series-13"],
+        ids=["series-1", "series-9", "n-2^15+1", "series-22", "series-13", "low-tail"],
     )
     def test_equals_reference(self, spec, replicates):
         assert_equals_scan_reference(spec, replicates, DEFAULT_THRESHOLDS, seed=77)
@@ -952,6 +975,32 @@ class TestHistograms:
         for z in (edge, (math.log(top + 0.5) - mu) / sigma):
             monkeypatch.setattr(mc, "_conditioned_normals", lambda rng, a, count: np.full(count, z))
             summaries.append(run_replicates(SERIES_1, 130, seed=3))
+        assert summaries[0] == summaries[1]
+
+    def test_low_tail_papers_rounded_up_to_l_count_l_minus_one(self, monkeypatch):
+        # the mirror image below L: a normal just below the low tail's a =
+        # (mu - ln L) / sigma, negated, gives a draw of L, which exp's
+        # rounding can also do; such a paper counts L - 1 citations, as one
+        # drawn at L - 1/2 does. LOW_TAIL's 130 replicates at seed 3 have L
+        # = 318, and only the low tail's a is positive, K' lying below e^mu
+        mu, sigma = LOW_TAIL.params.mu, LOW_TAIL.params.sigma
+        low = 318
+        edge = (mu - math.log(low)) / sigma
+        while np.exp(-np.float64(edge) * sigma + mu) < low:
+            edge = math.nextafter(edge, -math.inf)
+        conditioned_normals = mc._conditioned_normals
+        asked, summaries = set(), []
+        for z in (edge, (mu - math.log(low - 0.5)) / sigma):
+
+            def planted(rng, a, count):
+                if a > 0:
+                    asked.add(a)
+                    return np.full(count, z)
+                return conditioned_normals(rng, a, count)
+
+            monkeypatch.setattr(mc, "_conditioned_normals", planted)
+            summaries.append(run_replicates(LOW_TAIL, 130, seed=3))
+        assert asked == {(mu - math.log(low)) / sigma}
         assert summaries[0] == summaries[1]
 
     def test_rejects_tail_counts_beyond_int64(self):
@@ -1085,6 +1134,20 @@ class TestReductions:
     def test_memory_independent_of_replicate_count(self):
         assert abs(traced_peak(4 * 10**6) - traced_peak(10**6)) < 10**6
 
+    def test_memory_bounded_below_a_huge_h(self):
+        # h = 1,216,719 and about 8.8M papers below k*, drawn as the low
+        # tail in pieces; sampling scheme 7 binned every count below k*
+        # and peaked at 121 MiB
+        spec = SeriesSpec.from_values(14, 0.01, 10**7)
+        run_replicates(SeriesSpec.from_values(2, 1, 10), 1)
+        tracemalloc.start()
+        try:
+            run_replicates(spec, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 10**6
+
 
 class TestWindowDomain:
     """The scan holds for every valid spec, N = 1, sigma -> 0, h = N and
@@ -1094,7 +1157,7 @@ class TestWindowDomain:
     @given(
         mu=st.floats(-50.0, 50.0),
         log_sigma=st.floats(math.log(1e-9), math.log(10.0)),
-        n=st.integers(1, 10**4),
+        n=st.integers(1, 10**6),
         replicates=st.integers(1, 70),
         seed=st.integers(0, 2**64 - 1),
     )
@@ -1111,7 +1174,14 @@ class TestWindowDomain:
     @example(mu=math.log(300.5), log_sigma=math.log(1e-9), n=10**4, replicates=1, seed=1)
     # papers at 1000 and 1001 citations only
     @example(mu=math.log(1001.0), log_sigma=math.log(1e-4), n=10**4, replicates=3, seed=1)
+    # k* = 592 and 1,216,719: papers below L = the lowest stop - 256, drawn
+    # as the low tail
+    @example(mu=6.5, log_sigma=math.log(0.5), n=1000, replicates=70, seed=1)
+    @example(mu=14.0, log_sigma=math.log(0.01), n=10**7, replicates=1, seed=1)
     def test_summary_is_bounded_or_overflows(self, mu, log_sigma, n, replicates, seed):
+        # at most 10^5 papers a run, or one replicate: a huge median draws
+        # every paper as a tail paper
+        replicates = max(1, min(replicates, 10**5 // n))
         spec = SeriesSpec.from_values(mu, math.exp(log_sigma), n)
         assert 0 <= mc._scan_start(spec) <= n
         try:
@@ -1210,9 +1280,9 @@ class TestExactLaw:
     @pytest.mark.parametrize(
         "spec",
         [SERIES_1, SERIES_9, SERIES_22, SERIES_2, SERIES_13, SeriesSpec.from_values(1.5, 0.9, 200),
-         HUGE_MEDIAN],
+         HUGE_MEDIAN, LOW_TAIL],
         ids=["series-1", "series-9", "series-22", "series-2", "series-13", "series-25",
-             "huge-median"])
+             "huge-median", "low-tail"])
     def test_within_five_standard_errors(self, request, spec):
         if spec is HUGE_MEDIAN:
             # the same run as huge_median_run's
@@ -1278,6 +1348,17 @@ class TestExactLaw:
         monkeypatch.setattr(
             mc, "_conditioned_normals", lambda rng, a, count: rng.standard_normal(count))
         assert max(map(abs, self.tampered_scores().values())) > 5
+
+    def test_unconditioned_low_tail_fails(self, monkeypatch):
+        # the papers below L drawn from the whole law, clamped below L:
+        # LOW_TAIL's low tail alone asks for normals past a positive a, K'
+        # lying below e^mu
+        conditioned_normals = mc._conditioned_normals
+        monkeypatch.setattr(mc, "_conditioned_normals", lambda rng, a, count: (
+            rng.standard_normal(count) if a > 0 else conditioned_normals(rng, a, count)))
+        summary = run_replicates(LOW_TAIL, self.REPLICATES, seed=DEFAULT_SEED)
+        scores = z_scores(summary, exact_law(LOW_TAIL, DEFAULT_THRESHOLDS))
+        assert max(map(abs, scores.values())) > 5
 
     def test_cascade_pool_left_out_fails(self, monkeypatch):
         scan = mc._scan
