@@ -6,7 +6,7 @@ scatters (scatter), regressions (fit), single-spec simulation summaries
 (simulate), and the verification suite (verify). All output is
 deterministic for fixed flags. A command that draws echoes its seed and
 the seeding scheme on stderr once its output is written, and the numpy
-version where numpy drew.
+version when numpy is loaded.
 """
 
 from __future__ import annotations
@@ -190,7 +190,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         text += f"{len(rows)} checks, {len(rows) - failed} passed, {failed} failed\n"
     _emit(text, args.out)
     # the commands that draw echo their seed, once their output is written,
-    # and the numpy that drew, if one did
+    # and the numpy version if numpy is loaded: in a fresh process, only
+    # by a draw
     if "seed" in args and getattr(args, "mode", "simulate") == "simulate":
         numpy = sys.modules.get("numpy")
         print(

@@ -51,26 +51,31 @@ for the M papers known to lie below j, those carried from above plus
 those of the rows that stopped at j; above, from the lowest count up,
 one Bin(M, p_j / S(j)) at each j. One routine (_pooled_side) then draws
 the papers past each side's last count J, applied to the law above and
-to its reflection below, each side in three parts:
+to its reflection below:
 
-- above: bins [J, K'), K' the largest of J, _MAX_BINS and one past every
-  count a paper was placed at, and one cell for S(K'); below: bins [L,
-  J), L = J - _MAX_BINS, and one cell for 1 - S(L), or where J <=
-  _MAX_BINS the bins [0, J) alone, as scheme 7 drew them;
-- one multinomial over those cells;
-- the papers at K' or more drawn as floor(exp(mu + sigma z)) with z
+- one multinomial over a window of bins and a last cell for the papers
+  past it: above, bins [J, K'), K' the largest of J, _MAX_BINS and one
+  past every count a paper was placed at, and S(K'); below, bins [L, J),
+  L = J - _MAX_BINS, and 1 - S(L), or where J <= _MAX_BINS the bins [0,
+  J) alone, as scheme 7 drew them;
+- below, while more papers lie below L than counts do, the window moves
+  down _MAX_BINS counts, L with it, and draws them likewise;
+- the papers left at K' or more drawn as floor(exp(mu + sigma z)) with z
   conditioned on z >= (ln K' - mu) / sigma (_conditioned_normals), and
   those below L with -z >= (mu - ln L) / sigma, each in pieces of at most
   _TAIL_PIECE papers; a tail paper that exp rounds across its edge counts
   K' above and L - 1 below.
 
-So a run's work and memory below k* do not grow with h. The piece size
-is part of the scheme, since _conditioned_normals' rounds depend on the
-count asked for. Every S(k) the scans, the cascades and the multinomials
-use comes from _survival, evaluated once per count and only at the
-counts the scans visit and over the bins of pools that hold papers; k*
-alone is found with survival_probability, and the law does not depend
-on it.
+So below k* a run draws papers one by one only where they are fewer than
+the counts left unbinned: its work is at most about J, as scheme 7's
+was, and about the papers below J where those are fewer, and its memory
+holds one window and one piece. The piece size is part of the scheme,
+since _conditioned_normals' rounds depend on the count asked for. The
+scans, the cascades and the first window of each side take S(k) from
+one table, each count evaluated once and only at the counts the scans
+visit and over the bins of pools that hold papers; later windows
+evaluate their own counts with _survival and keep none. k* alone is
+found with survival_probability, and the law does not depend on it.
 
 Schemes 1 (one generator per replicate), 2 (every spec per paper), 3
 (each replicate's whole histogram), 4 (a 7-sd window, a K' from a cost
@@ -79,18 +84,18 @@ per chunk of 64 replicates, each chunk pooling its own papers outside a
 4-sd window) and 6 (one multinomial row per replicate over that window,
 from two streams a run) gave other simulated values; such output does
 not reproduce under scheme 8. Scheme 7 drew one multinomial over every
-count below the lower side's J, in time and memory that grew with h.
-Scheme 8 draws what it drew wherever that J is at most _MAX_BINS or no
-paper lies below it: every golden file, the study's 30 series (largest
-k* 144) and the benchmark's commands.
+count below the lower side's J, in memory that grew with h. Scheme 8
+draws what it drew wherever that J is at most _MAX_BINS or no paper lies
+below it: every golden file, the study's 30 series (largest k* 144) and
+the benchmark's commands.
 
 :func:`run_replicates` runs on the calling thread, which holds one block
-of rows or one piece of tail papers at a time and a histogram of the
-counts from L to K'. Every simulated number is an exact Python-int sum
-over the run, of h, h^2, the citation totals or the threshold counts,
-divided by the replicate count once: no per-replicate array is formed,
-so memory grows neither with the replicate count nor with h, only with
-the spread of the replicates' h, which the scans cross.
+of rows, one window of bins or one piece of tail papers at a time. Every
+simulated number is an exact Python-int sum over the run, of h, h^2, the
+citation totals or the threshold counts, divided by the replicate count
+once: no per-replicate array is formed, so memory grows neither with
+the replicate count nor with h, only with the spread of the replicates'
+h, which the scans cross.
 
 numpy is imported by the functions that draw, on their first call, not
 with the module: the CLI imports this module for DEFAULT_SEED and
@@ -104,6 +109,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .lognormal import (
@@ -221,8 +227,8 @@ def run_replicates(
     drawing from that generator jumped t times, in replicate order. A
     second, seeded with derive_seed(seed, 1), then draws the papers the
     scans left unresolved, pooled over the run by a cascade of binomials on
-    each side of k*, then one multinomial and one tail per side, exact in law
-    because the papers known to lie on one side of a count are independent
+    each side of k*, then multinomials over windows of bins and one tail per
+    side, exact in law because the papers known to lie on one side of a count are independent
     draws from the law conditioned on that side. h, h^2, the citation total
     and the threshold counts are summed over the run exactly and divided
     by the replicate count. The first R replicates' h are the same for any
@@ -260,13 +266,9 @@ class _Pools:
 
 def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: int):
     """Exact Python-int sums over all replicates of h, h^2, the citation
-    total and the count at each of `xs` (sampling scheme v8).
-
-    The papers placed at a count, by the scans, the cascades and the
-    multinomials, are binned from base, L or the lowest count a paper was
-    placed at, to K'; the two tails, below L and at K' or more, add their
-    own exact citation sums and counts at each x.
-    """
+    total and the count at each of `xs` (sampling scheme v8): those of
+    the papers the scans and the cascades placed at a count, and those
+    each pooled side returns."""
     import numpy as np
 
     n, params = spec.n_papers, spec.params
@@ -286,30 +288,18 @@ def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: i
             sum_h += count * value
             sum_h2 += count * value * value
 
-    exact = pools.exact
+    exact, counts = pools.exact, [0] * len(xs)
     lowest, carried = _cascade(pools.below, False, start, survival, rest_rng, exact)
-    floor = max(lowest - _MAX_BINS, 0)
-    low = _pooled_side(spec, carried, floor, lowest, False, survival, rest_rng, xs)
+    total = _pooled_side(spec, carried, max(lowest - _MAX_BINS, 0), lowest, False, survival,
+                         rest_rng, xs, counts)
     highest, carried = _cascade(pools.above, True, start, survival, rest_rng, exact)
     # K' lies past every count a paper was placed at, whether or not a
     # pool above it holds papers
     top = max(highest, max((k + 1 for k, m in exact.items() if m), default=0), _MAX_BINS)
-    high = _pooled_side(spec, carried, highest, top, True, survival, rest_rng, xs)
-
-    # hist[k - base] = the run's papers placed at k citations, none at K'
-    base = min([floor, *exact])
-    hist = np.zeros(top + 1 - base, dtype=np.int64)
-    hist[np.fromiter(exact, np.int64) - base] = np.fromiter(exact.values(), np.int64)
-    for first, (bins, _, _) in ((floor, low), (highest, high)):
-        if bins is not None:
-            hist[first - base : first - base + len(bins)] += bins
-    # at_least[k - base] = those with k or more; each holds base, plus one
-    # per count it reaches past base
-    at_least = np.cumsum(hist[::-1])[::-1].tolist()
-    # the tails add their own sums and counts
-    total = base * at_least[0] + sum(at_least[1:]) + low[1] + high[1]
-    counts = [at_least[min(max(math.ceil(x) - base, 0), top - base)] + below + above
-              for x, below, above in zip(xs, low[2], high[2])]
+    total += _pooled_side(spec, carried, highest, top, True, survival, rest_rng, xs, counts)
+    first = min(exact, default=0)
+    placed = [exact.get(k, 0) for k in range(first, max(exact, default=0) + 1)]
+    total += _tally(first, placed, xs, counts)
     return sum_h, sum_h2, total, counts
 
 
@@ -337,44 +327,65 @@ def _cascade(pool: dict[int, int], up: bool, start: int, survival: _SurvivalTabl
 
 
 def _pooled_side(spec: SeriesSpec, carried: int, lo: int, hi: int, up: bool,
-                 survival: _SurvivalTable, rng: np.random.Generator, xs: list[float]):
+                 survival: _SurvivalTable, rng: np.random.Generator, xs: list[float],
+                 counts: list[int]) -> int:
     """Draw the `carried` papers known to lie at `lo` or more (`up`), or
-    below `hi`: one multinomial over the bins [lo, hi) and, unless its
-    edge is 0, one cell for the papers past the edge: those at hi = K'
-    or more up, the last cell, and those below lo = L down, the first.
-    The law above K' and its reflection below L are drawn alike, as
+    below `hi`: add their count at each of `xs` to `counts`, and return
+    their exact citation sum.
+
+    One multinomial draws them over the bins [lo, hi) and, unless the
+    side's edge is 0, a last cell for the papers past it: S(K') for those
+    at K' = hi or more up, 1 - S(L) for those below L = lo down. Below,
+    while more papers lie below L than counts do, the window moves down
+    by _MAX_BINS counts and draws them likewise. The papers left past the
+    edge, under the law above K' or its reflection below L, are drawn as
     floor(exp(mu + sigma z)) with z >= (ln K' - mu) / sigma, or -z >= (mu
-    - ln L) / sigma, in pieces of at most _TAIL_PIECE papers. Returns the
-    bins' counts (None if no multinomial was drawn), and the tail papers'
-    exact citation sum and their count at each of `xs`."""
+    - ln L) / sigma, in pieces of at most _TAIL_PIECE papers."""
     import numpy as np
 
-    edge = hi if up else lo
-    tail, bins = carried, None
-    if carried and lo < hi:
-        # the cells are the differences of S over their edges, S(0) = 1
-        # below L and 0 past K'
-        s = np.array([1.0] * (not up and lo > 0) + survival(lo, hi + 1) + [0.0] * up)
-        cells = rng.multinomial(carried, _conditional(s[:-1] - s[1:]))
-        tail = int(cells[-1] if up else cells[0]) if edge else 0
-        bins = cells[:-1] if up else cells[1:] if edge else cells
-    # exp can round a draw just past the edge back across it
-    clamp, bound = (np.maximum, hi) if up else (np.minimum, lo - 1)
-    tail_sum = 0
-    # a paper at K' or more reaches every x up to K', one below L no x from L on
-    tail_counts = [tail if up and x <= hi else 0 for x in xs]
+    total, tail = 0, carried
+    # the cells are the differences of S over their edges
+    s = np.array(survival(lo, hi + 1) if tail and lo < hi else [])
+    while tail and lo < hi:
+        p = s[:-1] - s[1:]
+        # a cell past the edge, but for the papers below L = 0
+        if up or lo:
+            p = np.append(p, s[-1] if up else 1.0 - s[0])
+        # cells that are all zero hold no paper, and stay zero
+        cells = rng.multinomial(tail, p / (p.sum() or 1.0)).tolist()
+        tail = cells.pop() if up or lo else 0
+        total += _tally(lo, cells, xs, counts)
+        if up or tail <= lo:
+            break
+        # the next window's S comes from _survival, not the table, so that
+        # a run keeps no S below the first window
+        lo, hi = max(lo - _MAX_BINS, 0), lo
+        s = np.array(_survival(spec.params, lo, hi) + [s[0]])
+    # the law past the edge, or its reflection; exp can round a draw just
+    # past the edge back across it
+    sign, clamp, bound = (1, np.maximum, hi) if up else (-1, np.minimum, lo - 1)
     for done in range(0, tail, _TAIL_PIECE):
-        a = (math.log(edge) - spec.params.mu) / spec.params.sigma
-        papers = _conditioned_normals(rng, a if up else -a, min(_TAIL_PIECE, tail - done))
-        if not up:
-            np.negative(papers, out=papers)
+        a = sign * (math.log(hi if up else lo) - spec.params.mu) / spec.params.sigma
+        papers = _conditioned_normals(rng, a, min(_TAIL_PIECE, tail - done))
+        papers *= sign
         largest = _floor_exp(papers, spec)
         clamp(papers, bound, out=papers)
-        tail_sum += _exact_sum(papers, max(largest, bound))
+        total += _exact_sum(papers, max(largest, bound))
         for j, x in enumerate(xs):
-            if x > hi if up else x < lo:
-                tail_counts[j] += int(np.count_nonzero(papers >= x))
-    return bins, tail_sum, tail_counts
+            # above, every paper reaches an x up to K'; below, none reaches L
+            counts[j] += (len(papers) if up and x <= hi
+                          else int(np.count_nonzero(papers >= x)) if up or x < lo else 0)
+    return total
+
+
+def _tally(first: int, bins: list[int], xs: list[float], counts: list[int]) -> int:
+    """Add to `counts` the papers of `bins`, bins[i] at count first + i,
+    that reach each of `xs`, and return their exact citation sum."""
+    # at_least[i]: the papers at first + i or more; none past the last bin
+    at_least = list(accumulate(reversed(bins)))[::-1] + [0]
+    for j, x in enumerate(xs):
+        counts[j] += at_least[min(max(math.ceil(x) - first, 0), len(bins))]
+    return first * at_least[0] + sum(at_least[1:])
 
 
 def _scan(streams: _Substreams, size: int, n: int, start: int,
@@ -513,13 +524,6 @@ def _scan_start(spec: SeriesSpec) -> int:
         else:
             hi = mid - 1
     return lo
-
-
-def _conditional(probabilities: np.ndarray) -> np.ndarray:
-    """`probabilities` scaled to sum to 1, or left all zero: then no
-    paper falls in them, and they are never drawn from."""
-    total = probabilities.sum()
-    return probabilities / total if total > 0 else probabilities
 
 
 def _exact_sum(papers: np.ndarray, top: float) -> int:

@@ -14,8 +14,9 @@ replicates' h are the same for any larger R.
 simulate_mu2_s1_n30_r70000.csv spans two blocks of rows, 65,536 + 4,464,
 so it pins the substreams carried from one block to the next. A rest
 stream then places the papers the scans left unresolved, pooled over the
-whole run by a cascade of binomials on each side of k*, then one
-multinomial and one conditioned tail per side, which is exact in law
+whole run by a cascade of binomials on each side of k*, then a
+multinomial over a window of bins (below k*, one or more) and one
+conditioned tail per side, which is exact in law
 because the papers known to lie on one side of a count are independent
 draws conditioned on that side. The h columns come from exact sums of
 every replicate's h and h^2, the other columns from sums over all

@@ -414,16 +414,16 @@ class TestBlockReductions:
     @settings(deadline=None)
     @given(
         st.lists(
-            st.floats(min_value=1e-3, max_value=1e4, allow_nan=False), min_size=1, max_size=5,
+            st.floats(min_value=1e-3, max_value=1e5, allow_nan=False), min_size=1, max_size=5,
             unique=True,
         ),
     )
-    # cuts about L = 318, below which the low tail's papers lie, and K' =
-    # 609, in the 64 replicates
-    @example(xs=[317.0, 317.5, 318.0, 318.5])
-    @example(xs=[608.5, 609.0, 609.5])
+    # cuts about L = 4676, below which the low tail's papers lie, and K' =
+    # 4962, in the 64 replicates
+    @example(xs=[4675.0, 4675.5, 4676.0, 4676.5])
+    @example(xs=[4961.5, 4962.0, 4962.5])
     def test_count_at_least_past_the_low_tail_matches_naive(self, xs):
-        assert_counts_match_naive(LOW_TAIL, xs)
+        assert_counts_match_naive(LOW_EDGE, xs)
 
     # N * top below 2^53: float64 partial sums are exact
     @pytest.mark.parametrize("top", [3, 2**27, 2**28, 2**31 - 1])
@@ -454,15 +454,21 @@ class TestBlockReductions:
 
 # k* lies near h = 2576, so each replicate has about 2500 tail papers at
 # K' = its highest stop or more, and about 7400 below L = its lowest stop
-# - 256; a run's pooled tail sum passes 2^62
+# - 256, more than L, binned 256 counts at a time down to 0; a run's pooled
+# tail sum passes 2^62
 HEAVY_TAIL = SeriesSpec.from_values(2, 9, 10_000)
 # seeds whose 64 replicates draw no paper past 2^63, as a run does about
 # one time in three: the first's papers total 2^63 or more, the second's
 # less (the first such seeds from 0 under sampling scheme v8)
-HEAVY_TAIL_SEEDS = (1, 2)
+HEAVY_TAIL_SEEDS = (0, 12)
 # k* = 592 > 256: about 400 papers a replicate lie below the lowest stop
-# J, and about 65 of them below L = J - 256, drawn as the low tail
+# J, and about 65 of them below L = J - 256, more than L from 5
+# replicates on: those are binned 256 counts at a time
 LOW_TAIL = SeriesSpec.from_values(6.5, 0.5, 1000)
+# k* = 4947, 2.3 standard deviations below the median e^9.2: about 32
+# papers a replicate lie below L, so at 100 replicates some 3,200, fewer
+# than L, are drawn as the low tail
+LOW_EDGE = SeriesSpec.from_values(9.2, 0.3, 5000)
 
 
 def conditioned_normals(rng, a, count):
@@ -501,12 +507,14 @@ def reference_scan_run(spec, replicates, seed, start=None):
     = k. Stream derive_seed(seed, 1) then draws the papers the rows left
     unresolved. Below k*, from the highest count down: Bin(M, p_{j-1} /
     (1 - S(j))) at each count j for the M papers known to lie below j,
-    then one multinomial over 1 - S(L), p_L .. p_{J-1} below the lowest
-    stop J, L = J - 256, or over p_0 .. p_{J-1} where J <= 256, and the
-    papers below L, in pieces of 2^16. At k* and above, from the lowest
-    count up: Bin(M, p_j / S(j)), then one multinomial over p_J ..
-    p_{K'-1}, S(K') from the highest stop J, K' = max(J, 256). Last the
-    tail above K', in pieces of 2^16 papers.
+    then one multinomial over p_L .. p_{J-1}, 1 - S(L) below the lowest
+    stop J, L = J - 256, or over p_0 .. p_{J-1} where J <= 256; while more
+    papers lie below L than counts do, one over the 256 counts below L
+    and the cell below them, and so on; then the papers left below L, in
+    pieces of 2^16. At k* and above, from the lowest count up: Bin(M, p_j
+    / S(j)), then one multinomial over p_J .. p_{K'-1}, S(K') from the
+    highest stop J, K' = max(J, 256). Last the tail above K', in pieces of
+    2^16 papers.
     """
     mu, sigma, n = spec.params.mu, spec.params.sigma, spec.n_papers
     k0 = central_h(spec) if start is None else start
@@ -561,21 +569,24 @@ def reference_scan_run(spec, replicates, seed, start=None):
                 cells[j - 1] += x
                 m -= x
         m += below[min(held)]
-        if m:
-            # a cell for the papers below L, if L > 0, then bins [L, J) below
-            # the lowest stop J, L = max(J - 256, 0)
-            low = max(min(held) - 256, 0)
-            p = [1 - S(low)] * (low > 0) + [S(k) - S(k + 1) for k in range(low, min(held))]
+        # bins [L, J) below the lowest stop J, L = max(J - 256, 0), and a
+        # last cell for the papers below L if L > 0; while more papers lie
+        # below L than counts do, the 256 counts below L likewise
+        low = min(held)
+        while m:
+            hi, low = low, max(low - 256, 0)
+            p = [S(k) - S(k + 1) for k in range(low, hi)] + [1 - S(low)] * (low > 0)
             counts = rng.multinomial(m, np.array(p) / np.sum(p)).tolist()
-            low_count = counts.pop(0) if low else 0
-            cells.update(dict(zip(range(low, min(held)), counts)))
-            # the papers below L: normals conditioned on -z >= (mu - ln L) /
-            # sigma, whose draws lie below L unless exp rounds them up to it
-            for done in range(0, low_count, 2**16):
-                z = conditioned_normals(
-                    rng, (mu - math.log(low)) / sigma, min(2**16, low_count - done))
-                x = np.exp(mu + sigma * -z)
-                tails.append(np.minimum(np.floor(x).astype(np.int64), low - 1))
+            m = counts.pop() if low else 0
+            cells.update(dict(zip(range(low, hi), counts)))
+            if m <= low:
+                break
+        # the papers left below L: normals conditioned on -z >= (mu - ln
+        # L) / sigma, whose draws lie below L unless exp rounds them up to it
+        for done in range(0, m, 2**16):
+            z = conditioned_normals(rng, (mu - math.log(low)) / sigma, min(2**16, m - done))
+            x = np.exp(mu + sigma * -z)
+            tails.append(np.minimum(np.floor(x).astype(np.int64), low - 1))
     held = [j for j in above if above[j]]
     top = max([*held, 256])
     tail_count = 0
@@ -764,7 +775,8 @@ class TestHistograms:
     def test_bin_counts(self, monkeypatch):
         # S is evaluated once per count: at the counts the scan visits,
         # and over the bins of the pools that hold papers, from L = max(0,
-        # lowest stop - 256) to the lowest stop and from the highest stop
+        # lowest stop - 256), or a window further down, to the lowest stop
+        # and from the highest stop
         # (k* at least) to K' = max(256, highest stop). So at most K' + 1
         # counts, and for a huge median, whose every paper is a tail paper,
         # only the 2 or 3 its scan visits (sampling scheme 6 evaluated N +
@@ -877,8 +889,10 @@ class TestHistograms:
             (SERIES_22, 300),
             (SERIES_13, 300),
             (LOW_TAIL, 200),
+            (LOW_EDGE, 100),
         ],
-        ids=["series-1", "series-9", "n-2^15+1", "series-22", "series-13", "low-tail"],
+        ids=["series-1", "series-9", "n-2^15+1", "series-22", "series-13", "low-windows",
+             "low-tail"],
     )
     def test_equals_reference(self, spec, replicates):
         assert_equals_scan_reference(spec, replicates, DEFAULT_THRESHOLDS, seed=77)
@@ -981,10 +995,10 @@ class TestHistograms:
         # the mirror image below L: a normal just below the low tail's a =
         # (mu - ln L) / sigma, negated, gives a draw of L, which exp's
         # rounding can also do; such a paper counts L - 1 citations, as one
-        # drawn at L - 1/2 does. LOW_TAIL's 130 replicates at seed 3 have L
-        # = 318, and only the low tail's a is positive, K' lying below e^mu
+        # drawn at L - 1/2 does. LOW_TAIL's 3 replicates at seed 3 have L =
+        # 336, and only the low tail's a is positive, K' lying below e^mu
         mu, sigma = LOW_TAIL.params.mu, LOW_TAIL.params.sigma
-        low = 318
+        low = 336
         edge = (mu - math.log(low)) / sigma
         while np.exp(-np.float64(edge) * sigma + mu) < low:
             edge = math.nextafter(edge, -math.inf)
@@ -999,7 +1013,7 @@ class TestHistograms:
                 return conditioned_normals(rng, a, count)
 
             monkeypatch.setattr(mc, "_conditioned_normals", planted)
-            summaries.append(run_replicates(LOW_TAIL, 130, seed=3))
+            summaries.append(run_replicates(LOW_TAIL, 3, seed=3))
         assert asked == {(mu - math.log(low)) / sigma}
         assert summaries[0] == summaries[1]
 
@@ -1076,6 +1090,26 @@ class TestBlocks:
         assert max(asked) <= mc._TAIL_PIECE
         assert asked[:-1] == [mc._TAIL_PIECE] * (len(asked) - 1)
 
+    def test_low_pool_outnumbering_its_counts_is_binned(self, monkeypatch):
+        # LOW_TAIL's 2000 replicates hold about 130,000 papers below L =
+        # 312, more than L: the 256 counts below L are binned as well, and
+        # only the 2 papers below 56, fewer than 56, are drawn one by one.
+        # The low tail alone asks for normals past a positive a, K' lying
+        # below e^mu
+        mu, sigma = LOW_TAIL.params.mu, LOW_TAIL.params.sigma
+        asked = []
+        conditioned_normals = mc._conditioned_normals
+
+        def recording(rng, a, count):
+            asked.append((a, count))
+            return conditioned_normals(rng, a, count)
+
+        monkeypatch.setattr(mc, "_conditioned_normals", recording)
+        run_replicates(LOW_TAIL, 2000, seed=DEFAULT_SEED)
+        # each low tail piece's edge, L = e^(mu - sigma a), and its count
+        low_pieces = [(round(math.exp(mu - sigma * a)), count) for a, count in asked if a > 0]
+        assert low_pieces == [(56, 2)]
+
     def test_certain_acceptance_draws_no_spare_normals(self, huge_median_run):
         # a = (ln 3001 - 30) / 2 = -11: plain rejection accepts every
         # normal in double precision, so a round asks for exactly the
@@ -1135,9 +1169,10 @@ class TestReductions:
         assert abs(traced_peak(4 * 10**6) - traced_peak(10**6)) < 10**6
 
     def test_memory_bounded_below_a_huge_h(self):
-        # h = 1,216,719 and about 8.8M papers below k*, drawn as the low
-        # tail in pieces; sampling scheme 7 binned every count below k*
-        # and peaked at 121 MiB
+        # h = 1,216,719 and about 8.8M papers below k*, binned 256 counts
+        # at a time until fewer papers than counts are left, those drawn
+        # as the low tail in pieces; sampling scheme 7 binned every count
+        # below k* at once and peaked at 121 MiB
         spec = SeriesSpec.from_values(14, 0.01, 10**7)
         run_replicates(SeriesSpec.from_values(2, 1, 10), 1)
         tracemalloc.start()
@@ -1174,8 +1209,8 @@ class TestWindowDomain:
     @example(mu=math.log(300.5), log_sigma=math.log(1e-9), n=10**4, replicates=1, seed=1)
     # papers at 1000 and 1001 citations only
     @example(mu=math.log(1001.0), log_sigma=math.log(1e-4), n=10**4, replicates=3, seed=1)
-    # k* = 592 and 1,216,719: papers below L = the lowest stop - 256, drawn
-    # as the low tail
+    # k* = 592 and 1,216,719: papers below L = the lowest stop - 256,
+    # binned further down, then drawn as the low tail
     @example(mu=6.5, log_sigma=math.log(0.5), n=1000, replicates=70, seed=1)
     @example(mu=14.0, log_sigma=math.log(0.01), n=10**7, replicates=1, seed=1)
     def test_summary_is_bounded_or_overflows(self, mu, log_sigma, n, replicates, seed):
@@ -1282,7 +1317,7 @@ class TestExactLaw:
         [SERIES_1, SERIES_9, SERIES_22, SERIES_2, SERIES_13, SeriesSpec.from_values(1.5, 0.9, 200),
          HUGE_MEDIAN, LOW_TAIL],
         ids=["series-1", "series-9", "series-22", "series-2", "series-13", "series-25",
-             "huge-median", "low-tail"])
+             "huge-median", "low-windows"])
     def test_within_five_standard_errors(self, request, spec):
         if spec is HUGE_MEDIAN:
             # the same run as huge_median_run's
@@ -1349,16 +1384,25 @@ class TestExactLaw:
             mc, "_conditioned_normals", lambda rng, a, count: rng.standard_normal(count))
         assert max(map(abs, self.tampered_scores().values())) > 5
 
+    # cuts about L = 4675, below which LOW_EDGE's 100 replicates at
+    # DEFAULT_SEED draw their low tail
+    LOW_EDGE_CUTS = ThresholdSet((4500, 4600, 4674, 4675, 4800, 5000))
+
+    def low_edge_scores(self):
+        summary = run_replicates(LOW_EDGE, 100, self.LOW_EDGE_CUTS, seed=DEFAULT_SEED)
+        return z_scores(summary, exact_law(LOW_EDGE, self.LOW_EDGE_CUTS))
+
+    def test_low_tail_within_five_standard_errors(self):
+        assert max(map(abs, self.low_edge_scores().values())) <= 5
+
     def test_unconditioned_low_tail_fails(self, monkeypatch):
         # the papers below L drawn from the whole law, clamped below L:
-        # LOW_TAIL's low tail alone asks for normals past a positive a, K'
+        # LOW_EDGE's low tail alone asks for normals past a positive a, K'
         # lying below e^mu
         conditioned_normals = mc._conditioned_normals
         monkeypatch.setattr(mc, "_conditioned_normals", lambda rng, a, count: (
             rng.standard_normal(count) if a > 0 else conditioned_normals(rng, a, count)))
-        summary = run_replicates(LOW_TAIL, self.REPLICATES, seed=DEFAULT_SEED)
-        scores = z_scores(summary, exact_law(LOW_TAIL, DEFAULT_THRESHOLDS))
-        assert max(map(abs, scores.values())) > 5
+        assert max(map(abs, self.low_edge_scores().values())) > 5
 
     def test_cascade_pool_left_out_fails(self, monkeypatch):
         scan = mc._scan
