@@ -124,8 +124,13 @@ def _solve_in(spec: SeriesSpec, lo: float, hi: float) -> HSolution:
 
 def round_half_up(x: float) -> int:
     """The integer nearest x, halves rounded up: how h, citation totals
-    and grid points are reported, and how the checks read them."""
-    return int(math.floor(x + 0.5))
+    and grid points are reported, and how the checks read them.
+
+    x - floor(x) is exact for a double, where x + 0.5 can round up: to 1
+    at the double below 0.5, and to the next even integer at an odd one
+    in [2**52, 2**53)."""
+    whole = math.floor(x)
+    return whole + (x - whole >= 0.5)
 
 
 def h_asymptotic(spec: SeriesSpec) -> float:

@@ -40,6 +40,18 @@ scanning, in row order, so the bytes do not depend on the block size,
 and the first R replicates' h are the same for any larger replicate
 count.
 
+Step 0 draws one law for every row, Bin(N, S(k*)). Where numpy draws
+that law by inversion, p N <= 30 for p = S(k*) <= 1/2 or (1 - p) N <= 30
+above (the smallest series: 8 of the study's 30), _inversion replays
+numpy's loop for the whole call, from one table of the law's partial
+sums: the same doubles, one a row, give the same variates and leave the
+stream where numpy would. Where a uniform lies too close to a partial
+sum for the table's rounding to tell, it rewinds and numpy draws the
+call. So step 0's bytes are numpy's either way, and
+tests/test_montecarlo.py's TestInversion pins them against numpy's.
+Later steps, whose trials differ by row, and laws in numpy's BTPE regime
+(N p > 30) are drawn by Generator.binomial.
+
 A row leaves some papers unresolved: those at or above the count where an
 up-row stopped, or below it for a down-row, and those on the other side
 of k*. Given the scan, the papers known to lie at j or more are
@@ -136,6 +148,9 @@ _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 #: Most pooled tail papers drawn at once. Part of the sampling scheme:
 #: _conditioned_normals' rounds depend on the count asked for.
 _TAIL_PIECE = 2**16
+#: _inversion leaves to numpy each call with a uniform this close to one
+#: of its partial sums.
+_MARGIN = 2.0**-40
 #: Draws must stay below this for their floor to fit in int64.
 _COUNT_LIMIT = 2.0**63
 
@@ -473,20 +488,86 @@ class _Substreams:
         self.carry = False
 
     def binomial(self, step: int, trials, p, size=None):
-        """Bin(trials, p) from substream `step`, after its earlier draws."""
+        """Bin(trials, p) from substream `step`, after its earlier draws:
+        `size` draws of one law (step 0) by _inversion where it can, the
+        rest by Generator.binomial."""
         bits = self._bits
         if step < len(self._states):
             bits.state = self._states[step]
         else:
             bits.state = self._origin
             bits.advance(step * _JUMP % 2**128)
-        drawn = self._rng.binomial(trials, p, size)
+        drawn = None if size is None else _inversion(self._rng, trials, p, size)
+        if drawn is None:
+            drawn = self._rng.binomial(trials, p, size)
         if self.carry:
             if step < len(self._states):
                 self._states[step] = bits.state
             else:
                 self._states.append(bits.state)
         return drawn
+
+
+def _inversion(rng: np.random.Generator, n: int, p: float, size: int) -> np.ndarray | None:
+    """rng.binomial(n, p, size): the same draws and the same end state, or
+    None, having drawn nothing, where it cannot tell them.
+
+    Where p <= 1/2 and p N <= 30, or 1 - p in their place, numpy draws
+    each variate by inversion (Kachitvichyanukul & Schmeiser 1988, CACM
+    31:216): one double U, then x = 0, 1, ... while U, less px_0, ...,
+    px_{x-1}, exceeds px_x, with px_0 = (1 - p)^N and px_x = ((N - x + 1)
+    p px_{x-1}) / (x (1 - p)), and a fresh U past its bound. So X is the
+    first x whose partial sum P_x reaches U. This builds the P_x, draws the
+    same doubles, one a row, and finds each X by an indexed search (Chen &
+    Asau 1974; Devroye 1986, III.2.4): of 2^k cells of [0, 1), about one
+    for every 8 rows, a cell that holds no edge gives each U in it the
+    edges below the cell, and the U in the others are searched. It rewinds
+    and returns None where a U lies within _MARGIN of a P_x, far above the
+    rounding of the C loop's subtractions, or past the last P_x, where
+    numpy might restart. The P_x stop at numpy's bound, or where the rest
+    of the law is within _MARGIN of 0. Other laws, and N = 0, p = 0 and
+    p = 1, are left to numpy.
+    """
+    import numpy as np
+
+    inverted = p > 0.5
+    if inverted:
+        p = 1.0 - p
+    if not 0.0 < p * n <= 30.0:
+        return None
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    # P_0 - m, P_0 + m, P_1 - m, ..., P_x - m: an odd number of edges at or
+    # below U puts it within m of a P or past the last
+    px = total = math.exp(n * math.log1p(-p))
+    edges = [total - _MARGIN]
+    x = 0
+    while x < bound and total < 1.0 - _MARGIN:
+        x += 1
+        px = ((n - x + 1) * p * px) / (x * q)
+        edges.append(total + _MARGIN)
+        total += px
+        edges.append(total - _MARGIN)
+    # the edges of a px below 2m overlap; kept nondecreasing, an overlap
+    # is a run of odd counts
+    edges = np.maximum.accumulate(edges)
+    bits = rng.bit_generator
+    start = bits.state
+    u = rng.random(size)
+    # cell c holds [c / cells, (c + 1) / cells); a product by a power of
+    # two is exact. Cell -1 takes the edges below 0, `cells` those past 1
+    cells = 1 << max(size.bit_length() - 3, 0)
+    held = np.bincount(np.floor(edges * cells).clip(-1, cells).astype(np.intp) + 1,
+                       minlength=cells + 2)
+    found = np.where(held, -1, np.cumsum(held) - held)[1:-1][(u * cells).astype(np.intp)]
+    search = np.flatnonzero(found < 0)
+    found[search] = edges.searchsorted(u[search], side="right")
+    if (found & 1).any():
+        bits.state = start
+        return None
+    found >>= 1
+    return n - found if inverted else found
 
 
 class _SurvivalTable:

@@ -94,6 +94,16 @@ class TestHCurve:
                                  "--points", "1000000000000").stdout)
         assert [int(row["n"]) for row in rows] == list(range(10, 101))
 
+    def test_grid_points_past_two_to_the_52_are_the_nearest_integers(self):
+        # the geometric points are the doubles ...517.0, ...549.0 (twice)
+        # and ...581.0; floor(x + 0.5) printed ...518, ...550 and ...582
+        rows = parse_csv(run_cli("hcurve", "--mu", "2", "--sigma", "1",
+                                 "--n-min", "4503599627370497", "--n-max", "4503599627370600",
+                                 "--points", "6").stdout)
+        assert [int(row["n"]) for row in rows] == [
+            4503599627370497, 4503599627370517, 4503599627370549, 4503599627370581,
+            4503599627370600]
+
     def test_low_parameter_spots(self):
         rows = parse_csv(
             run_cli("hcurve", "--mu", "1.3", "--sigma", "0.8",

@@ -3,6 +3,7 @@
 import math
 import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -154,6 +155,28 @@ class TestSolveH:
         assert solve_h(spec).residual > 1e-9
         with pytest.raises(ConvergenceError):
             solve_h(spec, tolerance=1e-9)
+
+
+class TestRoundHalfUp:
+    """round_half_up(x) = floor(x + 1/2) in exact arithmetic: a double's
+    x + 0.5 can round up before the floor."""
+
+    @pytest.mark.parametrize("x, expected", [
+        (0.49999999999999994, 0),  # the double below 0.5: x + 0.5 rounds to 1
+        (4503599627370497.0, 4503599627370497),  # odd in [2^52, 2^53): rounded to even
+        (2**53 - 1.0, 2**53 - 1),
+        (2.5, 3), (0.5, 1), (-0.5, 0), (-1.5, -1), (-2.5000000000000004, -3),
+        (1e300, int(1e300)), (-0.0, 0),
+    ])
+    def test_values(self, x, expected):
+        assert hindex.round_half_up(x) == expected
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.one_of(st.floats(-2.0**60, 2.0**60),
+                     st.integers(2**52, 2**53 - 1).map(float),
+                     st.integers(-2**20, 2**20).map(lambda k: k + 0.5)))
+    def test_exact(self, x):
+        assert hindex.round_half_up(x) == math.floor(Fraction(x) + Fraction(1, 2))
 
 
 class TestConvergenceContract:

@@ -1444,3 +1444,129 @@ class TestExactLaw:
         # draws then correlate with step t + 1's, row by row, and h drifts
         monkeypatch.setattr(mc, "_JUMP", 2**100)
         assert self.h_law_p_value(monkeypatch, SERIES_22, 10**6) < 1e-9
+
+
+def assert_draws_as_numpy(n, p, size, seed):
+    """Scan step 0 of a _Substreams seeded with `seed` draws Bin(n, p)
+    `size` times as Generator.binomial does from the same PCG64 state:
+    equal arrays, and an equal end state. Returns whether _inversion drew
+    them (from a fresh copy of that state)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    expected = rng.binomial(n, p, size)
+    streams = mc._Substreams(seed)
+    drawn = streams.binomial(0, n, p, size)
+    note = f"Bin({n}, {p!r}), {size} rows, seed {seed}, numpy {np.__version__}"
+    assert drawn.dtype == expected.dtype and np.array_equal(drawn, expected), note
+    assert streams._bits.state == rng.bit_generator.state, note
+    return mc._inversion(np.random.Generator(np.random.PCG64(seed)), n, p, size) is not None
+
+
+def in_inversion_regime(n, p):
+    """numpy draws Bin(n, p) by inversion: p <= 1/2 and p n <= 30, or
+    1 - p in their place (n = 0, p = 0 and p = 1 draw nothing or are left
+    to numpy)."""
+    return 0.0 < (p if p <= 0.5 else 1.0 - p) * n <= 30.0
+
+
+#: Study series (1-based) whose step 0, Bin(N, S(k*)), numpy draws by
+#: inversion; 22, 13 and 25 are the benchmark's small-n-sim series.
+INVERSION_SERIES = (13, 20, 21, 22, 24, 25, 28, 29)
+SMALL_N_SIM = (SERIES_22, SERIES_13, SeriesSpec.from_values(1.5, 0.9, 200))
+
+
+def recorded_numpy_steps(monkeypatch):
+    """Record the scan step of every Generator.binomial call a scan
+    makes."""
+    steps, current = [], []
+    init, binomial = mc._Substreams.__init__, mc._Substreams.binomial
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def binomial(self, *args):
+            steps.append(current[-1])
+            return self.rng.binomial(*args)
+
+    def recording_init(self, seed):
+        init(self, seed)
+        self._rng = Recording(self._rng)
+
+    def stepping(self, step, *args):
+        current.append(step)
+        return binomial(self, step, *args)
+
+    monkeypatch.setattr(mc._Substreams, "__init__", recording_init)
+    monkeypatch.setattr(mc._Substreams, "binomial", stepping)
+    return steps
+
+
+class TestInversion:
+    """Step 0 draws numpy's bytes: _inversion replays numpy's binomial
+    inversion, and where it cannot tell a variate it leaves the call to
+    numpy."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 29, 30, 31, 100, 200, 10**6, 2**62])
+    def test_equals_numpy(self, n):
+        # both sides of p N = 30 and (1 - p) N = 30, where numpy switches
+        # between inversion and BTPE
+        edge = 30 / n if n >= 30 else 0.5
+        ps = [0.0, 1e-12, 0.5, 1 - 1e-12, 1.0, edge, 1 - edge]
+        ps += [np.nextafter(p, side) for p in (edge, 1 - edge) for side in (0.0, 1.0)]
+        for i, p in enumerate(ps):
+            for size in (1, 2, 300, 5000, 2**16 + 1):
+                used = assert_draws_as_numpy(n, p, size, seed=derive_seed(n % 2**64, i))
+                assert used == in_inversion_regime(n, p), (n, p, size)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.one_of(st.integers(0, 300), st.integers(0, 2**62)), mean=st.floats(0, 40),
+           upper=st.booleans(), size=st.integers(1, 600), seed=st.integers(0, 2**64 - 1))
+    def test_equals_numpy_for_any_law(self, n, mean, upper, size, seed):
+        # p N from 0 to 40, across numpy's switch to BTPE at 30
+        p = min(mean / n, 1.0) if n else 0.5
+        p = 1.0 - p if upper else p
+        assert assert_draws_as_numpy(n, p, size, seed) == in_inversion_regime(n, p)
+
+    def test_every_call_left_to_numpy_draws_numpy_bytes(self, monkeypatch):
+        # with a margin of 1 every uniform is too close to tell: _inversion
+        # rewinds every call, and numpy's draws follow from the same state
+        monkeypatch.setattr(mc, "_MARGIN", 1.0)
+        for n, p in [(1, 0.5), (100, 0.15), (200, 0.9), (10**6, 2e-5), (2**62, 1e-18)]:
+            for size in (1, 300, 5000):
+                assert not assert_draws_as_numpy(n, p, size, seed=size)
+
+    def test_regime_covers_the_smallest_study_series(self):
+        regime = [i for i, spec in enumerate(study_specs(), 1)
+                  if in_inversion_regime(spec.n_papers, survival_probability(mc._scan_start(spec),
+                                                                             spec.params))]
+        assert regime == list(INVERSION_SERIES)
+
+    def test_small_series_draw_step_zero_without_numpy(self, monkeypatch):
+        # the gain holds only while step 0 makes no Generator.binomial call
+        steps = recorded_numpy_steps(monkeypatch)
+        specs = study_specs()
+        runs = [(spec, 5000) for spec in SMALL_N_SIM]
+        runs += [(specs[i - 1], 300) for i in INVERSION_SERIES]
+        for spec, replicates in runs:
+            steps.clear()
+            run_replicates(spec, replicates, seed=DEFAULT_SEED)
+            # the later steps still call numpy
+            assert steps and 0 not in steps, spec
+        # series 9: N S(k*) > 30, numpy's BTPE regime
+        steps.clear()
+        run_replicates(SERIES_9, 300, seed=DEFAULT_SEED)
+        assert steps[0] == 0
+
+    def test_blocks_carry_step_zero_state(self, monkeypatch):
+        # 5 blocks of 1024 rows: each block's step 0 draws after the last
+        runs = recorded_h(monkeypatch)
+        steps = recorded_numpy_steps(monkeypatch)
+        whole = run_replicates(SERIES_22, 5000, seed=DEFAULT_SEED)
+        monkeypatch.setattr(mc, "_BLOCK_ROWS", 1024)
+        split = run_replicates(SERIES_22, 5000, seed=DEFAULT_SEED)
+        assert split == whole
+        assert np.array_equal(runs[1], runs[0])
+        assert 0 not in steps
