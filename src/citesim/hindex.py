@@ -144,13 +144,15 @@ def h_asymptotic(spec: SeriesSpec) -> float:
     """
     if spec.n_papers < 2:
         raise ValueError("the asymptotic form needs at least 2 papers")
-    try:
-        return math.exp(spec.params.sigma * math.sqrt(2.0 * math.log(spec.n_papers)))
-    except OverflowError:
+    exponent = spec.params.sigma * math.sqrt(2.0 * math.log(spec.n_papers))
+    # exp is finite up to ln of the largest double; an exponent that is
+    # itself inf fails here too
+    if not exponent <= _LOG_LARGEST:
         raise ValueError(
             f"the asymptotic form exp(sigma sqrt(2 ln N)) overflows for "
             f"sigma={spec.params.sigma!r}, N={spec.n_papers}"
-        ) from None
+        )
+    return math.exp(exponent)
 
 
 def h_curve(

@@ -57,14 +57,15 @@ up-row stopped, or below it for a down-row, and those on the other side
 of k*. Given the scan, the papers known to lie at j or more are
 independent draws from the law conditioned on c >= j, whichever row they
 belong to, and likewise below j. So the rest stream pools them over the
-whole run, exactly in law, with one cascade (_cascade) on each side:
-below k*, from k* down, one Bin(M, p_{j-1} / (1 - S(j))) at each count j
-for the M papers known to lie below j, those carried from above plus
-those of the rows that stopped at j; above, from the lowest count up,
-one Bin(M, p_j / S(j)) at each j. One routine (_pooled_side) then draws
-the papers past each side's last count J, applied to the law above and
-to its reflection below:
+whole run, exactly in law, and draws them one side at a time, the side
+below k* first, each by one call of one routine (_pooled_side), applied
+to the law above and to its reflection below:
 
+- a cascade places the side's papers count by count: below k*, from k*
+  down, one Bin(M, p_{j-1} / (1 - S(j))) at each count j for the M
+  papers known to lie below j, those carried from above plus those of
+  the rows that stopped at j; above, from the lowest count up, one Bin(M,
+  p_j / S(j)) at each j. Its last count is J;
 - one multinomial over a window of bins and a last cell for the papers
   past it: above, bins [J, K'), K' the largest of J, _MAX_BINS and one
   past every count a paper was placed at, and S(K'); below, bins [L, J),
@@ -182,7 +183,8 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-# Nothing calls this; bench/selftest.py patches it. It goes once the self-test patches _floor_exp.
+# Nothing calls this; bench/selftest.py patches it. It goes once the self-test
+# plants its round-to-nearest fault in _survival and _floor_exp instead.
 def _draw_sorted_counts(spec: SeriesSpec, seed: int) -> np.ndarray:
     import numpy as np
 
@@ -241,14 +243,15 @@ def run_replicates(
     exceedance counts (see _scan_start), step t of every replicate's scan
     drawing from that generator jumped t times, in replicate order. A
     second, seeded with derive_seed(seed, 1), then draws the papers the
-    scans left unresolved, pooled over the run by a cascade of binomials on
-    each side of k*, then multinomials over windows of bins and one tail per
-    side, exact in law because the papers known to lie on one side of a count are independent
-    draws from the law conditioned on that side. h, h^2, the citation total
-    and the threshold counts are summed over the run exactly and divided
-    by the replicate count. The first R replicates' h are the same for any
-    larger replicate count. A run of N x replicates >= 2**63 papers, past
-    its int64 paper counts, raises ValueError.
+    scans left unresolved, pooled over the run by a cascade of binomials
+    on each side of k*, then multinomials over windows of bins and one
+    tail per side, exact in law because the papers known to lie on one
+    side of a count are independent draws from the law conditioned on
+    that side. h, h^2, the citation total and the threshold counts are
+    summed over the run exactly and divided by the replicate count. The
+    first R replicates' h are the same for any larger replicate count. A
+    run of N x replicates >= 2**63 papers, past its int64 paper counts,
+    raises ValueError.
     """
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
@@ -269,21 +272,15 @@ def run_replicates(
     )
 
 
-class _Pools:
-    """The papers a run's scans have placed: `exact[k]` at count k,
-    `above[j]` at j or more, `below[j]` below j."""
-
-    def __init__(self) -> None:
-        self.exact: defaultdict[int, int] = defaultdict(int)
-        self.above: defaultdict[int, int] = defaultdict(int)
-        self.below: defaultdict[int, int] = defaultdict(int)
-
-
 def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: int):
     """Exact Python-int sums over all replicates of h, h^2, the citation
-    total and the count at each of `xs` (sampling scheme v8): those of
-    the papers the scans and the cascades placed at a count, and those
-    each pooled side returns."""
+    total and the count at each of `xs` (sampling scheme v8).
+
+    Block by block, the scans place papers at counts in `exact` and pool
+    the rest in `above`, at j or more, and `below`, below j. Then one
+    call per side draws its pool, the side below first, as the rest
+    stream's order has it, and its cascade adds to `exact`, which is
+    tallied last."""
     import numpy as np
 
     n, params = spec.n_papers, spec.params
@@ -291,74 +288,71 @@ def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: i
     survival = _SurvivalTable(params)
     streams = _Substreams(derive_seed(seed, 0))
     rest_rng = np.random.default_rng(derive_seed(seed, 1))
-    pools = _Pools()
+    exact, above, below = (defaultdict(int) for _ in range(3))
     sum_h = sum_h2 = 0
     for first in range(0, replicates, _BLOCK_ROWS):
         size = min(_BLOCK_ROWS, replicates - first)
         streams.carry = first + size < replicates
-        h = _scan(streams, size, n, start, survival, pools)
+        h = _scan(streams, size, n, start, survival, exact, above, below)
         # Python ints: a block's sum of h^2 can pass 2^63
         low = int(h.min())
         for value, count in enumerate(np.bincount(h - low).tolist(), low):
             sum_h += count * value
             sum_h2 += count * value * value
 
-    exact, counts = pools.exact, [0] * len(xs)
-    lowest, carried = _cascade(pools.below, False, start, survival, rest_rng, exact)
-    total = _pooled_side(spec, carried, max(lowest - _MAX_BINS, 0), lowest, False, survival,
-                         rest_rng, xs, counts)
-    highest, carried = _cascade(pools.above, True, start, survival, rest_rng, exact)
-    # K' lies past every count a paper was placed at, whether or not a
-    # pool above it holds papers
-    top = max(highest, max((k + 1 for k, m in exact.items() if m), default=0), _MAX_BINS)
-    total += _pooled_side(spec, carried, highest, top, True, survival, rest_rng, xs, counts)
+    counts = [0] * len(xs)
+    total = _pooled_side(spec, below, False, start, survival, rest_rng, exact, xs, counts)
+    total += _pooled_side(spec, above, True, start, survival, rest_rng, exact, xs, counts)
     first = min(exact, default=0)
     placed = [exact.get(k, 0) for k in range(first, max(exact, default=0) + 1)]
     total += _tally(first, placed, xs, counts)
     return sum_h, sum_h2, total, counts
 
 
-def _cascade(pool: dict[int, int], up: bool, start: int, survival: _SurvivalTable,
-             rng: np.random.Generator, exact: defaultdict[int, int]) -> tuple[int, int]:
-    """Place `pool`'s papers in `exact`, count by count: up from its lowest
-    count, Bin(M, p_j / S(j)) of the M known to lie at j or more; or down
-    from its highest, Bin(M, p_{j-1} / (1 - S(j))) of the M below j.
-    Returns its last count J, or k* = `start` if it holds none, and the
-    papers left past J: at J or more up, below J down."""
+def _pooled_side(spec: SeriesSpec, pool: dict[int, int], up: bool, start: int,
+                 survival: _SurvivalTable, rng: np.random.Generator,
+                 exact: defaultdict[int, int], xs: list[float], counts: list[int]) -> int:
+    """Draw the papers of `pool`, pool[j] known to lie at j or more
+    (`up`) or below j: add their count at each of `xs` to `counts`, and
+    return their exact citation sum.
+
+    A cascade places them in `exact`, count by count: up from the pool's
+    lowest count, Bin(M, p_j / S(j)) of the M known to lie at j or more;
+    down from its highest, Bin(M, p_{j-1} / (1 - S(j))) of the M below j.
+    Its last count is J, k* = `start` if the pool holds none. One
+    multinomial then draws the papers past J over a window of bins and,
+    unless the window reaches 0, a last cell for the papers past it: up,
+    bins [J, K') and S(K'), K' the largest of J, _MAX_BINS and one past
+    every count a paper was placed at; down, bins [L, J) and 1 - S(L), L
+    = max(J - _MAX_BINS, 0). Below, while more papers lie below L than
+    counts do, the window moves down by _MAX_BINS counts and draws them
+    likewise. The papers left past the window, under the law above K' or
+    its reflection below L, are drawn as floor(exp(mu + sigma z)) with z
+    >= (ln K' - mu) / sigma, or -z >= (mu - ln L) / sigma, in pieces of
+    at most _TAIL_PIECE papers."""
+    import numpy as np
+
     held = sorted(j for j, m in pool.items() if m) or [start]
     first, last = held[0], held[-1]
     s = survival(first, last + 1)
-    carried = 0
+    tail = 0
     for j in range(first, last) if up else range(last, first, -1):
-        carried += pool.get(j, 0)
-        if carried:
+        tail += pool.get(j, 0)
+        if tail:
             i = j if up else j - 1
             s_i, s_next = s[i - first], s[i + 1 - first]
-            placed = int(rng.binomial(carried, (s_i - s_next) / (s_i if up else 1.0 - s_next)))
+            placed = int(rng.binomial(tail, (s_i - s_next) / (s_i if up else 1.0 - s_next)))
             exact[i] += placed
-            carried -= placed
-    edge = last if up else first
-    return edge, carried + pool.get(edge, 0)
-
-
-def _pooled_side(spec: SeriesSpec, carried: int, lo: int, hi: int, up: bool,
-                 survival: _SurvivalTable, rng: np.random.Generator, xs: list[float],
-                 counts: list[int]) -> int:
-    """Draw the `carried` papers known to lie at `lo` or more (`up`), or
-    below `hi`: add their count at each of `xs` to `counts`, and return
-    their exact citation sum.
-
-    One multinomial draws them over the bins [lo, hi) and, unless the
-    side's edge is 0, a last cell for the papers past it: S(K') for those
-    at K' = hi or more up, 1 - S(L) for those below L = lo down. Below,
-    while more papers lie below L than counts do, the window moves down
-    by _MAX_BINS counts and draws them likewise. The papers left past the
-    edge, under the law above K' or its reflection below L, are drawn as
-    floor(exp(mu + sigma z)) with z >= (ln K' - mu) / sigma, or -z >= (mu
-    - ln L) / sigma, in pieces of at most _TAIL_PIECE papers."""
-    import numpy as np
-
-    total, tail = 0, carried
+            tail -= placed
+    # the papers past J: at J or more up, below J down
+    tail += pool.get(last if up else first, 0)
+    if up:
+        # K' lies past every count a paper was placed at, whether or not a
+        # pool above it holds papers
+        lo, hi = last, max(last, max((k + 1 for k, m in exact.items() if m), default=0), _MAX_BINS)
+    else:
+        lo, hi = max(first - _MAX_BINS, 0), first
+    total = 0
     # the cells are the differences of S over their edges
     s = np.array(survival(lo, hi + 1) if tail and lo < hi else [])
     while tail and lo < hi:
@@ -403,10 +397,13 @@ def _tally(first: int, bins: list[int], xs: list[float], counts: list[int]) -> i
     return first * at_least[0] + sum(at_least[1:])
 
 
-def _scan(streams: _Substreams, size: int, n: int, start: int,
-          survival: _SurvivalTable, pools: _Pools) -> np.ndarray:
+def _scan(streams: _Substreams, size: int, n: int, start: int, survival: _SurvivalTable,
+          exact: defaultdict[int, int], above: defaultdict[int, int],
+          below: defaultdict[int, int]) -> np.ndarray:
     """The h of each of `size` rows of N papers, scanned from k* =
-    `start`, with the papers each row places added to `pools`.
+    `start`. The papers each row places are added to `exact[k]` at count
+    k, and those it keeps on a far side to `above[j]`, at j or more, or
+    `below[j]`, below j.
 
     t holds each row's papers on the far side of its count k: G(k) for
     an up-row, N - G(k) for a down-row. A step keeps each of them past
@@ -427,8 +424,8 @@ def _scan(streams: _Substreams, size: int, n: int, start: int,
     # the papers the up-rows and the down-rows keep on their far sides
     held_up = int(np.dot(t, u))
     held_down = int(t.sum()) - held_up
-    pools.above[start] += n * (size - ups) - held_down
-    pools.below[start] += n * ups - held_up
+    above[start] += n * (size - ups) - held_down
+    below[start] += n * ups - held_up
     rows = np.arange(size)
     stops = np.zeros(size, dtype=np.int64)
     step = 0
@@ -443,9 +440,9 @@ def _scan(streams: _Substreams, size: int, n: int, start: int,
         kept_up = int(np.dot(t, u))
         kept_down = int(t.sum()) - kept_up
         if ups:
-            pools.exact[high - 1] += held_up - kept_up
+            exact[high - 1] += held_up - kept_up
         if downs:
-            pools.exact[low] += held_down - kept_down
+            exact[low] += held_down - kept_down
         # up: G(k* + s) <= k* + s - 1; down: N - G(k* - s) <= N - k* + s
         limit = np.where(u, high - 1, n - low) if ups and downs else high - 1 if ups else n - low
         going = t > limit
@@ -454,8 +451,8 @@ def _scan(streams: _Substreams, size: int, n: int, start: int,
         ups = int(u.sum())
         held_up = int(np.dot(t, u))
         held_down = int(t.sum()) - held_up
-        pools.above[high] += kept_up - held_up
-        pools.below[low] += kept_down - held_down
+        above[high] += kept_up - held_up
+        below[low] += kept_down - held_down
     # an up-row that stops at step s has h = k* + s - 1, a down-row k* - s
     return np.where(up, start + stops - 1, start - stops)
 

@@ -190,6 +190,13 @@ class TestHCurve:
         assert_one_error_line(result)
         assert "exp(sigma sqrt(2 ln N)) overflows for sigma=200.0" in result.stderr
 
+    def test_asymptotic_exponent_past_the_largest_double_is_an_error_line(self):
+        # sigma sqrt(2 ln N) is itself inf: the rows printed inf, exit 0
+        result = run_cli("hcurve", "--mu", "2", "--sigma", "1e308", "--n-max", "100",
+                         "--points", "3", "--with-asymptotic", check=False)
+        assert_one_error_line(result)
+        assert "exp(sigma sqrt(2 ln N)) overflows for sigma=1e+308, N=10" in result.stderr
+
     @pytest.mark.parametrize("points", ["3", "50"])
     def test_paper_count_past_the_largest_double_is_an_error_line(self, points):
         # it was an OverflowError traceback from the solver at 3 points,

@@ -1,6 +1,7 @@
 """h fixed point, asymptotic form, and h-versus-N curves."""
 
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -307,10 +308,13 @@ class TestAsymptotic:
             h_asymptotic(SeriesSpec(MID, 1))
 
     def test_overflow_is_a_value_error(self):
-        # exp(200 sqrt(2 ln 316228)) = e^1005; at N = 10 it is e^429
+        # exp(200 sqrt(2 ln 316228)) = e^1005; at N = 10 it is e^429. At
+        # sigma = 1e308 the exponent is itself inf, and exp(inf) raised
+        # nothing: it returned inf
         assert h_asymptotic(SeriesSpec(LognormalParams(2.0, 200.0), 10)) < math.inf
-        with pytest.raises(ValueError, match=r"overflows for sigma=200\.0, N=316228"):
-            h_asymptotic(SeriesSpec(LognormalParams(2.0, 200.0), 316228))
+        for sigma, n in [(200.0, 316228), (1e308, 10)]:
+            with pytest.raises(ValueError, match=re.escape(f"overflows for sigma={sigma!r}, N={n}")):
+                h_asymptotic(SeriesSpec(LognormalParams(2.0, sigma), n))
 
 
 class TestHCurve:

@@ -513,8 +513,9 @@ def reference_scan_run(spec, replicates, seed, start=None):
     and the cell below them, and so on; then the papers left below L, in
     pieces of 2^16. At k* and above, from the lowest count up: Bin(M, p_j
     / S(j)), then one multinomial over p_J .. p_{K'-1}, S(K') from the
-    highest stop J, K' = max(J, 256). Last the tail above K', in pieces of
-    2^16 papers.
+    highest stop J, K' the largest of J, 256 and one past every count a
+    paper was placed at (the scans' counts: the cascades place theirs
+    below J). Last the tail above K', in pieces of 2^16 papers.
     """
     mu, sigma, n = spec.params.mu, spec.params.sigma, spec.n_papers
     k0 = central_h(spec) if start is None else start
@@ -588,7 +589,7 @@ def reference_scan_run(spec, replicates, seed, start=None):
             x = np.exp(mu + sigma * -z)
             tails.append(np.minimum(np.floor(x).astype(np.int64), low - 1))
     held = [j for j in above if above[j]]
-    top = max([*held, 256])
+    top = max([*held, 256, *(k + 1 for k in exact if exact[k])])
     tail_count = 0
     if held:
         m = 0
@@ -881,21 +882,27 @@ class TestHistograms:
             assert mc._survival(spec.params, 57, 300) == expected[57:], spec
 
     @pytest.mark.parametrize(
-        "spec, replicates",
+        "spec, replicates, seed",
         [
-            (SERIES_1, 200),
-            (SERIES_9, 70),
-            (SeriesSpec.from_values(2.1, 1.1, 2**15 + 1), 3),
-            (SERIES_22, 300),
-            (SERIES_13, 300),
-            (LOW_TAIL, 200),
-            (LOW_EDGE, 100),
+            (SERIES_1, 200, 77),
+            (SERIES_9, 70, 77),
+            (SeriesSpec.from_values(2.1, 1.1, 2**15 + 1), 3, 77),
+            (SERIES_22, 300, 77),
+            (SERIES_13, 300, 77),
+            (LOW_TAIL, 200, 77),
+            (LOW_EDGE, 100, 77),
+            # k* = 807: one row stops at h = 808 with 811 papers placed at
+            # 808 and none kept at 809 or more, so the highest pool above
+            # is J = 808 and K' = 809, one past the placed count, where
+            # max(J, 256) would be 808
+            (SeriesSpec.from_values(6.6946038733499345, 0.000354362672493724, 1432), 10,
+             3021330510),
         ],
         ids=["series-1", "series-9", "n-2^15+1", "series-22", "series-13", "low-windows",
-             "low-tail"],
+             "low-tail", "k-prime-past-a-placed-count"],
     )
-    def test_equals_reference(self, spec, replicates):
-        assert_equals_scan_reference(spec, replicates, DEFAULT_THRESHOLDS, seed=77)
+    def test_equals_reference(self, spec, replicates, seed):
+        assert_equals_scan_reference(spec, replicates, DEFAULT_THRESHOLDS, seed=seed)
 
     # scheme 5's chunk and scheme 6's block boundaries, as in
     # TestRunReplicates
@@ -1407,12 +1414,12 @@ class TestExactLaw:
     def test_cascade_pool_left_out_fails(self, monkeypatch):
         scan = mc._scan
 
-        def left_out(streams, size, n, start, survival, pools):
+        def left_out(streams, size, n, start, survival, exact, above, below):
             # the down-rows' papers below their stops: their rows' h stand,
             # but the cascade below k* never counts them
-            h = scan(streams, size, n, start, survival, pools)
-            for j in [j for j in pools.below if j < start]:
-                del pools.below[j]
+            h = scan(streams, size, n, start, survival, exact, above, below)
+            for j in [j for j in below if j < start]:
+                del below[j]
             return h
 
         monkeypatch.setattr(mc, "_scan", left_out)
@@ -1537,6 +1544,30 @@ class TestInversion:
         for n, p in [(1, 0.5), (100, 0.15), (200, 0.9), (10**6, 2e-5), (2**62, 1e-18)]:
             for size in (1, 300, 5000):
                 assert not assert_draws_as_numpy(n, p, size, seed=size)
+
+    @pytest.mark.parametrize("offset, drawn", [(-2.0**-45, None), (2.0**-45, None),
+                                               (-2.0**-30, 0), (2.0**-30, 1)])
+    def test_margin_about_the_first_partial_sum(self, offset, drawn):
+        # a U within _MARGIN = 2^-40 of P_0 = (1 - p)^N, below it as above,
+        # is too close to tell: the call rewinds. 2^-30 away, U gives X = 0
+        # below P_0 and 1 above it
+        n, p, size = 100, 0.15, 300
+        bits = np.random.PCG64(5)
+        start = bits.state
+
+        class Stub:
+            bit_generator = bits
+
+            def random(self, count):
+                bits.random_raw(count)
+                return np.full(count, (1 - p) ** n + offset)
+
+        found = mc._inversion(Stub(), n, p, size)
+        if drawn is None:
+            assert found is None
+            assert bits.state == start
+        else:
+            assert found.tolist() == [drawn] * size
 
     def test_regime_covers_the_smallest_study_series(self):
         regime = [i for i, spec in enumerate(study_specs(), 1)

@@ -198,9 +198,14 @@ class TestPearson:
         assert p == pytest.approx(1.8e-24, rel=0.1)
 
     def test_perfect_line_returns_smallest_positive(self):
-        r, p = pearson([(0, 0), (1, 2), (2, 4), (3, 6)])
-        assert r == 1.0
-        assert 0.0 < p <= 1e-300
+        # y = 2 x, and y = -2.5 x, whose r rounds to -1.0000000000000002
+        # before the clamp to [-1, 1]
+        x = (-2.1642042615150796, -6.394061482032072, 2.532109346412426, -3.7801754192116306)
+        y = (5.410510653787699, 15.98515370508018, -6.330273366031065, 9.450438548029076)
+        for points, expected in [([(0, 0), (1, 2), (2, 4), (3, 6)], 1.0), (list(zip(x, y)), -1.0)]:
+            r, p = pearson(points)
+            assert r == expected
+            assert 0.0 < p <= 1e-300
 
     @given(
         st.lists(
