@@ -16,15 +16,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .lognormal import LognormalParams, SeriesSpec, expected_exceeding
+from .lognormal import _LOG_LARGEST, _SQRT2, LognormalParams, SeriesSpec, expected_exceeding
 from .roots import brentq
 from .special import ConvergenceError
 
 #: ln of the smallest positive double: exp(u) is 0 below it.
 _LOG_SMALLEST = math.log(5e-324)
-#: ln of the largest double: exp(u) is finite up to it.
-_LOG_LARGEST = math.log(sys.float_info.max)
-_SQRT2 = math.sqrt(2.0)
 #: Slack in ln h on the upper end of h_curve's warm bracket, far above
 #: the few ulps by which a computed root can sit below the true one.
 _WARM_SLACK = 1e-9

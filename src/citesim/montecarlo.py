@@ -119,6 +119,7 @@ package imports numpy.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -285,7 +286,7 @@ def _scan_replicates(spec: SeriesSpec, replicates: int, xs: list[float], seed: i
 
     n, params = spec.n_papers, spec.params
     start = _scan_start(spec)
-    survival = _SurvivalTable(params)
+    survival = _SurvivalTable(params, start)
     streams = _Substreams(derive_seed(seed, 0))
     rest_rng = np.random.default_rng(derive_seed(seed, 1))
     exact, above, below = (defaultdict(int) for _ in range(3))
@@ -410,9 +411,13 @@ def _scan(streams: _Substreams, size: int, n: int, start: int, survival: _Surviv
     the next count with probability _kept and places the rest at k (up)
     or k - 1 (down), so up-rows reach k* + s at step s and down-rows
     k* - s. A row stops once it keeps at most its limit, which rises by
-    one a step, so a scanning row keeps at least one paper. Each step
-    carries only the rows still scanning, and `rows` holds their indices
-    among the `size`, so a row's last step is its stop step.
+    one a step, so a scanning row keeps at least one paper. u marks the
+    up-rows, and each row takes its side's probability and limit from
+    it, so a step draws every row alike; a side with no rows adds 0 to
+    `exact`, and S is only evaluated at the counts of a side with rows.
+    Each step carries only the rows still scanning, and `rows` holds
+    their indices among the `size`, so a row's last step is its stop
+    step.
     """
     import numpy as np
 
@@ -435,17 +440,13 @@ def _scan(streams: _Substreams, size: int, n: int, start: int, survival: _Surviv
         downs = t.size - ups
         r_up = _kept(survival, high - 1, True) if ups else 0.0
         r_down = _kept(survival, low + 1, False) if downs else 0.0
-        p = np.where(u, r_up, r_down) if ups and downs else r_up if ups else r_down
-        t = streams.binomial(step, t, p)
+        t = streams.binomial(step, t, np.where(u, r_up, r_down))
         kept_up = int(np.dot(t, u))
         kept_down = int(t.sum()) - kept_up
-        if ups:
-            exact[high - 1] += held_up - kept_up
-        if downs:
-            exact[low] += held_down - kept_down
+        exact[high - 1] += held_up - kept_up
+        exact[low] += held_down - kept_down
         # up: G(k* + s) <= k* + s - 1; down: N - G(k* - s) <= N - k* + s
-        limit = np.where(u, high - 1, n - low) if ups and downs else high - 1 if ups else n - low
-        going = t > limit
+        going = t > np.where(u, high - 1, n - low)
         stops[rows] = step
         t, u, rows = t[going], u[going], rows[going]
         ups = int(u.sum())
@@ -569,17 +570,17 @@ def _inversion(rng: np.random.Generator, n: int, p: float, size: int) -> np.ndar
 
 class _SurvivalTable:
     """S(k) for the counts a run has asked for, evaluated by _survival
-    once each. The counts asked for grow outward from k* as one range."""
+    once each. The table starts empty at k* = `start`, and the counts
+    asked for grow outward from it as one range: the first is S(k*),
+    for _scan's step 0."""
 
-    def __init__(self, params: LognormalParams) -> None:
+    def __init__(self, params: LognormalParams, start: int) -> None:
         self._params = params
-        self._first = 0
+        self._first = start
         self._values: list[float] = []
 
     def __call__(self, first: int, last: int) -> list[float]:
         """S(k) for k in [first, last)."""
-        if not self._values:
-            self._first, self._values = first, _survival(self._params, first, last)
         if first < self._first:
             self._values = _survival(self._params, first, self._first) + self._values
             self._first = first
@@ -591,17 +592,14 @@ class _SurvivalTable:
 
 def _scan_start(spec: SeriesSpec) -> int:
     """k*, where every replicate's scan starts: the largest k <= N with
-    N S(k) >= k, the h of the expected exceedance counts."""
+    N S(k) >= k, the h of the expected exceedance counts, found by
+    bisection as one less than the first k in [1, N] with N S(k) < k, or
+    N if there is none. run_replicates rejects N >= 2**63 first, so the
+    range's length fits in a Py_ssize_t."""
     n, params = spec.n_papers, spec.params
     # N S(k) - k falls with k and is N at k = 0
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if n * survival_probability(mid, params) >= mid:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return bisect.bisect_left(range(1, n + 1), True,
+                              key=lambda k: n * survival_probability(k, params) < k)
 
 
 def _exact_sum(papers: np.ndarray, top: float) -> int:

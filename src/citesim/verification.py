@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .hindex import h_asymptotic, round_half_up, solve_h
 from .indicators import default_study, scatter_dataset
-from .lognormal import DEFAULT_THRESHOLDS, SeriesSpec, ThresholdSet, survival_probability
+from .lognormal import DEFAULT_THRESHOLDS, SeriesSpec, ThresholdSet
 from .montecarlo import DEFAULT_SEED, derive_seed, run_replicates
 from .reference import REFERENCE_ROWS
 from .stats import fit_linear, fit_power_law, pearson
@@ -230,7 +230,7 @@ def check_simulation_agreement(replicates: int = 10_000, seed: int = DEFAULT_SEE
         if h_dev > 2.0:
             bad.append(f"series {ref.series} h_mean dev {h_dev:.2f}")
         for x in thresholds:
-            p_dev = abs(summary.counts_above[x] / ref.n_papers - survival_probability(x, row.spec.params))
+            p_dev = abs(summary.counts_above[x] / ref.n_papers - row.p_at[x])
             worst_p = max(worst_p, p_dev)
             if p_dev > 0.005:
                 bad.append(f"series {ref.series} P({x:g}) dev {p_dev:.4f}")

@@ -1,10 +1,16 @@
 """CLI stdout diffed byte for byte against committed golden files.
 
-The simulate files under tests/golden/ were written by sampling scheme 7
-with numpy 2.4.6, the version tests/golden/NUMPY_VERSION names, and
-scheme 8 draws the same bytes for every one of them: scheme 8 changes
-only runs that pool papers below a lowest count J above 256, and the
-largest k* here is 172 (simulate_mu2_s1.2_n40000_r5.csv). Every
+The simulate files under tests/golden/ were written with numpy 2.4.6,
+the version tests/golden/NUMPY_VERSION names. table1_simulate_r50.csv
+and the first three simulate files were written by sampling scheme 7,
+and scheme 8 draws the same bytes for them: scheme 8 changes only runs
+that pool papers below a lowest count J above 256, and the largest k*
+among them is 172 (simulate_mu2_s1.2_n40000_r5.csv). The three written
+by scheme 8 reach the sampler's paths those do not:
+simulate_mu6.5_s0.5_n1000_r100.csv (k* = 592) moves the window below L,
+simulate_mu9.2_s0.3_n5000_r100.csv (k* = 4947) draws a low tail below L
+and a tail above a K' past 256, and simulate_mu30_s2_n3000_r20.csv (k* =
+N, a huge median) sums its tail papers past 2^53 as int64 halves. Every
 replicate finds its h by a scan of binomial counts from k*, the h of the
 expected exceedance counts: up from k* one count a step while it has at
 least k papers at k or more, else down until it has; |h - k*| + 2
@@ -65,6 +71,12 @@ COMMANDS = {
         "simulate", "--mu", "2", "--sigma", "1.2", "--n", "40000", "--replicates", "5"),
     "simulate_mu2_s1_n30_r70000.csv": (
         "simulate", "--mu", "2", "--sigma", "1", "--n", "30", "--replicates", "70000"),
+    "simulate_mu6.5_s0.5_n1000_r100.csv": (
+        "simulate", "--mu", "6.5", "--sigma", "0.5", "--n", "1000", "--replicates", "100"),
+    "simulate_mu9.2_s0.3_n5000_r100.csv": (
+        "simulate", "--mu", "9.2", "--sigma", "0.3", "--n", "5000", "--replicates", "100"),
+    "simulate_mu30_s2_n3000_r20.csv": (
+        "simulate", "--mu", "30", "--sigma", "2", "--n", "3000", "--replicates", "20"),
 }
 
 THRESHOLDS = ("5", "10", "20", "30", "50", "100", "500")

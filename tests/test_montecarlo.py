@@ -820,8 +820,23 @@ class TestHistograms:
         assert mc._scan_start(SeriesSpec.from_values(2, 1, 1)) == 0
         assert mc._scan_start(SeriesSpec.from_values(30, 2, 3000)) == 3000
         assert mc._scan_start(SeriesSpec.from_values(30, 2, 10**6)) == 10**6 - 1
+        # the largest N a run admits, and 2^62
+        assert mc._scan_start(SeriesSpec.from_values(2, 1, 2**63 - 1)) == 18983
+        assert mc._scan_start(SeriesSpec.from_values(2, 1, 2**62)) == 17566
         for spec in study_specs():
             assert mc._scan_start(spec) == central_h(spec), spec
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mu=st.floats(-50.0, 60.0), log_sigma=st.floats(math.log(1e-9), math.log(50.0)),
+           n=st.one_of(st.integers(1, 1000), st.integers(1, 2**63 - 1)))
+    def test_scan_start_is_the_largest_k_with_n_s_k_at_least_k(self, mu, log_sigma, n):
+        # the definition, whatever the search: N S(k*) >= k*, and k* + 1
+        # fails it or is past N
+        spec = SeriesSpec.from_values(mu, math.exp(log_sigma), n)
+        k = mc._scan_start(spec)
+        assert 0 <= k <= n
+        assert k == 0 or n * survival_probability(k, spec.params) >= k
+        assert k == n or n * survival_probability(k + 1, spec.params) < k + 1
 
     def test_study_rows_draw_few_binomials(self, monkeypatch):
         # an up-row draws G(k*) and one binomial per count up to h + 1, a
