@@ -7,6 +7,11 @@ while the identity grows, so the fixed point is unique in (0, N); it is
 found here by a bracketing solver. The closed form exp(sigma sqrt(2 ln N)),
 whose log is the leading large-N term of ln h, is provided alongside for
 curve comparisons.
+
+solve_h answers one series with an HSolution. An h-versus-N curve
+brackets each point after its first from the root before it and keeps
+only that root: such a warm point is a bare root of the same gap, from
+the same bracket, with no SeriesSpec, HSolution or residual built for it.
 """
 
 from __future__ import annotations
@@ -96,27 +101,35 @@ def solve_h(spec: SeriesSpec, tolerance: float | None = None) -> HSolution:
 
 
 def _solve_in(spec: SeriesSpec, lo: float, hi: float) -> HSolution:
-    """The h fixed point of `spec` with ln h in [lo, hi], by brentq.
-
-    The gap F(h) - h is expected_exceeding's arithmetic written out, so
-    it gives the same bits without its calls. Raises ValueError when the
-    gap does not change sign over the bracket.
-    """
-    n, mu = spec.n_papers, spec.params.mu
-    scale = spec.params.sigma * _SQRT2
-
-    def gap_in_log(u: float) -> float:
-        h = math.exp(u)
-        return n * (0.5 * math.erfc((math.log(h) - mu) / scale)) - h
-
-    u, iterations = brentq(gap_in_log, lo, hi)
-    root = min(math.exp(u), float(n))
+    """The h fixed point of `spec` with ln h in [lo, hi], by brentq, with
+    its rounding and residual. Raises ValueError when the gap does not
+    change sign over the bracket."""
+    root, iterations = _root(spec.n_papers, spec.params, lo, hi)
     return HSolution(
         h_continuous=root,
         h_reported=round_half_up(root),
         residual=abs(expected_exceeding(root, spec) - root),
         iterations=iterations,
     )
+
+
+def _root(n: int, params: LognormalParams, lo: float, hi: float) -> tuple[float, int]:
+    """The bare root h of F(h) - h for N = n with ln h in [lo, hi], and
+    brentq's evaluation count.
+
+    The gap F(h) - h is expected_exceeding's arithmetic written out, so
+    it gives the same bits without its calls. Raises ValueError when the
+    gap does not change sign over the bracket.
+    """
+    mu = params.mu
+    scale = params.sigma * _SQRT2
+
+    def gap_in_log(u: float) -> float:
+        h = math.exp(u)
+        return n * (0.5 * math.erfc((math.log(h) - mu) / scale)) - h
+
+    u, iterations = brentq(gap_in_log, lo, hi)
+    return min(math.exp(u), float(n)), iterations
 
 
 def round_half_up(x: float) -> int:
@@ -139,15 +152,20 @@ def h_asymptotic(spec: SeriesSpec) -> float:
     its ratio to the exact fixed point tends to e^(sigma^2 - mu).
     Raises ValueError when it is beyond the largest double.
     """
-    if spec.n_papers < 2:
+    return _asymptotic(spec.params.sigma, spec.n_papers)
+
+
+def _asymptotic(sigma: float, n: int) -> float:
+    """exp(sigma sqrt(2 ln n)), with h_asymptotic's checks and messages."""
+    if n < 2:
         raise ValueError("the asymptotic form needs at least 2 papers")
-    exponent = spec.params.sigma * math.sqrt(2.0 * math.log(spec.n_papers))
+    exponent = sigma * math.sqrt(2.0 * math.log(n))
     # exp is finite up to ln of the largest double; an exponent that is
     # itself inf fails here too
     if not exponent <= _LOG_LARGEST:
         raise ValueError(
             f"the asymptotic form exp(sigma sqrt(2 ln N)) overflows for "
-            f"sigma={spec.params.sigma!r}, N={spec.n_papers}"
+            f"sigma={sigma!r}, N={n}"
         )
     return math.exp(exponent)
 
@@ -177,6 +195,9 @@ def h_curve(
       its relative precision and is not monotone in floating point.
     Each h is then given to within brentq's final bracket, a few ulps of
     ln h wide, as solve_h gives it; h = 0 and h = N come from solve_h.
+    Only the first point and the fallbacks build a SeriesSpec and an
+    HSolution; every other point is a bare root, two floats and one
+    brentq call.
     """
     if n_min < 1:
         raise ValueError(f"n_min must be at least 1, got {n_min}")
@@ -190,27 +211,28 @@ def h_curve(
         raise ValueError(f"n_max must not exceed the largest double, got {n_max}")
 
     grid = _geometric_grid(n_min, n_max, points)
-    specs = [SeriesSpec(params, n) for n in grid]
-    h_exact = [solve_h(specs[0]).h_continuous]
-    for previous, spec in zip(specs, specs[1:]):
-        h_exact.append(_warm_solve(spec, previous.n_papers, h_exact[-1]))
+    h_exact = [solve_h(SeriesSpec(params, grid[0])).h_continuous]
+    for previous_n, n in zip(grid, grid[1:]):
+        h_exact.append(_warm_solve(params, n, previous_n, h_exact[-1]))
     asym = None
     if with_asymptotic:
-        asym = tuple(h_asymptotic(spec) for spec in specs)
+        asym = tuple(_asymptotic(params.sigma, n) for n in grid)
     return HCurve(n_papers=tuple(grid), h_exact=tuple(h_exact), h_asymptotic=asym)
 
 
-def _warm_solve(spec: SeriesSpec, previous_n: int, previous_h: float) -> float:
-    """h of `spec`, bracketed from the root `previous_h` at a smaller paper count."""
+def _warm_solve(params: LognormalParams, n: int, previous_n: int, previous_h: float) -> float:
+    """h at `n` papers, bracketed from the root `previous_h` at a smaller
+    paper count: a bare root from _root, or solve_h's where that bracket
+    falls back."""
     if previous_h >= sys.float_info.min:
         lo = math.log(previous_h)
-        hi = lo + math.log(spec.n_papers / previous_n) + _WARM_SLACK
-        if hi < math.log(spec.n_papers):
+        hi = lo + math.log(n / previous_n) + _WARM_SLACK
+        if hi < math.log(n):
             try:
-                return _solve_in(spec, lo, hi).h_continuous
+                return _root(n, params, lo, hi)[0]
             except ValueError:  # the bracket does not straddle the root
                 pass
-    return solve_h(spec).h_continuous
+    return solve_h(SeriesSpec(params, n)).h_continuous
 
 
 def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:

@@ -115,10 +115,8 @@ def scatter_dataset(
         raise ValueError(f"unknown indicator {y_indicator!r}; expected one of {Y_INDICATORS}")
     if x_axis not in X_AXES:
         raise ValueError(f"unknown axis {x_axis!r}; expected one of {X_AXES}")
-    return [
-        (_axis_value(row, x_axis, threshold), indicator_value(row, y_indicator))
-        for row in table
-    ]
+    field = INDICATOR_FIELDS[y_indicator]
+    return [(_axis_value(row, x_axis, threshold), getattr(row, field)) for row in table]
 
 
 def indicator_value(row: SeriesMetrics, name: str) -> float:

@@ -58,9 +58,11 @@ def _as_xy(points) -> tuple[list[float], list[float]]:
         x, y = zip(*((float(a), float(b)) for a, b in pts))
     except (TypeError, ValueError):
         raise ValueError("points must be (x, y) pairs") from None
-    for k, v in enumerate(c for pair in zip(x, y) for c in pair):
-        if not math.isfinite(v):
-            raise ValueError(f"points must be finite, got {'xy'[k % 2]} = {v} at point {k // 2}")
+    if not all(map(math.isfinite, x + y)):
+        # name the first non-finite coordinate, in point order
+        for k, v in enumerate(c for pair in zip(x, y) for c in pair):
+            if not math.isfinite(v):
+                raise ValueError(f"points must be finite, got {'xy'[k % 2]} = {v} at point {k // 2}")
     return list(x), list(y)
 
 

@@ -440,6 +440,35 @@ class TestHCurve:
         assert points == 15 * 50
         assert sum(evaluations) / points <= 10.0
 
+    def test_reference_curves_build_one_solution_per_solve_h_call(self, monkeypatch):
+        # a warm point is a bare root: only solve_h's solves, the first
+        # point and any fallbacks, build an HSolution (one a point, 750
+        # here, when every point built one); solve_h is still reached
+        # through the module attribute, so a replacement sees every
+        # first point
+        solutions = 0
+        solved_counts = []
+
+        class CountingSolution(hindex.HSolution):
+            def __init__(self, *args, **kwargs):
+                nonlocal solutions
+                solutions += 1
+                super().__init__(*args, **kwargs)
+
+        def recording(spec, tolerance=None):
+            solved_counts.append(spec.n_papers)
+            return solve(spec, tolerance)
+
+        solve = hindex.solve_h
+        monkeypatch.setattr(hindex, "HSolution", CountingSolution)
+        monkeypatch.setattr(hindex, "solve_h", recording)
+        for mu, sigma in sorted({(row.mu, row.sigma) for row in REFERENCE_ROWS}):
+            calls_before = len(solved_counts)
+            curve = h_curve(LognormalParams(mu, sigma), 10, 10**10, points=50, with_asymptotic=True)
+            assert solved_counts[calls_before] == curve.n_papers[0] == 10
+        assert len(solved_counts) >= 15
+        assert solutions == len(solved_counts) < 15 * 50
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             h_curve(MID, 100, 100, points=2)
