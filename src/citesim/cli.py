@@ -18,7 +18,7 @@ import sys
 
 from .indicators import X_AXES, Y_INDICATORS
 from .lognormal import DEFAULT_THRESHOLDS
-from .montecarlo import DEFAULT_SEED, SEEDING_VERSION
+from .montecarlo import DEFAULT_REPLICATES, DEFAULT_SEED, SEEDING_VERSION
 from .output import KINDS, render_rows
 from .report import (
     FIT_X_AXES,
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table1 = sub.add_parser("table1", help="emit the 30-series study table")
     table1.add_argument("--mode", choices=("analytic", "simulate"), default="analytic")
-    table1.add_argument("--replicates", type=int, default=10_000)
+    table1.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
     table1.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(table1)
 
@@ -95,13 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--mu", type=float, required=True)
     simulate.add_argument("--sigma", type=float, required=True)
     simulate.add_argument("--n", type=int, required=True)
-    simulate.add_argument("--replicates", type=int, default=10_000)
+    simulate.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
     simulate.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(simulate)
 
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--filter", default=None, help="only run checks whose name contains this")
-    verify.add_argument("--replicates", type=int, default=10_000)
+    verify.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(verify, default_format=None)
 

@@ -92,25 +92,18 @@ def solve_h(spec: SeriesSpec, tolerance: float | None = None) -> HSolution:
             n = float(spec.n_papers)
             return HSolution(h_continuous=n, h_reported=round_half_up(n),
                              residual=abs(expected_exceeding(n, spec) - n), iterations=1)
-    solution = _solve_in(spec, lo, hi)
-    if tolerance is not None and solution.residual > tolerance:
-        raise ConvergenceError(
-            f"solver residual {solution.residual:.3e} exceeds tolerance {tolerance:.3e} for {spec}"
-        )
-    return solution
-
-
-def _solve_in(spec: SeriesSpec, lo: float, hi: float) -> HSolution:
-    """The h fixed point of `spec` with ln h in [lo, hi], by brentq, with
-    its rounding and residual. Raises ValueError when the gap does not
-    change sign over the bracket."""
     root, iterations = _root(spec.n_papers, spec.params, lo, hi)
-    return HSolution(
+    solution = HSolution(
         h_continuous=root,
         h_reported=round_half_up(root),
         residual=abs(expected_exceeding(root, spec) - root),
         iterations=iterations,
     )
+    if tolerance is not None and solution.residual > tolerance:
+        raise ConvergenceError(
+            f"solver residual {solution.residual:.3e} exceeds tolerance {tolerance:.3e} for {spec}"
+        )
+    return solution
 
 
 def _root(n: int, params: LognormalParams, lo: float, hi: float) -> tuple[float, int]:

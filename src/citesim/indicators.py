@@ -19,7 +19,7 @@ from .lognormal import (
     survival_probability,
     total_citations,
 )
-from .montecarlo import DEFAULT_SEED, run_replicates
+from .montecarlo import DEFAULT_REPLICATES, DEFAULT_SEED, run_replicates
 from .reference import REFERENCE_ROWS
 
 #: Indicator name -> the SeriesMetrics field that holds it.
@@ -70,7 +70,7 @@ def metrics_analytic(spec: SeriesSpec) -> SeriesMetrics:
 
 def metrics_simulated(
     spec: SeriesSpec,
-    replicates: int = 10_000,
+    replicates: int = DEFAULT_REPLICATES,
     seed: int = DEFAULT_SEED,
 ) -> SeriesMetrics:
     """Replicate-averaged indicator suite for `spec` at DEFAULT_THRESHOLDS."""

@@ -79,18 +79,14 @@ class ThresholdSet:
 DEFAULT_THRESHOLDS = ThresholdSet((5, 10, 20, 50, 100, 500))
 
 
-def _check_citations(c: float) -> None:
-    if not c > 0.0:
-        raise ValueError(f"citation count must be positive, got {c!r}")
-
-
 def survival_probability(c: float, params: LognormalParams) -> float:
     """Probability that a random paper collects at least c citations.
 
     Evaluates 0.5 erfc((ln c - mu) / (sigma sqrt 2)), which keeps full
     relative accuracy deep in the upper tail.
     """
-    _check_citations(c)
+    if not c > 0.0:
+        raise ValueError(f"citation count must be positive, got {c!r}")
     z = (math.log(c) - params.mu) / (params.sigma * _SQRT2)
     return 0.5 * math.erfc(z)
 

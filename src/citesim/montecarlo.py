@@ -111,7 +111,7 @@ the replicate count nor with h, only with the spread of the replicates'
 h, which the scans cross.
 
 numpy is imported by the functions that draw, on their first call, not
-with the module: the CLI imports this module for DEFAULT_SEED and
+with the module: the CLI imports this module for its defaults and
 derive_seed, and its closed-form commands start about 0.1 s sooner
 without numpy. derive_seed is plain Python. No other module of the
 package imports numpy.
@@ -162,6 +162,8 @@ _MAX_BINS = 256
 
 #: Master seed used when none is given; echoed in CLI output metadata.
 DEFAULT_SEED = 20200212
+#: Replicates per series when none is given.
+DEFAULT_REPLICATES = 10_000
 #: How replicate streams derive from the master seed; echoed with it.
 SEEDING_VERSION = 8
 

@@ -12,7 +12,6 @@ from .hindex import h_curve, round_half_up
 from .indicators import (
     X_AXES,
     SeriesMetrics,
-    Y_INDICATORS,
     default_study,
     indicator_value,
     metrics_analytic,
@@ -21,18 +20,14 @@ from .indicators import (
     study_specs,
 )
 from .lognormal import DEFAULT_THRESHOLDS, LognormalParams, SeriesSpec
-from .montecarlo import DEFAULT_SEED, derive_seed, run_replicates
+from .montecarlo import derive_seed, run_replicates
 from .output import format_number, format_probability
-from .stats import PowerLawFit, fit_linear, fit_power_law
+from .stats import fit_linear, fit_power_law
 
 FIT_X_AXES = (*X_AXES, "h", "sum_c")
 
 
-def table1_rows(
-    mode: str = "analytic",
-    replicates: int = 10_000,
-    seed: int = DEFAULT_SEED,
-) -> list[dict]:
+def table1_rows(mode: str, replicates: int, seed: int) -> list[dict]:
     """The 30-series study table, analytic or replicate-averaged."""
     if mode not in ("analytic", "simulate"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -65,8 +60,8 @@ def hcurve_rows(
     sigma: float,
     n_min: int,
     n_max: int,
-    points: int = 50,
-    with_asymptotic: bool = False,
+    points: int,
+    with_asymptotic: bool,
 ) -> list[dict]:
     """h versus paper count over a geometric grid."""
     curve = h_curve(LognormalParams(mu, sigma), n_min, n_max, points, with_asymptotic)
@@ -79,12 +74,7 @@ def hcurve_rows(
     return rows
 
 
-def scatter_rows(
-    y_indicator: str,
-    x_axis: str,
-    threshold: float,
-    normalized: bool = False,
-) -> list[dict]:
+def scatter_rows(y_indicator: str, x_axis: str, threshold: float, normalized: bool) -> list[dict]:
     """One (x, y) point per study series.
 
     `normalized` divides by the paper count the axes that are not
@@ -110,8 +100,6 @@ def fit_dataset(y_indicator: str, x_axis: str, threshold: float | None) -> list[
     The x axis is an exceedance count or probability at `threshold`, or
     one of the indicators h / sum_c directly, which take no threshold.
     """
-    if y_indicator not in Y_INDICATORS:
-        raise ValueError(f"unknown indicator {y_indicator!r}; expected one of {Y_INDICATORS}")
     if x_axis not in FIT_X_AXES:
         raise ValueError(f"unknown x axis {x_axis!r}; expected one of {FIT_X_AXES}")
     table = default_study()
@@ -138,30 +126,17 @@ def fit_rows(kind: str, y_indicator: str, x_axis: str, threshold: float | None) 
         "x": x_axis,
         "threshold": "" if threshold is None else f"{threshold:g}",
     }
-    if isinstance(fit, PowerLawFit):
-        row.update(
-            amplitude=format_number(fit.amplitude),
-            exponent=format_number(fit.exponent),
-            r_squared=format_number(fit.r_squared),
-        )
-    else:
-        row.update(
-            intercept=format_number(fit.intercept),
-            slope=format_number(fit.slope),
-            pearson_r=format_number(fit.pearson_r),
-            p_value=f"{fit.p_value:.3E}",
-        )
-    row["n_points"] = fit.n_points
+    # the fit's own fields, in declared order
+    for name, value in vars(fit).items():
+        if name == "p_value":
+            value = f"{value:.3E}"
+        elif name != "n_points":
+            value = format_number(value)
+        row[name] = value
     return [row]
 
 
-def simulate_rows(
-    mu: float,
-    sigma: float,
-    n_papers: int,
-    replicates: int = 10_000,
-    seed: int = DEFAULT_SEED,
-) -> list[dict]:
+def simulate_rows(mu: float, sigma: float, n_papers: int, replicates: int, seed: int) -> list[dict]:
     """Replicate summary for a single spec, one row."""
     spec = SeriesSpec.from_values(mu, sigma, n_papers)
     summary = run_replicates(spec, replicates, DEFAULT_THRESHOLDS, seed)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import citesim.indicators as indicators
-from citesim import verification
+from citesim import report, verification
 
 
 def test_run_checks_filter_names():
@@ -44,6 +44,42 @@ def test_probability_check_detects_biased_tail(monkeypatch):
         indicators.default_study.cache_clear()
     assert not result.passed
     assert "out of tolerance" in result.detail
+
+
+def test_probability_check_judges_scientific_cells_relatively(monkeypatch):
+    # a 2% bias below 1e-3 moves no cell by 5e-5, so only the 1% relative
+    # gate of the scientific-notation cells can catch it
+    original = indicators.survival_probability
+
+    def biased(c, params):
+        p = original(c, params)
+        return p * 1.02 if p < 1e-3 else p
+
+    indicators.default_study.cache_clear()
+    monkeypatch.setattr(indicators, "survival_probability", biased)
+    try:
+        result = verification.check_table1_probabilities()
+    finally:
+        indicators.default_study.cache_clear()
+    assert not result.passed
+    entries = result.detail.split("out of tolerance: ")[1].split("; ")
+    assert all(": rel " in entry for entry in entries)
+
+
+def test_simulation_check_simulates_as_table1_does(monkeypatch):
+    # verify --replicates R --seed s judges the numbers that
+    # table1 --mode simulate --replicates R --seed s prints
+    calls = {verification: [], report: []}
+    for module, seen in calls.items():
+        def recorded(spec, replicates, seed, seen=seen, original=module.metrics_simulated):
+            seen.append((spec, replicates, seed))
+            return original(spec, replicates, seed)
+
+        monkeypatch.setattr(module, "metrics_simulated", recorded)
+    verification.check_simulation_agreement(5, 11)
+    report.table1_rows("simulate", 5, 11)
+    assert len(calls[verification]) == 30
+    assert calls[verification] == calls[report]
 
 
 @pytest.mark.parametrize(
