@@ -21,12 +21,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .lognormal import _LOG_LARGEST, _SQRT2, LognormalParams, SeriesSpec, expected_exceeding
+from .lognormal import _SQRT2, LognormalParams, SeriesSpec, expected_exceeding
 from .roots import brentq
-from .special import ConvergenceError
+from .special import _LOG_LARGEST, _LOG_SMALLEST, ConvergenceError
 
-#: ln of the smallest positive double: exp(u) is 0 below it.
-_LOG_SMALLEST = math.log(5e-324)
 #: Slack in ln h on the upper end of h_curve's warm bracket, far above
 #: the few ulps by which a computed root can sit below the true one.
 _WARM_SLACK = 1e-9

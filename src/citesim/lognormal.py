@@ -13,9 +13,9 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .special import _LOG_LARGEST
+
 _SQRT2 = math.sqrt(2.0)
-#: exp(u) is finite for u up to this, and overflows above it.
-_LOG_LARGEST = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)

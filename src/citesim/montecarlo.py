@@ -186,6 +186,14 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_run(seed: int, replicates: int) -> None:
+    """Raise ValueError for a master seed or replicate count that a
+    simulated run rejects, whether or not anything is drawn."""
+    derive_seed(seed, 0)
+    if replicates < 1:
+        raise ValueError(f"need at least 1 replicate, got {replicates}")
+
+
 # Nothing calls this; bench/selftest.py patches it. It goes once the self-test
 # plants its round-to-nearest fault in _survival and _floor_exp instead.
 def _draw_sorted_counts(spec: SeriesSpec, seed: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from .indicators import (
     study_specs,
 )
 from .lognormal import DEFAULT_THRESHOLDS, LognormalParams, SeriesSpec
-from .montecarlo import derive_seed, run_replicates
+from .montecarlo import _check_run, derive_seed, run_replicates
 from .output import format_number, format_probability
 from .stats import fit_linear, fit_power_law
 
@@ -28,9 +28,12 @@ FIT_X_AXES = (*X_AXES, "h", "sum_c")
 
 
 def table1_rows(mode: str, replicates: int, seed: int) -> list[dict]:
-    """The 30-series study table, analytic or replicate-averaged."""
+    """The 30-series study table, analytic or replicate-averaged. A seed
+    or replicate count that simulate mode would reject raises ValueError
+    in either mode."""
     if mode not in ("analytic", "simulate"):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_run(seed, replicates)
     rows = []
     for index, spec in enumerate(study_specs()):
         if mode == "analytic":

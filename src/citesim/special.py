@@ -10,8 +10,13 @@ until the last exp. The package's lognormal tails call math.erfc.
 from __future__ import annotations
 
 import math
+import sys
 
 _TINY = 1e-300
+#: The smallest positive double, and the range of u over which exp(u)
+#: is a positive finite double: 0 below _LOG_SMALLEST, inf above _LOG_LARGEST.
+_SMALLEST = 5e-324
+_LOG_SMALLEST, _LOG_LARGEST = math.log(_SMALLEST), math.log(sys.float_info.max)
 
 
 class ConvergenceError(RuntimeError):

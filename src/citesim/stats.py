@@ -16,14 +16,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 from .roots import brentq
-from .special import ConvergenceError, regularized_incomplete_beta
+from .special import _LOG_LARGEST, _LOG_SMALLEST, _SMALLEST, ConvergenceError, regularized_incomplete_beta
 
-_SMALLEST = 5e-324
-_LOG_SMALLEST, _LOG_LARGEST = math.log(_SMALLEST), math.log(sys.float_info.max)
 #: Half-widths of the exponent's bracket around the log-log slope; past the
 #: last, x**b over x'**b is out of range for any two distinct doubles x, x'.
 _HALF_WIDTHS = tuple(2.0**k for k in range(-3, 65))

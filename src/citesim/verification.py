@@ -4,6 +4,11 @@ Each check pins one published result (table cells, fit coefficients,
 correlations, growth spot values) or one structural guarantee
 (simulation/model agreement, determinism) with its tolerance fixed here.
 The CLI `verify` subcommand and the acceptance test suite both run these.
+
+The checks judge what the CLI prints: the fit checks regress the
+datasets `citesim fit` regresses (report.fit_dataset), and
+simulation-agreement simulates each series as `table1 --mode simulate`
+does. A failing check's detail lists its first five failing entries.
 """
 
 from __future__ import annotations
@@ -12,10 +17,12 @@ import math
 from dataclasses import dataclass
 
 from .hindex import h_asymptotic, round_half_up, solve_h
-from .indicators import default_study, metrics_simulated, scatter_dataset
+from .indicators import default_study, metrics_simulated
 from .lognormal import DEFAULT_THRESHOLDS, SeriesSpec
-from .montecarlo import DEFAULT_REPLICATES, DEFAULT_SEED, derive_seed
+from .montecarlo import DEFAULT_REPLICATES, DEFAULT_SEED, _check_run, derive_seed
+from .output import render_rows
 from .reference import REFERENCE_ROWS
+from .report import fit_dataset, table1_rows
 from .stats import fit_linear, fit_power_law, pearson
 
 
@@ -24,6 +31,14 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def _result(name: str, detail: str, bad: list[str], label: str, passed: bool = True) -> CheckResult:
+    """Check `name`, failed if `bad` has entries or `passed` is false; the
+    first five entries of `bad` follow `label` at the end of `detail`."""
+    if bad:
+        detail += "; " + label + "; ".join(bad[:5])
+    return CheckResult(name, passed and not bad, detail)
 
 
 def check_table1_probabilities() -> CheckResult:
@@ -47,9 +62,7 @@ def check_table1_probabilities() -> CheckResult:
                 if err > 5e-5:
                     bad.append(f"series {ref.series} P({x}): abs {err:.2e}")
     detail = f"180 cells; worst abs dev {worst_abs:.2e}, worst rel dev {worst_rel:.3%}"
-    if bad:
-        detail += "; out of tolerance: " + "; ".join(bad[:5])
-    return CheckResult("table1-probabilities", not bad, detail)
+    return _result("table1-probabilities", detail, bad, "out of tolerance: ")
 
 
 def check_table1_h() -> CheckResult:
@@ -66,22 +79,17 @@ def check_table1_h() -> CheckResult:
             exact += 1
         if diff > 1:
             bad.append(f"series {ref.series}: {reported} vs {ref.h}")
-    passed = not bad and exact >= 27
     detail = f"{exact}/30 exact, worst |diff| {worst}"
-    if bad:
-        detail += "; beyond 1: " + "; ".join(bad)
-    return CheckResult("table1-h", passed, detail)
+    return _result("table1-h", detail, bad, "beyond 1: ", exact >= 27)
 
 
 def check_table1_sum_citations() -> CheckResult:
     """Model total citations within 1% of every reference value."""
-    study = default_study()
-    worst = 0.0
-    worst_series = 0
-    for ref, row in zip(REFERENCE_ROWS, study):
-        err = abs(row.sum_citations - ref.sum_citations) / ref.sum_citations
-        if err > worst:
-            worst, worst_series = err, ref.series
+    worst, worst_series = max(
+        ((abs(row.sum_citations - ref.sum_citations) / ref.sum_citations, ref.series)
+         for ref, row in zip(REFERENCE_ROWS, default_study())),
+        key=lambda pair: pair[0],
+    )
     return CheckResult(
         "table1-sum-citations",
         worst <= 0.01,
@@ -120,11 +128,7 @@ def check_asymptotic_accuracy() -> CheckResult:
     to h tends to e^(sigma^2 - mu). The deviation in h at each series' own
     N is therefore reported, but not gated.
     """
-    worst = 0.0
-    worst_at = ""
-    worst_h = 0.0
-    worst_h_series = 0
-    bad = []
+    devs, own_devs, bad = [], [], []
     for ref in REFERENCE_ROWS:
         if ref.n_papers < 1000:
             continue
@@ -134,35 +138,31 @@ def check_asymptotic_accuracy() -> CheckResult:
             approx = h_asymptotic(spec)
             ln_h, ln_approx = math.log(h), math.log(approx)
             err = abs(ln_approx - ln_h) / ln_h
+            devs.append((err, f"series {ref.series} at N={spec.n_papers}"))
             if scale == 1:
-                h_dev = (approx - h) / h
-                if abs(h_dev) > abs(worst_h):
-                    worst_h, worst_h_series = h_dev, ref.series
-            if err > worst:
-                worst, worst_at = err, f"series {ref.series} at N={spec.n_papers}"
+                own_devs.append(((approx - h) / h, ref.series))
             if err > 0.15:
                 bad.append(
                     f"series {ref.series} (mu={ref.mu}, sigma={ref.sigma}, N={spec.n_papers}): "
                     f"ln approx {ln_approx:.3f} vs ln h {ln_h:.3f}, dev {err:.2%}"
                 )
+    worst, worst_at = max(devs, key=lambda dev: dev[0])
+    worst_h, worst_h_series = max(own_devs, key=lambda dev: abs(dev[0]))
     detail = (
         f"worst ln h dev {worst:.2%} ({worst_at}); "
         f"h dev at own N up to {worst_h:+.2%} (series {worst_h_series}), not gated"
     )
-    if bad:
-        detail += "; over 15%: " + "; ".join(bad[:5])
-    return CheckResult("asymptotic-accuracy", not bad, detail)
+    return _result("asymptotic-accuracy", detail, bad, "over 15%: ")
 
 
 def check_power_law_fits() -> CheckResult:
     """h versus exceedance counts at 50 and 100 citations refit to the
     published power laws: 14.6 x^0.325 (R^2 >= 0.96) and 27.4 x^0.282
     (R^2 >= 0.95), coefficients within 10%."""
-    study = default_study()
     parts = []
     ok = True
     for threshold, a0, b0, r2_min in ((50.0, 14.6, 0.325, 0.96), (100.0, 27.4, 0.282, 0.95)):
-        fit = fit_power_law(scatter_dataset(study, "h", "counts", threshold))
+        fit = fit_power_law(fit_dataset("h", "counts", threshold))
         good = (
             abs(fit.amplitude - a0) <= 0.1 * a0
             and abs(fit.exponent - b0) <= 0.03
@@ -178,7 +178,7 @@ def check_power_law_fits() -> CheckResult:
 
 def check_mean_citations_linear_fit() -> CheckResult:
     """Mean citations versus P(30) refit to the published line 4.9 + 88.7 x."""
-    fit = fit_linear(scatter_dataset(default_study(), "sum_c_over_n", "probabilities", 30.0))
+    fit = fit_linear(fit_dataset("sum_c_over_n", "probabilities", 30.0))
     ok = abs(fit.intercept - 4.9) <= 0.5 and abs(fit.slope - 88.7) <= 9.0
     return CheckResult(
         "mean-citations-linear-fit",
@@ -190,9 +190,8 @@ def check_mean_citations_linear_fit() -> CheckResult:
 def check_correlations() -> CheckResult:
     """Pearson r of mean citations with P(20) and P(30) matches the
     published 0.988 (p ~ 1e-24) and 0.998."""
-    study = default_study()
-    r20, p20 = pearson(scatter_dataset(study, "sum_c_over_n", "probabilities", 20.0))
-    r30, _ = pearson(scatter_dataset(study, "sum_c_over_n", "probabilities", 30.0))
+    r20, p20 = pearson(fit_dataset("sum_c_over_n", "probabilities", 20.0))
+    r30, _ = pearson(fit_dataset("sum_c_over_n", "probabilities", 30.0))
     ok = abs(r20 - 0.988) <= 0.010 and 1e-26 <= p20 <= 1e-22 and abs(r30 - 0.998) <= 0.005
     return CheckResult(
         "correlations",
@@ -204,9 +203,7 @@ def check_correlations() -> CheckResult:
 
 def check_total_citations_exponent() -> CheckResult:
     """Power-law exponent of h versus total citations equals 0.42 within 0.05."""
-    study = default_study()
-    points = [(row.sum_citations, row.h) for row in study]
-    fit = fit_power_law(points)
+    fit = fit_power_law(fit_dataset("h", "sum_c", None))
     ok = abs(fit.exponent - 0.42) <= 0.05
     return CheckResult(
         "total-citations-exponent",
@@ -244,18 +241,15 @@ def check_simulation_agreement(
         f"{replicates} replicates/series; worst h dev {worst_h:.3f} (max 2), "
         f"worst P dev {worst_p:.5f} (max 0.005)"
     )
-    if bad:
-        detail += "; " + "; ".join(bad[:5])
-    return CheckResult("simulation-agreement", not bad, detail)
+    return _result("simulation-agreement", detail, bad, "")
 
 
 def check_decorrelation() -> CheckResult:
     """Dividing by paper count destroys the correlation: linear R^2 of h/N
     versus P(100) at most 0.5 while the h versus F(100) power fit keeps
     R^2 at least 0.95."""
-    study = default_study()
-    r_norm, _ = pearson(scatter_dataset(study, "h_over_n", "probabilities", 100.0))
-    fit = fit_power_law(scatter_dataset(study, "h", "counts", 100.0))
+    r_norm, _ = pearson(fit_dataset("h_over_n", "probabilities", 100.0))
+    fit = fit_power_law(fit_dataset("h", "counts", 100.0))
     ok = r_norm * r_norm <= 0.5 and fit.r_squared >= 0.95
     return CheckResult(
         "decorrelation",
@@ -268,9 +262,6 @@ def check_decorrelation() -> CheckResult:
 def check_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
     """Simulated study table, at 100 replicates, renders byte-identically
     across repeated runs."""
-    from .output import render_rows
-    from .report import table1_rows
-
     first = render_rows(table1_rows("simulate", 100, seed), "csv")
     second = render_rows(table1_rows("simulate", 100, seed), "csv")
     return CheckResult(
@@ -290,26 +281,19 @@ def run_checks(
     A seed or replicate count that `simulate` would reject raises
     ValueError before any check runs, whatever the filter.
     """
-    derive_seed(seed, 0)
-    if replicates < 1:
-        raise ValueError(f"need at least 1 replicate, got {replicates}")
-    checks = [
-        ("table1-probabilities", check_table1_probabilities),
-        ("table1-h", check_table1_h),
-        ("table1-sum-citations", check_table1_sum_citations),
-        ("h-growth-spot-values", check_h_growth_spots),
-        ("asymptotic-accuracy", check_asymptotic_accuracy),
-        ("power-law-fits", check_power_law_fits),
-        ("mean-citations-linear-fit", check_mean_citations_linear_fit),
-        ("correlations", check_correlations),
-        ("total-citations-exponent", check_total_citations_exponent),
-        ("decorrelation", check_decorrelation),
-        ("determinism", lambda: check_determinism(seed)),
-        ("simulation-agreement", lambda: check_simulation_agreement(replicates, seed)),
-    ]
-    results = []
-    for name, thunk in checks:
-        if filter_text and filter_text not in name:
-            continue
-        results.append(thunk())
-    return results
+    _check_run(seed, replicates)
+    checks = {
+        "table1-probabilities": check_table1_probabilities,
+        "table1-h": check_table1_h,
+        "table1-sum-citations": check_table1_sum_citations,
+        "h-growth-spot-values": check_h_growth_spots,
+        "asymptotic-accuracy": check_asymptotic_accuracy,
+        "power-law-fits": check_power_law_fits,
+        "mean-citations-linear-fit": check_mean_citations_linear_fit,
+        "correlations": check_correlations,
+        "total-citations-exponent": check_total_citations_exponent,
+        "decorrelation": check_decorrelation,
+        "determinism": lambda: check_determinism(seed),
+        "simulation-agreement": lambda: check_simulation_agreement(replicates, seed),
+    }
+    return [check() for name, check in checks.items() if not filter_text or filter_text in name]

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import citesim
+from citesim import report
 from cliruns import run_cli, run_process
 
 
@@ -242,6 +243,22 @@ class TestRejectedArguments:
         assert_one_error_line(result)
         assert result.stderr.startswith(message)
         assert "usage:" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: report.table1_rows("exact", 10, 1), "unknown mode"),
+            (lambda: report.scatter_rows("h", "h", 50.0, False), "unknown x axis"),
+            (lambda: report.fit_dataset("h", "survival", None), "unknown x axis"),
+            (lambda: report.fit_rows("cubic", "h", "counts", 50.0), "unknown fit kind"),
+        ],
+        ids=["table1-mode", "scatter-axis", "fit-axis", "fit-kind"],
+    )
+    def test_row_builders_reject_what_argparse_never_passes(self, build, message):
+        # the row builders check their own arguments too, for callers
+        # other than the CLI
+        with pytest.raises(ValueError, match=message):
+            build()
 
     @pytest.mark.parametrize("args", [("--help",), ("scatter", "--help")])
     def test_help_exits_zero(self, args):
@@ -500,8 +517,11 @@ class TestSeedEcho:
             ("table1", "--mode", "simulate", "--replicates", "0"),
             ("verify", "--filter", "no-such-check"),
             ("simulate", "--mu", "1", "--sigma", "1", "--n", "10", "--replicates", "5", "--out", "OUT"),
+            ("table1", "--seed", "-1"),
+            ("table1", "--replicates", "0"),
         ],
-        ids=["seed", "replicates", "table1-replicates", "filter", "out"],
+        ids=["seed", "replicates", "table1-replicates", "filter", "out",
+             "table1-analytic-seed", "table1-analytic-replicates"],
     )
     def test_rejected_run_echoes_no_seed(self, argv, tmp_path):
         argv = [str(tmp_path / "missing" / "x.csv") if a == "OUT" else a for a in argv]

@@ -7,6 +7,7 @@ import pytest
 from citesim import (
     SeriesSpec,
     default_study,
+    indicator_value,
     metrics_analytic,
     metrics_simulated,
     scatter_dataset,
@@ -111,6 +112,8 @@ class TestScatterDataset:
             scatter_dataset(default_study(), "g_index", "counts", 50.0)
         with pytest.raises(ValueError):
             scatter_dataset(default_study(), "h", "survival", 50.0)
+        with pytest.raises(ValueError, match="unknown indicator"):
+            indicator_value(default_study()[0], "g_index")
 
     def test_shared_parameters_decorrelate_after_normalization(self):
         # equal-parameter series: probabilities equal, h strictly grows

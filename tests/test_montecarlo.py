@@ -1146,6 +1146,14 @@ class TestBlocks:
             assert len(mc._conditioned_normals(rng, a, 1000)) == 1000
             assert counts[method] >= 1108, (a, counts)
 
+    @pytest.mark.parametrize("a", [30.0, 40.0])
+    def test_far_tail_draws_are_finite_and_at_least_a(self, a):
+        # past a = 26 the acceptance rate is taken as 1, as e^(a^2 / 2)
+        # in its closed form overflows past a = 37.7
+        z = mc._conditioned_normals(np.random.default_rng(1), a, 1000)
+        assert len(z) == 1000
+        assert np.isfinite(z).all() and (z >= a).all()
+
 
 @functools.lru_cache
 def traced_peak(replicates):

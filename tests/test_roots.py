@@ -24,6 +24,7 @@ def test_endpoint_root_short_circuits():
     root, evaluations = brentq(lambda x: x, 0.0, 1.0)
     assert root == 0.0
     assert evaluations == 2
+    assert brentq(lambda x: x - 1.0, 0.0, 1.0) == (1.0, 2)
 
 
 def test_steep_function():

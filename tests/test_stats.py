@@ -117,6 +117,15 @@ class TestFitPowerLaw:
             fit_power_law([(0, 1), (2, 2), (3, 3)])
         with pytest.raises(ValueError):
             fit_power_law([(2, 1), (2, 2), (2, 3)])
+        with pytest.raises(ValueError, match="points must be"):
+            fit_power_law([(1, 1, 1), (2, 2, 2), (3, 3, 3)])
+
+    def test_constant_y_is_flat_with_r_squared_one(self):
+        # y has no spread, so nothing is left to explain
+        fit = fit_power_law([(1, 3.0), (2, 3.0), (5, 3.0)])
+        assert fit.amplitude == pytest.approx(3.0, rel=1e-12)
+        assert fit.exponent == pytest.approx(0.0, abs=1e-12)
+        assert fit.r_squared == 1.0
 
 
 class TestFitLinear:

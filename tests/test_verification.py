@@ -1,5 +1,6 @@
 """Verification machinery: naming, filtering, and tamper sensitivity."""
 
+import dataclasses
 import math
 
 import pytest
@@ -103,3 +104,23 @@ def test_asymptotic_check_detects_wrong_closed_form(monkeypatch, wrong_form):
     result = verification.check_asymptotic_accuracy()
     assert not result.passed
     assert "over 15%" in result.detail
+
+
+def test_h_check_detects_scaled_fixed_point(monkeypatch):
+    # h 5% high moves every reference h above 40 past the check's
+    # tolerance of 1
+    original = indicators.solve_h
+
+    def scaled(spec):
+        solution = original(spec)
+        return dataclasses.replace(solution, h_continuous=solution.h_continuous * 1.05)
+
+    indicators.default_study.cache_clear()
+    monkeypatch.setattr(indicators, "solve_h", scaled)
+    try:
+        result = verification.check_table1_h()
+    finally:
+        indicators.default_study.cache_clear()
+    assert not result.passed
+    entries = result.detail.split("beyond 1: ")[1].split("; ")
+    assert entries and all(entry.startswith("series ") for entry in entries)
