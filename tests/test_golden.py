@@ -10,7 +10,13 @@ by scheme 8 reach the sampler's paths those do not:
 simulate_mu6.5_s0.5_n1000_r100.csv (k* = 592) moves the window below L,
 simulate_mu9.2_s0.3_n5000_r100.csv (k* = 4947) draws a low tail below L
 and a tail above a K' past 256, and simulate_mu30_s2_n3000_r20.csv (k* =
-N, a huge median) sums its tail papers past 2^53 as int64 halves. Every
+N, a huge median) sums its tail papers past 2^53 as int64 halves. Scheme
+8 also wrote the four that hold the benchmark's simulated commands at the
+default seed: simulate_mu1.7_s1.0_n100_r5000.csv,
+simulate_mu2.1_s1.1_n200_r5000.csv and simulate_mu1.5_s0.9_n200_r5000.csv
+(small-n-sim, series 22, 13 and 25) and table1_simulate_r300.csv
+(study-sim), written before _scan took each row's law by index, so they
+pin that rewrite of the scan's bookkeeping to the same bytes. Every
 replicate finds its h by a scan of binomial counts from k*, the h of the
 expected exceedance counts: up from k* one count a step while it has at
 least k papers at k or more, else down until it has; |h - k*| + 2
@@ -77,6 +83,14 @@ COMMANDS = {
         "simulate", "--mu", "9.2", "--sigma", "0.3", "--n", "5000", "--replicates", "100"),
     "simulate_mu30_s2_n3000_r20.csv": (
         "simulate", "--mu", "30", "--sigma", "2", "--n", "3000", "--replicates", "20"),
+    # the benchmark's simulated workloads, at the default seed
+    "simulate_mu1.7_s1.0_n100_r5000.csv": (
+        "simulate", "--mu", "1.7", "--sigma", "1.0", "--n", "100", "--replicates", "5000"),
+    "simulate_mu2.1_s1.1_n200_r5000.csv": (
+        "simulate", "--mu", "2.1", "--sigma", "1.1", "--n", "200", "--replicates", "5000"),
+    "simulate_mu1.5_s0.9_n200_r5000.csv": (
+        "simulate", "--mu", "1.5", "--sigma", "0.9", "--n", "200", "--replicates", "5000"),
+    "table1_simulate_r300.csv": ("table1", "--mode", "simulate", "--replicates", "300"),
 }
 
 THRESHOLDS = ("5", "10", "20", "30", "50", "100", "500")
