@@ -264,8 +264,7 @@ def run_replicates(
     run of N x replicates >= 2**63 papers, past its int64 paper counts,
     raises ValueError.
     """
-    if replicates < 1:
-        raise ValueError(f"need at least 1 replicate, got {replicates}")
+    _check_run(seed, replicates)
     if spec.n_papers * replicates >= 2**63:
         raise ValueError(f"N x replicates must stay below 2^63, got N = {spec.n_papers}, "
                          f"replicates = {replicates}")
@@ -421,13 +420,22 @@ def _scan(streams: _Substreams, size: int, n: int, start: int, survival: _Surviv
     the next count with probability _kept and places the rest at k (up)
     or k - 1 (down), so up-rows reach k* + s at step s and down-rows
     k* - s. A row stops once it keeps at most its limit, which rises by
-    one a step, so a scanning row keeps at least one paper. u marks the
-    up-rows, and each row takes its side's probability and limit from
-    it, so a step draws every row alike; a side with no rows adds 0 to
-    `exact`, and S is only evaluated at the counts of a side with rows.
-    Each step carries only the rows still scanning, and `rows` holds
+    one a step. u is 1 on the up-rows and 0 on the down-rows, and each
+    row takes its probability and its limit by indexing a (down, up)
+    pair with u, so a step draws every row alike. The rows still
+    scanning are then compacted by one index array, and `rows` holds
     their indices among the `size`, so a row's last step is its stop
     step.
+
+    Every scanning row keeps at least one paper: at step 0 an up-row
+    holds G(k*) >= k* >= 1, or G(0) = N at k* = 0, and a down-row N -
+    G(k*) >= 1; later a row scans on only while it keeps more than its
+    limit, which is never negative. So the held sums, held_up and
+    held_down, are positive exactly when their side has rows. A side
+    with none takes a placeholder probability and limit and adds 0 to
+    `exact`, and S is only evaluated at the counts of a side with rows.
+    The down-limit needs its placeholder: once the last down-row has
+    stopped, N - (k* - s) can pass int64.
     """
     import numpy as np
 
@@ -447,19 +455,19 @@ def _scan(streams: _Substreams, size: int, n: int, start: int, survival: _Surviv
     while t.size:
         step += 1
         high, low = start + step, start - step
-        downs = t.size - ups
-        r_up = _kept(survival, high - 1, True) if ups else 0.0
-        r_down = _kept(survival, low + 1, False) if downs else 0.0
-        t = streams.binomial(step, t, np.where(u, r_up, r_down))
+        r_up = _kept(survival, high - 1, True) if held_up else 0.0
+        r_down = _kept(survival, low + 1, False) if held_down else 0.0
+        t = streams.binomial(step, t, np.array([r_down, r_up]).take(u))
         kept_up = int(np.dot(t, u))
         kept_down = int(t.sum()) - kept_up
         exact[high - 1] += held_up - kept_up
         exact[low] += held_down - kept_down
-        # up: G(k* + s) <= k* + s - 1; down: N - G(k* - s) <= N - k* + s
-        going = t > np.where(u, high - 1, n - low)
+        # up: G(k* + s) <= k* + s - 1; down: N - G(k* - s) <= N - k* + s,
+        # past int64 once no down-row is left
+        limits = np.array([n - low if held_down else 0, high - 1])
+        going = np.flatnonzero(t > limits.take(u))
         stops[rows] = step
-        t, u, rows = t[going], u[going], rows[going]
-        ups = int(u.sum())
+        t, u, rows = t.take(going), u.take(going), rows.take(going)
         held_up = int(np.dot(t, u))
         held_down = int(t.sum()) - held_up
         above[high] += kept_up - held_up
@@ -637,7 +645,7 @@ def _survival(params: LognormalParams, first: int, last: int) -> list[float]:
     mu, scale = params.mu, params.sigma * math.sqrt(2.0)
     erfc, log = math.erfc, math.log
     return [1.0] * (first == 0 < last) + [
-        0.5 * erfc((log(k) - mu) / scale) for k in range(max(first, 1), last)]
+        0.5 * erfc((ln_k - mu) / scale) for ln_k in map(log, range(max(first, 1), last))]
 
 
 def _conditioned_normals(rng: np.random.Generator, a: float, count: int) -> np.ndarray:

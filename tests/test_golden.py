@@ -15,8 +15,8 @@ N, a huge median) sums its tail papers past 2^53 as int64 halves. Scheme
 default seed: simulate_mu1.7_s1.0_n100_r5000.csv,
 simulate_mu2.1_s1.1_n200_r5000.csv and simulate_mu1.5_s0.9_n200_r5000.csv
 (small-n-sim, series 22, 13 and 25) and table1_simulate_r300.csv
-(study-sim), written before _scan took each row's law by index, so they
-pin that rewrite of the scan's bookkeeping to the same bytes. Every
+(study-sim), so a change to how the scans are computed that keeps the
+scheme is held to the benchmark's own bytes. Every
 replicate finds its h by a scan of binomial counts from k*, the h of the
 expected exceedance counts: up from k* one count a step while it has at
 least k papers at k or more, else down until it has; |h - k*| + 2

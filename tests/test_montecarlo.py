@@ -121,6 +121,16 @@ class TestRunReplicates:
         summary = run_replicates(spec, 9000)
         assert summary.sum_citations_mean == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("mu, sigma, h_mean, sum_c_mean", [
+        # k* = 0: N - low is 2^63 at step 1, past int64, with no down-row left
+        (-10, 1, 0.0, 0.0),
+        (-3, 0.5, 4.0, 9100292283.0),
+    ])
+    def test_largest_n_scans_past_int64_limits(self, mu, sigma, h_mean, sum_c_mean):
+        summary = run_replicates(SeriesSpec.from_values(mu, sigma, 2**63 - 1), 1, seed=3)
+        assert (summary.h_mean, summary.h_stddev, summary.sum_citations_mean) == (h_mean, 0.0, sum_c_mean)
+        assert set(summary.counts_above.values()) == {0.0}
+
     def test_series_13_h_mean_matches_reference(self):
         summary = run_replicates(SERIES_13, 10_000, seed=DEFAULT_SEED)
         assert summary.h_mean == pytest.approx(27, abs=1)
@@ -183,15 +193,20 @@ def summaries_by_workers(spec, replicates, thresholds=ThresholdSet((5, 10, 20, 5
 
 
 def recorded_streams(monkeypatch):
-    """Record the stream index of every generator montecarlo seeds, with
-    the thread that seeds it."""
+    """Record the seed of every generator montecarlo builds, with the
+    thread that builds it: the rows stream's PCG64 and the rest stream's
+    default_rng. A derive_seed call that builds no generator, such as a
+    seed's range check, is not a seeding."""
     streams = []
 
-    def recording(master, index):
-        streams.append((threading.get_ident(), index))
-        return derive_seed(master, index)
+    def recording(build):
+        def building(seed):
+            streams.append((threading.get_ident(), seed))
+            return build(seed)
+        return building
 
-    monkeypatch.setattr(mc, "derive_seed", recording)
+    monkeypatch.setattr(np.random, "PCG64", recording(np.random.PCG64))
+    monkeypatch.setattr(np.random, "default_rng", recording(np.random.default_rng))
     return streams
 
 
@@ -352,7 +367,7 @@ class TestWorkers:
                 runs = recorded_h(patch)
                 summary = run_replicates(spec, replicates, seed=77)
             # the rows stream and the rest stream, whatever the replicate count
-            assert streams == [(me, 0), (me, 1)]
+            assert streams == [(me, derive_seed(77, 0)), (me, derive_seed(77, 1))]
             assert len(runs[0]) == replicates
             assert summary == run_replicates(spec, replicates, seed=77)
 
@@ -371,7 +386,7 @@ class TestWorkers:
         with pytest.raises(ValueError, match="block at replicate 5120$"):
             run_replicates(spec, 10_000, seed=77)
         assert threading.active_count() == before
-        assert [index for _, index in streams] == [0, 1]
+        assert [seed for _, seed in streams] == [derive_seed(77, 0), derive_seed(77, 1)]
         # each block before it scanned its 1024 rows
         assert [rows for _, rows in blocks] == [1024] * 6
 
@@ -863,18 +878,29 @@ class TestHistograms:
         block_rows = block_rows or mc._BLOCK_ROWS
         monkeypatch.setattr(mc, "_BLOCK_ROWS", block_rows)
         runs = recorded_h(monkeypatch)
+        draws = recorded_draws(monkeypatch)
         calls = recorded_trials(monkeypatch)
-        run_replicates(SERIES_22, 5000, seed=DEFAULT_SEED)
-        h, start = runs[0], mc._scan_start(SERIES_22)
-        stops = np.where(h >= start, h - start + 1, start - h)
-        expected = []
-        for first in range(0, 5000, block_rows):
-            block = stops[first : first + block_rows]
-            expected.append((0, len(block)))
-            expected += [(s, np.count_nonzero(block >= s)) for s in range(1, block.max() + 1)]
-        assert calls == expected
-        # most rows stop within a few steps, so the later steps are short
-        assert sum(rows for step, rows in calls if step) < 3 * 5000
+        # N = 1 (k* = 0), a huge median (k* = N) and every paper at 7
+        # citations (sigma -> 0) as well
+        for spec, replicates in [(SERIES_22, 5000), (SeriesSpec.from_values(2, 1, 1), 5000),
+                                 (SeriesSpec.from_values(30, 2, 3000), 1500),
+                                 (SeriesSpec.from_values(2, 1e-9, 10_000), 5000)]:
+            draws.clear()
+            calls.clear()
+            run_replicates(spec, replicates, seed=DEFAULT_SEED)
+            h, start = runs[-1], mc._scan_start(spec)
+            stops = np.where(h >= start, h - start + 1, start - h)
+            expected = []
+            for first in range(0, replicates, block_rows):
+                block = stops[first : first + block_rows]
+                expected.append((0, len(block)))
+                expected += [(s, np.count_nonzero(block >= s)) for s in range(1, block.max() + 1)]
+            assert calls == expected, spec
+            # every row a step passes has trials, a paper on its far side,
+            # so a side holds papers exactly when it has rows
+            assert draws == calls, spec
+            # most rows stop within a few steps, so the later steps are short
+            assert sum(rows for step, rows in calls if step) < 3 * replicates, spec
 
     def test_study_rows_rarely_leave_the_window(self, monkeypatch):
         # 3 to 4 rows in 10^5 have an h more than 4 standard deviations
